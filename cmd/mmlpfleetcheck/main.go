@@ -51,9 +51,11 @@
 // be unique, echoed to the client, and surface in exactly one shard's
 // slow-log; ?trace=1 stage blocks must attribute kernel time on cold
 // solves and cache-lookup time (never kernel) on hits; /metrics must parse
-// on every process with counters equal to /statsz; the fleet's latency
-// quantiles must derive from the merged per-shard histograms; and the
-// router's routed counter must equal the shards' summed jobs counters —
+// on every process, and every counter and histogram count the shards
+// render must sum to the same series rendered from the router's merged
+// fleet block; the fleet's latency quantiles must derive from the merged
+// per-shard histograms; and the router's routed counter must equal the
+// shards' summed jobs counters —
 // the counter-conservation invariant, also checked at the end of the
 // baseline, cutover and mixed scenarios.
 //
@@ -603,14 +605,14 @@ func (h *harness) checkPartitioning(keys []canon.Key) error {
 		if raw.Cache == nil {
 			return fmt.Errorf("shard %s reports no cache block", addr)
 		}
-		if raw.Cache.Entries != expected[addr] {
+		if raw.Cache.Entries != int64(expected[addr]) {
 			return fmt.Errorf("shard %s caches %d entries, ring assigns it %d of the %d distinct keys — keys are duplicated or misrouted across the fleet",
 				addr, raw.Cache.Entries, expected[addr], len(distinct))
 		}
 		if raw.Cache.Evictions != 0 {
 			return fmt.Errorf("shard %s evicted %d entries; the smoke workload must fit its cache", addr, raw.Cache.Evictions)
 		}
-		total += raw.Cache.Entries
+		total += int(raw.Cache.Entries)
 	}
 	if total != len(distinct) {
 		return fmt.Errorf("fleet caches %d entries in total, want exactly %d distinct keys", total, len(distinct))
@@ -622,16 +624,11 @@ func (h *harness) checkPartitioning(keys []canon.Key) error {
 // checkAggregation compares the router's fleet view against per-shard raw
 // scrapes taken while the fleet is quiescent.
 func (h *harness) checkAggregation() error {
-	resp, err := h.hc.Get("http://" + h.routerAddr + "/statsz")
+	fleet, err := h.fleetStats()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	var fleet mmlp.FleetStats
-	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
-		return fmt.Errorf("router statsz: %w", err)
-	}
-	if fleet.Router.Shards != h.nShards || fleet.Router.Healthy != h.nShards {
+	if fleet.Router.Shards != int64(h.nShards) || fleet.Router.Healthy != int64(h.nShards) {
 		return fmt.Errorf("router reports %d/%d healthy shards, want %d/%d",
 			fleet.Router.Healthy, fleet.Router.Shards, h.nShards, h.nShards)
 	}

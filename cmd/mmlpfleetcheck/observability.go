@@ -143,6 +143,13 @@ func (h *harness) scrapeMetrics(addr string) ([]promLine, error) {
 	return lines, nil
 }
 
+// summable reports whether a fleet's value of series is the sum of its
+// shards': a counter (_total by convention) or a histogram's _count.
+func summable(series string) bool {
+	name, _, _ := strings.Cut(series, "{")
+	return strings.HasSuffix(name, "_total") || strings.HasSuffix(name, "_count")
+}
+
 // metricValue finds one exact series in a parsed scrape.
 func metricValue(lines []promLine, series string) (float64, error) {
 	for _, l := range lines {
@@ -321,34 +328,50 @@ func (h *harness) runObservability() error {
 	}
 	fmt.Printf("slow-log: every router-issued trace ID appears in exactly one shard's log\n")
 
-	// Phase D: /metrics on every process. Each scrape must parse, and the
-	// shards' jobs and solve-histogram counts must sum to the fleet view.
+	// Phase D: /metrics on every process. Each scrape must parse, and every
+	// counter and histogram count the shards render must sum to the same
+	// series rendered from the router's merged fleet block — one check per
+	// declared metric, so a metric the merge or the renderer dropped fails.
 	fleet, err := h.fleetStats()
 	if err != nil {
 		return err
 	}
-	var jobsSum, solveCountSum float64
+	var fleetText bytes.Buffer
+	fleet.Fleet.WriteMetrics(&fleetText)
+	fleetLines, err := parseProm(fleetText.String())
+	if err != nil {
+		return fmt.Errorf("fleet block renders malformed metrics: %w", err)
+	}
+	want := map[string]float64{}
+	for _, l := range fleetLines {
+		if summable(l.series) {
+			want[l.series] = l.value
+		}
+	}
+	got := map[string]float64{}
 	for _, addr := range h.shardAddrs {
 		lines, err := h.scrapeMetrics(addr)
 		if err != nil {
 			return err
 		}
-		jobs, err := metricValue(lines, "mmlp_jobs_total")
-		if err != nil {
-			return fmt.Errorf("shard %s metrics: %w", addr, err)
+		for _, l := range lines {
+			if summable(l.series) {
+				got[l.series] += l.value
+			}
 		}
-		count, err := metricValue(lines, "mmlp_solve_duration_seconds_count")
-		if err != nil {
-			return fmt.Errorf("shard %s metrics: %w", addr, err)
+	}
+	for series, v := range got {
+		if _, ok := want[series]; !ok {
+			return fmt.Errorf("shards render %s (sum %v), the fleet view does not", series, v)
 		}
-		jobsSum += jobs
-		solveCountSum += count
 	}
-	if jobsSum != float64(fleet.Fleet.Jobs) {
-		return fmt.Errorf("shard /metrics jobs sum to %v, fleet view reports %d", jobsSum, fleet.Fleet.Jobs)
+	for series, v := range want {
+		if got[series] != v {
+			return fmt.Errorf("shard /metrics %s sum to %v, the fleet view renders %v", series, got[series], v)
+		}
 	}
-	if fleet.Fleet.Solve == nil || float64(fleet.Fleet.Solve.Count) != solveCountSum {
-		return fmt.Errorf("merged fleet histogram count %+v does not equal the per-shard /metrics sum %v", fleet.Fleet.Solve, solveCountSum)
+	if _, ok := want["mmlp_jobs_total"]; !ok {
+		return fmt.Errorf("fleet view renders no mmlp_jobs_total")
 	}
 	routerLines, err := h.scrapeMetrics(h.routerAddr)
 	if err != nil {
@@ -364,7 +387,7 @@ func (h *harness) runObservability() error {
 	if _, err := metricValue(routerLines, "mmlp_router_forward_duration_seconds_count"); err != nil {
 		return fmt.Errorf("router metrics: %w", err)
 	}
-	fmt.Printf("metrics: %d shard scrapes + the router parse, and their counters equal the fleet view\n", h.nShards)
+	fmt.Printf("metrics: %d shard scrapes + the router parse, and all %d summable series equal the fleet view\n", h.nShards, len(want))
 
 	// Phase E: fleet quantiles exist and are ordered — they can only come
 	// from the merged histograms, because the per-shard raw blocks carry

@@ -136,7 +136,7 @@ func (h *harness) pollEntries(addrs []string, expected map[string]int, timeout t
 				return fmt.Errorf("shard %s evicted %d entries; the smoke workload must fit its cache", addr, raw.Cache.Evictions)
 			}
 			state = append(state, fmt.Sprintf("%s=%d(want %d)", addr, raw.Cache.Entries, expected[addr]))
-			if raw.Cache.Entries != expected[addr] {
+			if raw.Cache.Entries != int64(expected[addr]) {
 				ok = false
 			}
 		}

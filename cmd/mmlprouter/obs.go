@@ -5,7 +5,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -26,48 +25,16 @@ func serveDebug(name, addr string) {
 	}
 }
 
-// handleMetrics renders the router's own counters in the Prometheus text
-// exposition format. Deliberately router-local: shard totals are each
-// shard's /metrics to report (scraping them here would double-count in any
-// setup where Prometheus also scrapes the shards directly), and the fleet
-// aggregate stays on /statsz.
+// handleMetrics renders the router block /statsz serves in the
+// Prometheus text exposition format. Deliberately router-local: shard
+// totals are each shard's /metrics to report (scraping them here would
+// double-count in any setup where Prometheus also scrapes the shards
+// directly), and the fleet aggregate stays on /statsz.
 func (rt *router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := rt.client.Stats()
 	var b bytes.Buffer
-
-	obs.WriteHeader(&b, "mmlp_router_routed_total", "counter", "Requests admitted and routed to a shard.")
-	obs.WriteInt(&b, "mmlp_router_routed_total", "", st.Routed)
-	obs.WriteHeader(&b, "mmlp_router_forwarded_total", "counter", "Shard-bound POSTs, including retries, warms and cutover notifications.")
-	obs.WriteInt(&b, "mmlp_router_forwarded_total", "", st.Forwarded)
-	obs.WriteHeader(&b, "mmlp_router_retried_total", "counter", "Failover hops past the first dialled member.")
-	obs.WriteInt(&b, "mmlp_router_retried_total", "", st.Retried)
-	obs.WriteHeader(&b, "mmlp_router_shard_down_total", "counter", "Transport failures that put a shard into cooldown.")
-	obs.WriteInt(&b, "mmlp_router_shard_down_total", "", st.ShardDown)
-	obs.WriteHeader(&b, "mmlp_router_retry_budget_exhausted_total", "counter", "Requests failed fast (503) because the retry token bucket ran dry.")
-	obs.WriteInt(&b, "mmlp_router_retry_budget_exhausted_total", "", st.BudgetExhausted)
-	obs.WriteHeader(&b, "mmlp_router_replicated_total", "counter", "Write-through warms delivered to backup replicas.")
-	obs.WriteInt(&b, "mmlp_router_replicated_total", "", rt.replicated.Load())
-	obs.WriteHeader(&b, "mmlp_router_canon_passthrough_total", "counter", "Canon payloads routed by hashing the raw bytes.")
-	obs.WriteInt(&b, "mmlp_router_canon_passthrough_total", "", rt.canonPassthrough.Load())
-
-	obs.WriteHeader(&b, "mmlp_router_shards", "gauge", "Ring member count.")
-	obs.WriteInt(&b, "mmlp_router_shards", "", int64(len(rt.client.Ring().Members())))
-	obs.WriteHeader(&b, "mmlp_router_healthy", "gauge", "Members outside a cooldown window.")
-	obs.WriteInt(&b, "mmlp_router_healthy", "", int64(len(rt.client.Healthy())))
-	obs.WriteHeader(&b, "mmlp_router_ring_version", "gauge", "Current ring generation.")
-	obs.WriteInt(&b, "mmlp_router_ring_version", "", int64(rt.client.Version()))
-
-	obs.WriteHeader(&b, "mmlp_router_forward_duration_seconds", "histogram", "Successful forward latency, send to response headers.")
-	obs.WriteHistogram(&b, "mmlp_router_forward_duration_seconds", "", rt.client.ForwardHist())
-
-	writeBuildInfo(&b)
+	st := rt.stats()
+	st.WriteMetrics(&b)
+	obs.WriteBuildInfo(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(b.Bytes())
-}
-
-// writeBuildInfo emits the standard build-identity gauge.
-func writeBuildInfo(b *bytes.Buffer) {
-	rev, dirty := obs.BuildInfo()
-	obs.WriteHeader(b, "mmlp_build_info", "gauge", "Build identity (constant 1; identity in the labels).")
-	obs.WriteInt(b, "mmlp_build_info", `revision="`+rev+`",dirty="`+strconv.FormatBool(dirty)+`"`, 1)
 }

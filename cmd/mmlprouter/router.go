@@ -738,24 +738,16 @@ func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Fleet quantiles come from the merged histogram — per-shard P50/P99
 	// are process-local order statistics and cannot be combined.
 	out.Fleet.DeriveQuantiles()
-	st := rt.client.Stats()
-	out.Router = mmlp.RouterStats{
-		Shards:      len(members),
-		Healthy:     len(rt.client.Healthy()),
-		RingVersion: rt.client.Version(),
-		Draining:    rt.client.Draining() != nil,
-		Replication: rt.client.Replication(),
-		Routed:      st.Routed,
-		Forwarded:   st.Forwarded,
-		Retried:     st.Retried,
-		ShardDown:   st.ShardDown,
-		Replicated:  rt.replicated.Load(),
-
-		RetryBudgetExhausted: st.BudgetExhausted,
-
-		CanonPassthrough: rt.canonPassthrough.Load(),
-		Forward:          rt.client.ForwardHist(),
-	}
+	out.Router = rt.stats()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
+}
+
+// stats snapshots the router block: the shard client's routing view plus
+// the router's own write-through and passthrough counters.
+func (rt *router) stats() mmlp.RouterStats {
+	st := rt.client.Stats()
+	st.Replicated = rt.replicated.Load()
+	st.CanonPassthrough = rt.canonPassthrough.Load()
+	return st
 }

@@ -29,14 +29,12 @@
 //	GET  /v1/capabilities — the serving surface (endpoints, engines,
 //	                  content types, wire limits) for feature detection
 //	GET  /healthz   — liveness plus the build's VCS revision/dirty flag
-//	GET  /statsz    — throughput, latency quantiles, allocs/job, and a
-//	                  "cache" block (hits/misses/evictions/coalesced,
-//	                  entries, bytes) when caching is enabled; ?raw=1
-//	                  serves the typed machine block (exact counters,
-//	                  nanosecond latencies, mergeable latency histograms)
-//	                  that mmlprouter aggregates into its fleet view
-//	GET  /metrics   — the same counters plus solve/per-stage latency
-//	                  histograms in the Prometheus text format
+//	GET  /statsz    — the typed stats block (mmlp.StatsRaw: exact
+//	                  counters, nanosecond latencies, mergeable latency
+//	                  histograms, and a "cache" block when caching is
+//	                  enabled) that mmlprouter merges into its fleet view;
+//	                  ?raw=1 is accepted and serves the same block
+//	GET  /metrics   — the same block in the Prometheus text format
 //
 // Observability: ?trace=1 on /v1/solve adds a per-stage "trace" block to
 // the response; an X-Mmlp-Trace request header (normally set by the

@@ -277,6 +277,13 @@ func TestStatszCacheUnderConcurrentLoad(t *testing.T) {
 	if cachedCount == 0 {
 		t.Fatal("no response was answered from the cache")
 	}
+	// Every burst request may legitimately coalesce behind the leader's
+	// flight (the usual outcome on a slow runner, e.g. under -race), so one
+	// follow-up after the burst pins a plain hit.
+	if w := post(h, "/v1/solve", body); w.Code != http.StatusOK {
+		t.Fatalf("follow-up: status %d: %s", w.Code, w.Body)
+	}
+	const lookups = requests + 1
 
 	req := httptest.NewRequest(http.MethodGet, "/statsz", nil)
 	w := httptest.NewRecorder()
@@ -298,8 +305,8 @@ func TestStatszCacheUnderConcurrentLoad(t *testing.T) {
 	if st.Cache == nil {
 		t.Fatalf("statsz has no cache block: %s", w.Body)
 	}
-	if st.Cache.Hits+st.Cache.Misses+st.Cache.Coalesced != requests {
-		t.Fatalf("cache counters %+v do not add up to %d requests", st.Cache, requests)
+	if st.Cache.Hits+st.Cache.Misses+st.Cache.Coalesced != lookups {
+		t.Fatalf("cache counters %+v do not add up to %d requests", st.Cache, lookups)
 	}
 	if st.Cache.Hits == 0 || st.Cache.Misses == 0 || st.Cache.Entries != 1 || st.Cache.Bytes == 0 {
 		t.Fatalf("cache block = %+v", st.Cache)
@@ -338,8 +345,8 @@ func TestStatszCacheUnderConcurrentLoad(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &dst); err != nil {
 		t.Fatalf("statsz: %v (%s)", err, w.Body)
 	}
-	if got := dst.Cache.Hits + dst.Cache.Misses + dst.Cache.Coalesced; got != requests+deltas {
-		t.Fatalf("cache counters %+v add up to %d, want %d solves + %d deltas", dst.Cache, got, requests, deltas)
+	if got := dst.Cache.Hits + dst.Cache.Misses + dst.Cache.Coalesced; got != lookups+deltas {
+		t.Fatalf("cache counters %+v add up to %d, want %d solves + %d deltas", dst.Cache, got, lookups, deltas)
 	}
 	if dst.DeltaMisses != 1 || dst.DeltaHits != deltas-1 {
 		t.Fatalf("delta counters: hits=%d misses=%d, want %d/1", dst.DeltaHits, dst.DeltaMisses, deltas-1)
@@ -364,8 +371,8 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestStatszRaw checks the machine block the shard router scrapes: typed
-// fields, exact counters, and agreement with the human view.
+// TestStatszRaw checks the stats block the shard router scrapes: typed
+// fields, exact counters, and histogram-derived latencies.
 func TestStatszRaw(t *testing.T) {
 	h := testServerOpts(t, 1<<20, batch.Options{Workers: 2, Queue: 2, CacheBytes: 1 << 20})
 	in := gen.TriNecklace(3)

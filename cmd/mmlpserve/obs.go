@@ -5,7 +5,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/batch"
@@ -28,74 +27,15 @@ func serveDebug(name, addr string) {
 	}
 }
 
-// handleMetrics renders the pool's counters and latency histograms in the
-// Prometheus text exposition format. The same atomic counters back
-// /statsz; this endpoint only changes the spelling, so the two views can
-// never disagree.
+// handleMetrics renders the stats block /statsz serves in the Prometheus
+// text exposition format, from the one declaration of each metric, so the
+// two views can never disagree.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := s.pool.Stats()
 	var b bytes.Buffer
-
-	obs.WriteHeader(&b, "mmlp_jobs_total", "counter", "Completed jobs.")
-	obs.WriteInt(&b, "mmlp_jobs_total", "", st.Jobs)
-	obs.WriteHeader(&b, "mmlp_errors_total", "counter", "Completed jobs that failed or were cancelled.")
-	obs.WriteInt(&b, "mmlp_errors_total", "", st.Errors)
-	obs.WriteHeader(&b, "mmlp_shed_total", "counter", "Submissions refused at admission on a full queue (HTTP 429).")
-	obs.WriteInt(&b, "mmlp_shed_total", "", st.Shed)
-	obs.WriteHeader(&b, "mmlp_deadline_expired_total", "counter", "Jobs whose propagated deadline passed while queued (HTTP 504).")
-	obs.WriteInt(&b, "mmlp_deadline_expired_total", "", st.DeadlineExpired)
-	obs.WriteHeader(&b, "mmlp_delta_hits_total", "counter", "Delta solves answered from the result cache.")
-	obs.WriteInt(&b, "mmlp_delta_hits_total", "", st.DeltaHits)
-	obs.WriteHeader(&b, "mmlp_delta_misses_total", "counter", "Delta solves that ran the splice pipeline or fell back cold.")
-	obs.WriteInt(&b, "mmlp_delta_misses_total", "", st.DeltaMisses)
-	obs.WriteHeader(&b, "mmlp_dirty_agents_total", "counter", "Agents re-priced across delta misses.")
-	obs.WriteInt(&b, "mmlp_dirty_agents_total", "", st.DirtyAgents)
-	obs.WriteHeader(&b, "mmlp_faults_injected_total", "counter", "Faults fired by the -fault-spec chaos layer.")
-	obs.WriteInt(&b, "mmlp_faults_injected_total", "", s.fault.Count())
-	obs.WriteHeader(&b, "mmlp_workers", "gauge", "Fixed worker pool size.")
-	obs.WriteInt(&b, "mmlp_workers", "", int64(st.Workers))
-	obs.WriteHeader(&b, "mmlp_uptime_seconds", "gauge", "Pool age.")
-	obs.WriteFloat(&b, "mmlp_uptime_seconds", "", st.Elapsed.Seconds())
-
-	if st.Cache != nil {
-		obs.WriteHeader(&b, "mmlp_cache_hits_total", "counter", "Result-cache hits.")
-		obs.WriteInt(&b, "mmlp_cache_hits_total", "", st.Cache.Hits)
-		obs.WriteHeader(&b, "mmlp_cache_misses_total", "counter", "Result-cache misses.")
-		obs.WriteInt(&b, "mmlp_cache_misses_total", "", st.Cache.Misses)
-		obs.WriteHeader(&b, "mmlp_cache_coalesced_total", "counter", "Lookups that joined an in-flight solve of the same key.")
-		obs.WriteInt(&b, "mmlp_cache_coalesced_total", "", st.Cache.Coalesced)
-		obs.WriteHeader(&b, "mmlp_cache_evictions_total", "counter", "Entries evicted under byte-budget pressure.")
-		obs.WriteInt(&b, "mmlp_cache_evictions_total", "", st.Cache.Evictions)
-		obs.WriteHeader(&b, "mmlp_cache_pruned_total", "counter", "Entries dropped because a ring cutover moved their key.")
-		obs.WriteInt(&b, "mmlp_cache_pruned_total", "", st.Cache.Pruned)
-		obs.WriteHeader(&b, "mmlp_cache_entries", "gauge", "Live cached results.")
-		obs.WriteInt(&b, "mmlp_cache_entries", "", int64(st.Cache.Entries))
-		obs.WriteHeader(&b, "mmlp_cache_bytes", "gauge", "Bytes held by the result cache.")
-		obs.WriteInt(&b, "mmlp_cache_bytes", "", st.Cache.Bytes)
-		obs.WriteHeader(&b, "mmlp_cache_max_bytes", "gauge", "Result-cache byte budget.")
-		obs.WriteInt(&b, "mmlp_cache_max_bytes", "", st.Cache.MaxBytes)
-	}
-
-	obs.WriteHeader(&b, "mmlp_solve_duration_seconds", "histogram", "Successful solve latency.")
-	obs.WriteHistogram(&b, "mmlp_solve_duration_seconds", "", st.Solve)
-	obs.WriteHeader(&b, "mmlp_stage_duration_seconds", "histogram", "Per-stage latency of the solve pipeline.")
-	for stg := obs.Stage(0); stg < obs.NumStages; stg++ {
-		if st.Stages[stg] == nil {
-			continue
-		}
-		obs.WriteHistogram(&b, "mmlp_stage_duration_seconds", `stage="`+stg.String()+`"`, st.Stages[stg])
-	}
-
-	writeBuildInfo(&b)
+	s.stats().WriteMetrics(&b)
+	obs.WriteBuildInfo(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(b.Bytes())
-}
-
-// writeBuildInfo emits the standard build-identity gauge.
-func writeBuildInfo(b *bytes.Buffer) {
-	rev, dirty := obs.BuildInfo()
-	obs.WriteHeader(b, "mmlp_build_info", "gauge", "Build identity (constant 1; identity in the labels).")
-	obs.WriteInt(b, "mmlp_build_info", `revision="`+rev+`",dirty="`+strconv.FormatBool(dirty)+`"`, 1)
 }
 
 // logSlow emits the full per-stage breakdown of one solve via slog. The

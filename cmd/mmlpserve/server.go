@@ -460,51 +460,20 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"workers\":%d,\"revision\":%q,\"dirty\":%v}\n", s.pool.Workers(), rev, dirty)
 }
 
-// handleStats reports the pool's aggregate activity. The cache block is
-// present exactly when the result cache is enabled. With ?raw=1 the
-// response is the typed machine block (mmlp.StatsRaw: exact counters,
-// nanosecond latencies) that mmlprouter scrapes and sums into its fleet
-// view; the default view is the human one with millisecond floats.
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+// stats snapshots the process's stats block: the pool's counters and
+// histograms, its cache's, and the chaos layer's fault count.
+func (s *server) stats() *mmlp.StatsRaw {
 	st := s.pool.Stats()
-	if r.URL.Query().Get("raw") == "1" {
-		raw := batch.StatsRawFromStats(st)
-		raw.FaultsInjected = s.fault.Count()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(raw)
-		return
-	}
-	body := map[string]any{
-		"workers":          st.Workers,
-		"jobs":             st.Jobs,
-		"errors":           st.Errors,
-		"shed":             st.Shed,
-		"deadline_expired": st.DeadlineExpired,
-		"delta_hits":       st.DeltaHits,
-		"delta_misses":     st.DeltaMisses,
-		"dirty_agents":     st.DirtyAgents,
-		"jobs_per_sec":     st.JobsPerSec,
-		"p50_ms":           float64(st.P50.Microseconds()) / 1e3,
-		"p99_ms":           float64(st.P99.Microseconds()) / 1e3,
-		"max_ms":           float64(st.Max.Microseconds()) / 1e3,
-		"allocs_per_job":   st.AllocsPerJob,
-		"uptime_sec":       st.Elapsed.Seconds(),
-	}
-	if n := s.fault.Count(); n > 0 {
-		body["faults_injected"] = n
-	}
-	if st.Cache != nil {
-		body["cache"] = map[string]any{
-			"hits":      st.Cache.Hits,
-			"misses":    st.Cache.Misses,
-			"coalesced": st.Cache.Coalesced,
-			"evictions": st.Cache.Evictions,
-			"pruned":    st.Cache.Pruned,
-			"entries":   st.Cache.Entries,
-			"bytes":     st.Cache.Bytes,
-			"max_bytes": st.Cache.MaxBytes,
-		}
-	}
+	st.FaultsInjected = s.fault.Count()
+	return st
+}
+
+// handleStats serves the stats block (mmlp.StatsRaw: exact counters,
+// nanosecond latencies, sparse histograms) that mmlprouter scrapes and
+// merges into its fleet view. The cache block is present exactly when the
+// result cache is enabled. ?raw=1, the router's spelling, is accepted and
+// changes nothing.
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(body)
+	json.NewEncoder(w).Encode(s.stats())
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/engine"
 	"repro/internal/mmlp"
-	"repro/internal/obs"
 )
 
 // JobFromRequest converts a validated wire request into a solver job.
@@ -86,49 +85,6 @@ func DeltaResponseFromResult(r Result) mmlp.DeltaResponse {
 		Cached:      r.Cached,
 		LatencyMS:   float64(r.Latency) / float64(time.Millisecond),
 	}
-}
-
-// StatsRawFromStats renders pool stats as the machine-oriented wire block
-// served under /statsz?raw=1 and scraped by the shard router.
-func StatsRawFromStats(st *Stats) *mmlp.StatsRaw {
-	raw := &mmlp.StatsRaw{
-		Workers:         st.Workers,
-		Jobs:            st.Jobs,
-		Errors:          st.Errors,
-		UptimeNS:        st.Elapsed.Nanoseconds(),
-		P50NS:           st.P50.Nanoseconds(),
-		P99NS:           st.P99.Nanoseconds(),
-		MaxNS:           st.Max.Nanoseconds(),
-		AllocsPerJob:    st.AllocsPerJob,
-		Shed:            st.Shed,
-		DeadlineExpired: st.DeadlineExpired,
-		DeltaHits:       st.DeltaHits,
-		DeltaMisses:     st.DeltaMisses,
-		DirtyAgents:     st.DirtyAgents,
-		Solve:           st.Solve,
-	}
-	for s := obs.Stage(0); s < obs.NumStages; s++ {
-		if st.Stages[s] == nil {
-			continue
-		}
-		if raw.Stages == nil {
-			raw.Stages = make(map[string]*obs.HistRaw, int(obs.NumStages))
-		}
-		raw.Stages[s.String()] = st.Stages[s]
-	}
-	if st.Cache != nil {
-		raw.Cache = &mmlp.CacheStatsRaw{
-			Hits:      st.Cache.Hits,
-			Misses:    st.Cache.Misses,
-			Coalesced: st.Cache.Coalesced,
-			Evictions: st.Cache.Evictions,
-			Pruned:    st.Cache.Pruned,
-			Entries:   st.Cache.Entries,
-			Bytes:     st.Cache.Bytes,
-			MaxBytes:  st.Cache.MaxBytes,
-		}
-	}
-	return raw
 }
 
 // ItemFromResult renders one batch NDJSON line.

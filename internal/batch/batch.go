@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/mmlp"
 	"repro/internal/obs"
 )
 
@@ -103,7 +104,7 @@ func (o Options) normalizedWorkers() int {
 // results carry the context error, which Solve also returns — while
 // running jobs stop at their next pipeline-stage boundary and report the
 // context error.
-func Solve(ctx context.Context, jobs []Job, o Options) ([]Result, *Stats, error) {
+func Solve(ctx context.Context, jobs []Job, o Options) ([]Result, *mmlp.StatsRaw, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

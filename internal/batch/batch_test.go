@@ -124,7 +124,7 @@ func TestPoolMatchesSequential(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Jobs != int64(3*len(conformanceJobs(t))) || st.P50 <= 0 || st.JobsPerSec <= 0 {
+	if st.Jobs != int64(3*len(conformanceJobs(t))) || st.P50NS <= 0 || st.UptimeNS <= 0 {
 		t.Fatalf("pool stats = %+v", st)
 	}
 }
@@ -299,9 +299,9 @@ func TestPoolCacheConcurrent(t *testing.T) {
 			}
 		}
 	}
-	cs := p.CacheStats()
+	cs := p.Stats().Cache
 	if cs == nil {
-		t.Fatal("CacheStats = nil on a cached pool")
+		t.Fatal("Stats().Cache = nil on a cached pool")
 	}
 	if cs.Hits+cs.Misses+cs.Coalesced != requests {
 		t.Fatalf("hits+misses+coalesced = %d, want %d (stats %+v)", cs.Hits+cs.Misses+cs.Coalesced, requests, cs)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/engine"
+	"repro/internal/mmlp"
 	"repro/internal/obs"
 )
 
@@ -263,13 +264,12 @@ func (p *Pool) TrySubmit(ctx context.Context, index int, job Job, done func(Resu
 	}
 }
 
-// QueueWaitP50 reads the median queue-wait from the live stage histogram
-// — the Retry-After hint for shed requests: half of recently admitted
-// jobs started within this long of enqueueing. Zero when nothing has
-// been dequeued yet. Allocates a snapshot; callers sit on the shed path,
-// not the warm path.
+// QueueWaitP50 reads the median queue-wait off the live stage histogram
+// — the Retry-After hint for shed requests: half of admitted jobs started
+// within this long of enqueueing. Zero when nothing has been dequeued
+// yet. Wait-free and allocation-free, like the shed path that calls it.
 func (p *Pool) QueueWaitP50() time.Duration {
-	return time.Duration(p.col.stages[obs.StageQueueWait].Snapshot().QuantileNS(0.50))
+	return time.Duration(p.col.stages[obs.StageQueueWait].QuantileNS(0.50))
 }
 
 // Do solves one job synchronously on the pool and returns its result.
@@ -283,23 +283,13 @@ func (p *Pool) Do(ctx context.Context, job Job) Result {
 
 // Stats snapshots the pool's aggregate activity, including the result
 // cache's counters when caching is enabled.
-func (p *Pool) Stats() *Stats {
+func (p *Pool) Stats() *mmlp.StatsRaw {
 	st := p.col.snapshot()
 	if p.cache != nil {
 		cs := p.cache.Stats()
 		st.Cache = &cs
 	}
 	return st
-}
-
-// CacheStats snapshots the result cache's counters, nil when caching is
-// disabled.
-func (p *Pool) CacheStats() *engine.CacheStats {
-	if p.cache == nil {
-		return nil
-	}
-	cs := p.cache.Stats()
-	return &cs
 }
 
 // Workers returns the fixed pool size.

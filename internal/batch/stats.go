@@ -2,95 +2,35 @@ package batch
 
 import (
 	"runtime/metrics"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/mmlp"
 	"repro/internal/obs"
 )
 
-// ringSize bounds the latency samples kept for the quantile estimates; the
-// newest samples overwrite the oldest, so the quantiles describe recent
-// traffic on a long-lived pool and the whole run on a one-shot batch.
-const ringSize = 4096
-
-// Stats aggregates a pool's (or a one-shot batch's) solving activity.
-type Stats struct {
-	// Workers is the fixed pool size.
-	Workers int
-	// Jobs counts completed jobs, Errors the subset that returned an error
-	// (including jobs cancelled before they started).
-	Jobs, Errors int64
-	// Elapsed is the wall-clock time since the pool started; JobsPerSec is
-	// Jobs/Elapsed.
-	Elapsed    time.Duration
-	JobsPerSec float64
-	// P50 and P99 describe the solve latency of successful jobs over the
-	// most recent samples (at most 4096); Max is the all-time worst. Failed
-	// jobs are excluded: timeouts abort in microseconds and would drag the
-	// quantiles toward zero exactly when the service is struggling.
-	P50, P99, Max time.Duration
-	// AllocsPerJob is the number of heap allocations per completed job,
-	// measured process-wide (runtime mallocs delta / jobs); it is meaningful
-	// when the pool dominates the process's activity.
-	AllocsPerJob float64
-	// Shed counts submissions refused by TrySubmit on a full queue; shed
-	// jobs never enter the queue and are NOT part of Jobs, so the offered
-	// load on a pool is Jobs + Shed. DeadlineExpired counts jobs whose
-	// deadline passed while they waited (queue, coalesced flight, or
-	// re-queue) — those ARE part of Jobs and Errors; the kernel never ran.
-	Shed, DeadlineExpired int64
-	// DeltaHits counts successful delta jobs answered from the result
-	// cache (the edited instance was already solved); DeltaMisses the rest
-	// — deltas that ran the splice pipeline or fell back to a cold solve.
-	// DirtyAgents totals the agents re-priced across delta misses, so
-	// DirtyAgents/DeltaMisses is the average edit ball size.
-	DeltaHits, DeltaMisses, DirtyAgents int64
-	// Cache carries the result cache's counters, nil when caching is
-	// disabled.
-	Cache *engine.CacheStats
-	// Solve is the mergeable log-bucketed histogram of successful solve
-	// latency (all-time, unlike the sampled P50/P99 window); Stages holds
-	// one histogram per pipeline stage, nil where a stage was never
-	// observed. Fleet aggregation merges these bucket-wise, which is what
-	// makes fleet quantiles true quantiles.
-	Solve  *obs.HistRaw
-	Stages [obs.NumStages]*obs.HistRaw
-}
-
-// collector accumulates stats concurrently. The histograms sit outside
-// the mutex: their bins are individually atomic and wait-free, so stage
-// observations never contend with the sampled-window bookkeeping.
+// collector accumulates a pool's activity, wait-free: every counter is an
+// atomic and every histogram bin is individually atomic, so recording a
+// job never takes a lock. Latency quantiles come from the histograms, on
+// a shard exactly as on the fleet.
 type collector struct {
 	workers int
 
 	solve  obs.Histogram
 	stages [obs.NumStages]obs.Histogram
 
-	// Overload counters, wait-free like the histograms: shed is bumped by
-	// TrySubmit's refusal path, deadlineExpired by queueDeath.
-	shed            atomic.Int64
-	deadlineExpired atomic.Int64
-
-	// Delta counters, bumped by recordDelta as delta jobs finish.
-	deltaHits   atomic.Int64
-	deltaMisses atomic.Int64
-	dirtyAgents atomic.Int64
-
-	mu      sync.Mutex
-	jobs    int64
-	errors  int64
-	max     time.Duration
-	ring    [ringSize]time.Duration
-	samples int64 // total latency samples ever recorded
+	jobs, errors atomic.Int64
+	// shed is bumped by TrySubmit's refusal path, deadlineExpired by
+	// queueDeath, and the delta counters by recordDelta.
+	shed, deadlineExpired               atomic.Int64
+	deltaHits, deltaMisses, dirtyAgents atomic.Int64
 
 	started      time.Time
 	startMallocs uint64
 }
 
-// start stamps the baseline for throughput and allocation accounting.
+// start stamps the baseline for uptime and allocation accounting.
 func (c *collector) start(workers int) {
 	c.workers = workers
 	c.started = time.Now()
@@ -126,87 +66,56 @@ func (c *collector) recordDelta(cached bool, out *engine.DeltaOutcome, err error
 	}
 }
 
-// record notes one completed job. Only successful solves become latency
-// samples; failures and cancellations count toward Jobs/Errors alone. tr,
-// when non-nil, feeds the per-stage histograms (zero stages are skipped:
-// a cache hit has no kernel span, and recording it as 0 would drag the
-// stage quantiles down).
+// record notes one completed job. Only successful solves are observed
+// into the solve histogram; failures and cancellations count toward
+// Jobs/Errors alone. tr, when non-nil, feeds the per-stage histograms
+// (zero stages are skipped: a cache hit has no kernel span, and recording
+// it as 0 would drag the stage quantiles down). Jobs is bumped before
+// Errors and snapshot reads them in the opposite order, so a snapshot
+// never shows more errors than jobs.
 func (c *collector) record(latency time.Duration, failed bool, tr *obs.Trace) {
-	if !failed && latency > 0 {
-		c.solve.Observe(latency)
-		for s := obs.Stage(0); s < obs.NumStages; s++ {
-			if ns := tr.NS(s); ns > 0 {
-				c.stages[s].ObserveNS(ns)
-			}
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.jobs++
+	c.jobs.Add(1)
 	if failed {
-		c.errors++
+		c.errors.Add(1)
 		return
 	}
 	if latency <= 0 {
 		return
 	}
-	c.ring[c.samples%ringSize] = latency
-	c.samples++
-	if latency > c.max {
-		c.max = latency
+	c.solve.Observe(latency)
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
+		if ns := tr.NS(s); ns > 0 {
+			c.stages[s].ObserveNS(ns)
+		}
 	}
 }
 
-// snapshot renders the current totals.
-func (c *collector) snapshot() *Stats {
-	c.mu.Lock()
-	n := c.samples
-	if n > ringSize {
-		n = ringSize
-	}
-	lat := make([]time.Duration, n)
-	copy(lat, c.ring[:n])
-	st := &Stats{
-		Workers:         c.workers,
-		Jobs:            c.jobs,
-		Errors:          c.errors,
-		Max:             c.max,
-		Elapsed:         time.Since(c.started),
+// snapshot renders the current totals as the one stats block.
+func (c *collector) snapshot() *mmlp.StatsRaw {
+	st := &mmlp.StatsRaw{
+		Errors:          c.errors.Load(), // before Jobs: see record
+		Jobs:            c.jobs.Load(),
+		Workers:         int64(c.workers),
+		UptimeNS:        int64(time.Since(c.started)),
 		Shed:            c.shed.Load(),
 		DeadlineExpired: c.deadlineExpired.Load(),
 		DeltaHits:       c.deltaHits.Load(),
 		DeltaMisses:     c.deltaMisses.Load(),
 		DirtyAgents:     c.dirtyAgents.Load(),
-	}
-	c.mu.Unlock()
-
-	if st.Elapsed > 0 {
-		st.JobsPerSec = float64(st.Jobs) / st.Elapsed.Seconds()
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		st.P50 = quantile(lat, 0.50)
-		st.P99 = quantile(lat, 0.99)
+		Solve:           c.solve.Snapshot(),
 	}
 	if st.Jobs > 0 {
 		st.AllocsPerJob = float64(readMallocs()-c.startMallocs) / float64(st.Jobs)
 	}
-	st.Solve = c.solve.Snapshot()
-	for s := range c.stages {
+	st.MaxNS = st.Solve.MaxNS
+	st.DeriveQuantiles()
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		if snap := c.stages[s].Snapshot(); snap.Count > 0 {
-			st.Stages[s] = snap
+			if st.Stages == nil {
+				st.Stages = make(map[string]*obs.HistRaw, int(obs.NumStages))
+			}
+			st.Stages[s.String()] = snap
 		}
 	}
 	return st
-}
-
-// quantile reads the q-quantile from an ascending sample (nearest-rank).
-// An empty window — every job in it failed or was cancelled, so no
-// successful-solve sample exists — reads as 0 rather than panicking.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/canon"
+	"repro/internal/mmlp"
 )
 
 // Default sizing: a 64 MiB budget holds tens of thousands of typical solve
@@ -39,33 +40,6 @@ type Options struct {
 	// Shards is the shard count, rounded up to a power of two
 	// (0 = DefaultShards).
 	Shards int
-}
-
-// Stats is a point-in-time snapshot of the cache's activity.
-type Stats struct {
-	// Hits counts lookups answered from a stored entry; Misses counts
-	// lookups that found nothing stored (and, in Do/DoDetached, ran the
-	// computation). Coalesced counts Do/DoDetached callers that attached to
-	// another caller's in-flight computation (at most once per call,
-	// however often it retries) — they receive the shared result and are
-	// counted here, not under Hits. While every flight succeeds,
-	// Hits + Misses + Coalesced equals the number of lookups; a call that
-	// waits on a flight that then fails retries and is additionally
-	// counted by its final outcome. Load is not a lookup and counts
-	// nowhere: a delta's fetch of its base record leaves the counters
-	// alone, so each delta counts exactly once, under its edited key.
-	Hits, Misses, Coalesced int64
-	// Evictions counts entries removed to honour the byte budget.
-	Evictions int64
-	// Pruned counts entries removed by Prune (ring cutovers); kept apart
-	// from Evictions so budget pressure and ownership changes stay
-	// distinguishable in fleet stats.
-	Pruned int64
-	// Entries and Bytes describe the current contents; MaxBytes echoes the
-	// configured budget.
-	Entries  int
-	Bytes    int64
-	MaxBytes int64
 }
 
 // entry is one cached value with its LRU bookkeeping.
@@ -342,11 +316,12 @@ func (c *Cache) Prune(keep func(canon.Key) bool) int {
 	return total
 }
 
-// Stats snapshots the counters and contents. The counters are read with
-// atomics and the per-shard contents under each shard's lock, so the
-// snapshot is cheap but only loosely consistent under concurrent traffic.
-func (c *Cache) Stats() Stats {
-	st := Stats{
+// Stats snapshots the counters and contents (mmlp.CacheStatsRaw documents
+// what each counts). The counters are read with atomics and the per-shard
+// contents under each shard's lock, so the snapshot is cheap but only
+// loosely consistent under concurrent traffic.
+func (c *Cache) Stats() mmlp.CacheStatsRaw {
+	st := mmlp.CacheStatsRaw{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Coalesced: c.coalesced.Load(),
@@ -357,7 +332,7 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		st.Entries += len(sh.entries)
+		st.Entries += int64(len(sh.entries))
 		st.Bytes += sh.bytes
 		sh.mu.Unlock()
 	}

@@ -26,9 +26,6 @@ type CacheOptions struct {
 	Shards int
 }
 
-// CacheStats re-exports the cache counters for the serving layer.
-type CacheStats = cache.Stats
-
 // Cache memoises complete solve results keyed by the canonical
 // (instance, options) hash. Safe for concurrent use; a nil *Cache disables
 // caching wherever one is accepted.
@@ -42,9 +39,9 @@ func NewCache(o CacheOptions) *Cache {
 }
 
 // Stats snapshots the cache counters (zero-valued for a nil cache).
-func (c *Cache) Stats() CacheStats {
+func (c *Cache) Stats() mmlp.CacheStatsRaw {
 	if c == nil || c.c == nil {
-		return CacheStats{}
+		return mmlp.CacheStatsRaw{}
 	}
 	return c.c.Stats()
 }

@@ -2,6 +2,7 @@ package mmlp
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/obs"
 )
@@ -195,28 +196,33 @@ type ErrorResponse struct {
 	Error ErrorDetail `json:"error"`
 }
 
-// StatsRaw is the body of GET /statsz?raw=1 on one mmlpserve process: the
-// machine-oriented stats block the shard router scrapes and aggregates.
-// Counters are exact integers and latencies are nanoseconds, so fleet
-// totals can be summed without rounding drift; the human /statsz view
-// derives its milliseconds from the same numbers.
+// StatsRaw is the stats block of one mmlpserve process — the body of GET
+// /statsz (with or without ?raw=1, an accepted legacy spelling) — and,
+// summed with Add, of a whole fleet. It is the one stats type: the batch
+// pool snapshots into it, SolveBatch returns it, and the shard router
+// scrapes and merges it. Counters are exact integers and latencies are
+// nanoseconds, so fleet totals sum without rounding drift.
+//
+// Every metric is declared once, in statsMetrics and cacheMetrics below:
+// Add merges by that declaration and WriteMetrics renders /metrics from
+// it. The remaining fields are derived views, not metrics.
 type StatsRaw struct {
-	// Workers is the process's fixed pool size.
-	Workers int `json:"workers"`
-	// Jobs counts completed jobs, Errors the subset that failed.
+	// Workers is the fixed pool size (summed across a fleet).
+	Workers int64 `json:"workers"`
+	// Jobs counts completed jobs, Errors the subset that failed (including
+	// jobs cancelled before they started).
 	Jobs   int64 `json:"jobs"`
 	Errors int64 `json:"errors"`
-	// UptimeNS is the pool's age. P50NS/P99NS are PER-PROCESS quantiles
-	// over the process's recent sample window (see batch.Stats); they are
-	// not summable and are meaningful only on a single shard's block. The
-	// fleet aggregate recomputes them from the merged Solve histogram
-	// (StatsRaw.DeriveQuantiles). MaxNS is an exact maximum and does
-	// combine.
+	// UptimeNS is the pool's age (a fleet keeps the oldest). P50NS/P99NS
+	// are quantiles of the Solve histogram, written by DeriveQuantiles —
+	// per process on a shard's block, from the merged histogram on the
+	// fleet's. MaxNS is the slowest successful solve.
 	UptimeNS int64 `json:"uptime_ns"`
 	P50NS    int64 `json:"p50_ns"`
 	P99NS    int64 `json:"p99_ns"`
 	MaxNS    int64 `json:"max_ns"`
-	// AllocsPerJob is the process-wide heap allocation rate per job.
+	// AllocsPerJob is the process-wide heap allocation count per completed
+	// job; a fleet averages it job-weighted.
 	AllocsPerJob float64 `json:"allocs_per_job"`
 	// Shed counts submissions refused at admission (full queue under
 	// -shed; answered 429 and never queued — not part of Jobs), and
@@ -229,7 +235,7 @@ type StatsRaw struct {
 	// edited instance was already solved), DeltaMisses the ones that priced
 	// the edit. DirtyAgents totals the agents whose kernel value was
 	// recomputed across all priced deltas, so DirtyAgents/DeltaMisses is
-	// the fleet's average edit ball size.
+	// the average edit ball size.
 	DeltaHits   int64 `json:"delta_hits,omitempty"`
 	DeltaMisses int64 `json:"delta_misses,omitempty"`
 	DirtyAgents int64 `json:"dirty_agents,omitempty"`
@@ -240,117 +246,156 @@ type StatsRaw struct {
 	Cache *CacheStatsRaw `json:"cache,omitempty"`
 	// Solve is the all-time histogram of successful solve latency; Stages
 	// maps pipeline stage names (canonicalize, hash, cache_lookup,
-	// queue_wait, transform, kernel, back_map, encode) to their
-	// histograms. The bucket layout is fixed fleet-wide, so Add merges
-	// them bucket-wise and fleet quantiles are true quantiles.
+	// queue_wait, transform, kernel, back_map, encode, ...) to their
+	// histograms, absent where a stage was never observed. The bucket
+	// layout is fixed fleet-wide, so Add merges them bucket-wise and fleet
+	// quantiles are true quantiles.
 	Solve  *obs.HistRaw            `json:"solve_hist,omitempty"`
 	Stages map[string]*obs.HistRaw `json:"stage_hist,omitempty"`
 }
 
-// CacheStatsRaw is the machine form of one process's result-cache counters.
-// Entries counts live cached results: summed across a routed fleet it
-// equals the number of distinct canonical keys solved, because consistent
-// hashing stores every key on exactly one shard.
+// CacheStatsRaw is one result cache's counters, as internal/cache counts
+// them and as they travel inside StatsRaw.
+//
+// Hits counts lookups answered from a stored entry; Misses counts lookups
+// that found nothing stored (and ran the computation). Coalesced counts
+// callers that attached to another caller's in-flight computation (at
+// most once per call, however often it retries) — they receive the shared
+// result and are counted here, not under Hits. While every flight
+// succeeds, Hits + Misses + Coalesced equals the number of lookups; a call
+// that waits on a flight that then fails retries and is additionally
+// counted by its final outcome. A delta's fetch of its base record is not
+// a lookup and counts nowhere, so each delta counts exactly once, under
+// its edited key.
 type CacheStatsRaw struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
+	// Evictions counts entries removed to honour the byte budget; Pruned
+	// those removed because a ring cutover moved their key to another
+	// shard, kept apart so budget pressure and ownership changes stay
+	// distinguishable.
 	Evictions int64 `json:"evictions"`
-	// Pruned counts entries dropped because a ring cutover moved their key
-	// to another shard (distinct from budget-pressure evictions).
-	Pruned   int64 `json:"pruned"`
-	Entries  int   `json:"entries"`
+	Pruned    int64 `json:"pruned"`
+	// Entries and Bytes describe the current contents; MaxBytes echoes the
+	// configured budget. Entries summed across a routed fleet equals the
+	// number of distinct canonical keys solved, because consistent hashing
+	// stores every key on exactly one shard.
+	Entries  int64 `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"max_bytes"`
 }
 
-// Add accumulates other into s (fleet aggregation). Exact counters sum
-// and MaxNS takes the true fleet maximum; UptimeNS keeps the oldest
-// shard's age. The per-process sampled quantiles P50NS/P99NS are NOT
-// combined — no function of per-shard quantiles is a fleet quantile —
-// the Solve/Stages histograms merge bucket-wise instead, and the caller
-// derives fleet quantiles from them with DeriveQuantiles. s never
-// aliases other's histogram memory afterwards, so merging scraped blocks
-// into a zero StatsRaw is safe.
+// statsMetrics declares the metrics of a StatsRaw block.
+var statsMetrics = []obs.Metric[StatsRaw]{
+	{Name: "mmlp_jobs_total", Kind: obs.Counter, Help: "Completed jobs.",
+		Int: func(s *StatsRaw) *int64 { return &s.Jobs }},
+	{Name: "mmlp_errors_total", Kind: obs.Counter, Help: "Completed jobs that failed or were cancelled.",
+		Int: func(s *StatsRaw) *int64 { return &s.Errors }},
+	{Name: "mmlp_shed_total", Kind: obs.Counter, Help: "Submissions refused at admission on a full queue (HTTP 429).",
+		Int: func(s *StatsRaw) *int64 { return &s.Shed }},
+	{Name: "mmlp_deadline_expired_total", Kind: obs.Counter, Help: "Jobs whose propagated deadline passed while queued (HTTP 504).",
+		Int: func(s *StatsRaw) *int64 { return &s.DeadlineExpired }},
+	{Name: "mmlp_delta_hits_total", Kind: obs.Counter, Help: "Delta solves answered from the result cache.",
+		Int: func(s *StatsRaw) *int64 { return &s.DeltaHits }},
+	{Name: "mmlp_delta_misses_total", Kind: obs.Counter, Help: "Delta solves that ran the splice pipeline or fell back cold.",
+		Int: func(s *StatsRaw) *int64 { return &s.DeltaMisses }},
+	{Name: "mmlp_dirty_agents_total", Kind: obs.Counter, Help: "Agents re-priced across delta misses.",
+		Int: func(s *StatsRaw) *int64 { return &s.DirtyAgents }},
+	{Name: "mmlp_faults_injected_total", Kind: obs.Counter, Help: "Faults fired by the -fault-spec chaos layer.",
+		Int: func(s *StatsRaw) *int64 { return &s.FaultsInjected }},
+	{Name: "mmlp_workers", Kind: obs.Gauge, Help: "Fixed worker pool size.",
+		Int: func(s *StatsRaw) *int64 { return &s.Workers }},
+	{Name: "mmlp_uptime_seconds", Kind: obs.Peak, Seconds: true, Help: "Pool age.",
+		Int: func(s *StatsRaw) *int64 { return &s.UptimeNS }},
+	{Name: "mmlp_solve_max_seconds", Kind: obs.Peak, Seconds: true, Help: "Slowest successful solve.",
+		Int: func(s *StatsRaw) *int64 { return &s.MaxNS }},
+	{Name: "mmlp_solve_duration_seconds", Help: "Successful solve latency.",
+		Hist: func(s *StatsRaw) **obs.HistRaw { return &s.Solve }},
+	{Name: "mmlp_stage_duration_seconds", Help: "Per-stage latency of the solve pipeline.", Label: "stage",
+		Hists: func(s *StatsRaw) *map[string]*obs.HistRaw { return &s.Stages }},
+}
+
+// cacheMetrics declares the metrics of a CacheStatsRaw block.
+var cacheMetrics = []obs.Metric[CacheStatsRaw]{
+	{Name: "mmlp_cache_hits_total", Kind: obs.Counter, Help: "Result-cache hits.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Hits }},
+	{Name: "mmlp_cache_misses_total", Kind: obs.Counter, Help: "Result-cache misses.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Misses }},
+	{Name: "mmlp_cache_coalesced_total", Kind: obs.Counter, Help: "Lookups that joined an in-flight solve of the same key.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Coalesced }},
+	{Name: "mmlp_cache_evictions_total", Kind: obs.Counter, Help: "Entries evicted under byte-budget pressure.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Evictions }},
+	{Name: "mmlp_cache_pruned_total", Kind: obs.Counter, Help: "Entries dropped because a ring cutover moved their key.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Pruned }},
+	{Name: "mmlp_cache_entries", Kind: obs.Gauge, Help: "Live cached results.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Entries }},
+	{Name: "mmlp_cache_bytes", Kind: obs.Gauge, Help: "Bytes held by the result cache.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.Bytes }},
+	{Name: "mmlp_cache_max_bytes", Kind: obs.Gauge, Help: "Result-cache byte budget.",
+		Int: func(c *CacheStatsRaw) *int64 { return &c.MaxBytes }},
+}
+
+// Add accumulates other into s (fleet aggregation), each declared metric
+// by its kind: counters and gauges sum, UptimeNS and MaxNS keep the
+// largest, histograms merge bucket-wise. AllocsPerJob averages
+// job-weighted, so the fleet figure matches what one process doing all the
+// work would have reported. P50NS/P99NS are not combined — no function of
+// per-shard quantiles is a fleet quantile — so the caller derives them
+// from the merged histogram with DeriveQuantiles. s never aliases other's
+// histogram memory afterwards, so merging scraped blocks into a zero
+// StatsRaw is safe.
 func (s *StatsRaw) Add(other *StatsRaw) {
-	// Allocs-per-job averages job-weighted, so the fleet figure matches
-	// what one process doing all the work would have reported.
 	if total := s.Jobs + other.Jobs; total > 0 {
 		s.AllocsPerJob = (s.AllocsPerJob*float64(s.Jobs) + other.AllocsPerJob*float64(other.Jobs)) / float64(total)
 	}
-	s.Workers += other.Workers
-	s.Jobs += other.Jobs
-	s.Errors += other.Errors
-	s.Shed += other.Shed
-	s.DeadlineExpired += other.DeadlineExpired
-	s.DeltaHits += other.DeltaHits
-	s.DeltaMisses += other.DeltaMisses
-	s.DirtyAgents += other.DirtyAgents
-	s.FaultsInjected += other.FaultsInjected
-	if other.UptimeNS > s.UptimeNS {
-		s.UptimeNS = other.UptimeNS
-	}
-	if other.MaxNS > s.MaxNS {
-		s.MaxNS = other.MaxNS
-	}
-	if other.Solve != nil {
-		if s.Solve == nil {
-			s.Solve = &obs.HistRaw{}
-		}
-		s.Solve.Merge(other.Solve)
-	}
-	for name, h := range other.Stages {
-		if h == nil {
-			continue
-		}
-		if s.Stages == nil {
-			s.Stages = make(map[string]*obs.HistRaw, len(other.Stages))
-		}
-		dst := s.Stages[name]
-		if dst == nil {
-			dst = &obs.HistRaw{}
-			s.Stages[name] = dst
-		}
-		dst.Merge(h)
-	}
+	obs.Merge(statsMetrics, s, other)
 	if other.Cache != nil {
 		if s.Cache == nil {
 			s.Cache = &CacheStatsRaw{}
 		}
-		s.Cache.Hits += other.Cache.Hits
-		s.Cache.Misses += other.Cache.Misses
-		s.Cache.Coalesced += other.Cache.Coalesced
-		s.Cache.Evictions += other.Cache.Evictions
-		s.Cache.Pruned += other.Cache.Pruned
-		s.Cache.Entries += other.Cache.Entries
-		s.Cache.Bytes += other.Cache.Bytes
-		s.Cache.MaxBytes += other.Cache.MaxBytes
+		obs.Merge(cacheMetrics, s.Cache, other.Cache)
 	}
 }
 
-// DeriveQuantiles overwrites P50NS/P99NS with true quantiles of the
-// merged Solve histogram. The router calls it on the fleet aggregate
-// after summing every shard's block; on a StatsRaw without a histogram it
-// leaves the fields untouched.
+// DeriveQuantiles overwrites P50NS/P99NS with quantiles of the Solve
+// histogram: a shard's own on its block, the merged one on the fleet's.
+// A quantile reads as its bucket's upper bound, which can overshoot every
+// sample, so the histogram's exact maximum caps it. On a StatsRaw without
+// a histogram it leaves the fields untouched.
 func (s *StatsRaw) DeriveQuantiles() {
-	if s.Solve == nil || s.Solve.Count == 0 {
+	h := s.Solve
+	if h == nil || h.Count == 0 {
 		return
 	}
-	s.P50NS = s.Solve.QuantileNS(0.50)
-	s.P99NS = s.Solve.QuantileNS(0.99)
+	s.P50NS = h.QuantileNS(0.50)
+	s.P99NS = h.QuantileNS(0.99)
+	if h.MaxNS > 0 {
+		s.P50NS = min(s.P50NS, h.MaxNS)
+		s.P99NS = min(s.P99NS, h.MaxNS)
+	}
+}
+
+// WriteMetrics renders the block in the Prometheus text format: every
+// declared metric, plus the cache's when caching is enabled.
+func (s *StatsRaw) WriteMetrics(w io.Writer) {
+	obs.WriteMetrics(w, statsMetrics, s)
+	if s.Cache != nil {
+		obs.WriteMetrics(w, cacheMetrics, s.Cache)
+	}
 }
 
 // RouterStats is the router's own activity block inside FleetStats.
 type RouterStats struct {
 	// Shards is the configured fleet size, Healthy the members not
 	// currently marked down.
-	Shards  int `json:"shards"`
-	Healthy int `json:"healthy"`
+	Shards  int64 `json:"shards"`
+	Healthy int64 `json:"healthy"`
 	// RingVersion is the current topology generation (1 at boot, bumped by
 	// every accepted POST /admin/ring). Draining reports that a cutover is
 	// still waiting for requests pinned to the previous generation.
-	RingVersion uint64 `json:"ring_version"`
-	Draining    bool   `json:"draining,omitempty"`
+	RingVersion int64 `json:"ring_version"`
+	Draining    bool  `json:"draining,omitempty"`
 	// Replication is the configured replica-set size R: each key lives on
 	// its first R distinct ring successors.
 	Replication int `json:"replication"`
@@ -374,6 +419,37 @@ type RouterStats struct {
 	// (request sent to response headers received, per HTTP forward).
 	Forward *obs.HistRaw `json:"forward_hist,omitempty"`
 }
+
+// routerMetrics declares the metrics of a RouterStats block.
+var routerMetrics = []obs.Metric[RouterStats]{
+	{Name: "mmlp_router_routed_total", Kind: obs.Counter, Help: "Requests admitted and routed to a shard.",
+		Int: func(r *RouterStats) *int64 { return &r.Routed }},
+	{Name: "mmlp_router_forwarded_total", Kind: obs.Counter, Help: "Shard-bound POSTs, including retries, warms and cutover notifications.",
+		Int: func(r *RouterStats) *int64 { return &r.Forwarded }},
+	{Name: "mmlp_router_retried_total", Kind: obs.Counter, Help: "Failover hops past the first dialled member.",
+		Int: func(r *RouterStats) *int64 { return &r.Retried }},
+	{Name: "mmlp_router_shard_down_total", Kind: obs.Counter, Help: "Transport failures that put a shard into cooldown.",
+		Int: func(r *RouterStats) *int64 { return &r.ShardDown }},
+	{Name: "mmlp_router_retry_budget_exhausted_total", Kind: obs.Counter, Help: "Requests failed fast (503) because the retry token bucket ran dry.",
+		Int: func(r *RouterStats) *int64 { return &r.RetryBudgetExhausted }},
+	{Name: "mmlp_router_replicated_total", Kind: obs.Counter, Help: "Write-through warms delivered to backup replicas.",
+		Int: func(r *RouterStats) *int64 { return &r.Replicated }},
+	{Name: "mmlp_router_canon_passthrough_total", Kind: obs.Counter, Help: "Canon payloads routed by hashing the raw bytes.",
+		Int: func(r *RouterStats) *int64 { return &r.CanonPassthrough }},
+	{Name: "mmlp_router_shards", Kind: obs.Gauge, Help: "Ring member count.",
+		Int: func(r *RouterStats) *int64 { return &r.Shards }},
+	{Name: "mmlp_router_healthy", Kind: obs.Gauge, Help: "Members outside a cooldown window.",
+		Int: func(r *RouterStats) *int64 { return &r.Healthy }},
+	{Name: "mmlp_router_ring_version", Kind: obs.Gauge, Help: "Current ring generation.",
+		Int: func(r *RouterStats) *int64 { return &r.RingVersion }},
+	{Name: "mmlp_router_forward_duration_seconds", Help: "Successful forward latency, send to response headers.",
+		Hist: func(r *RouterStats) **obs.HistRaw { return &r.Forward }},
+}
+
+// WriteMetrics renders the router block in the Prometheus text format.
+// Deliberately router-local: shard totals are each shard's /metrics to
+// report, and the fleet aggregate stays on /statsz.
+func (r *RouterStats) WriteMetrics(w io.Writer) { obs.WriteMetrics(w, routerMetrics, r) }
 
 // RingProposal is the body of POST /admin/ring on mmlprouter: the member
 // set of the next topology generation.

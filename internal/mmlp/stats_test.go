@@ -1,6 +1,7 @@
 package mmlp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // shardRaw fabricates one shard's stats block: jobs solves all at the
-// given latency, so its histogram and sampled quantiles agree exactly.
+// given latency, so its histogram and its own quantiles agree exactly.
 func shardRaw(jobs int, lat time.Duration) *StatsRaw {
 	var h obs.Histogram
 	for i := 0; i < jobs; i++ {
@@ -73,8 +74,8 @@ func TestFleetQuantilesFromMergedHistograms(t *testing.T) {
 	}
 }
 
-// Stage histograms merge per stage name, and per-process sampled
-// quantiles stay per-process (untouched by Add).
+// Stage histograms merge per stage name, and per-process quantiles stay
+// per-process (untouched by Add; DeriveQuantiles recomputes them).
 func TestStatsRawAddStages(t *testing.T) {
 	a := shardRaw(2, time.Millisecond)
 	a.Stages = map[string]*obs.HistRaw{"kernel": shardRaw(2, time.Millisecond).Solve}
@@ -94,5 +95,115 @@ func TestStatsRawAddStages(t *testing.T) {
 	}
 	if fleet.P50NS != 0 || fleet.P99NS != 0 {
 		t.Fatalf("Add must not fabricate fleet quantiles: p50=%d p99=%d", fleet.P50NS, fleet.P99NS)
+	}
+}
+
+// declared maps each struct field a table locates to its metric name, and
+// fails on a field declared twice.
+func declared[T any](t *testing.T, table []obs.Metric[T]) map[string]string {
+	t.Helper()
+	var v T
+	base := reflect.ValueOf(&v).Elem()
+	byAddr := map[uintptr]string{}
+	for i := 0; i < base.NumField(); i++ {
+		byAddr[base.Field(i).Addr().Pointer()] = base.Type().Field(i).Name
+	}
+	out := map[string]string{}
+	for _, m := range table {
+		var p uintptr
+		switch {
+		case m.Int != nil:
+			p = reflect.ValueOf(m.Int(&v)).Pointer()
+		case m.Hist != nil:
+			p = reflect.ValueOf(m.Hist(&v)).Pointer()
+		default:
+			p = reflect.ValueOf(m.Hists(&v)).Pointer()
+		}
+		field, ok := byAddr[p]
+		if !ok {
+			t.Fatalf("%s locates no field of %T", m.Name, v)
+		}
+		if prev, dup := out[field]; dup {
+			t.Fatalf("%T.%s declared twice: %s and %s", v, field, prev, m.Name)
+		}
+		out[field] = m.Name
+	}
+	return out
+}
+
+// TestEveryMetricDeclaredOnce: every integer or histogram field of the
+// stats blocks has exactly one declaration — so Add merges it and /metrics
+// renders it — except the quantiles derived from the Solve histogram, and
+// no two declarations share a Prometheus name.
+func TestEveryMetricDeclaredOnce(t *testing.T) {
+	derived := map[string]bool{"P50NS": true, "P99NS": true}
+	names := map[string]bool{}
+	check := func(typ reflect.Type, fields map[string]string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type {
+			case reflect.TypeOf(int64(0)), reflect.TypeOf((*obs.HistRaw)(nil)), reflect.TypeOf(map[string]*obs.HistRaw(nil)):
+			default:
+				continue
+			}
+			if _, ok := fields[f.Name]; !ok && !derived[f.Name] {
+				t.Errorf("%s.%s has no metric declaration", typ.Name(), f.Name)
+			}
+		}
+		for _, name := range fields {
+			if names[name] {
+				t.Errorf("metric name %s declared twice", name)
+			}
+			names[name] = true
+		}
+	}
+	check(reflect.TypeOf(StatsRaw{}), declared(t, statsMetrics))
+	check(reflect.TypeOf(CacheStatsRaw{}), declared(t, cacheMetrics))
+	check(reflect.TypeOf(RouterStats{}), declared(t, routerMetrics))
+}
+
+// TestAddMergesEveryDeclaredMetric fills every declared integer of two
+// blocks with distinct values and checks Add combines each by its kind,
+// cache block included.
+func TestAddMergesEveryDeclaredMetric(t *testing.T) {
+	a, b := &StatsRaw{Cache: &CacheStatsRaw{}}, &StatsRaw{Cache: &CacheStatsRaw{}}
+	for i, m := range statsMetrics {
+		if m.Int != nil {
+			*m.Int(a), *m.Int(b) = int64(10+i), int64(100*i+1)
+		}
+	}
+	for i, m := range cacheMetrics {
+		*m.Int(a.Cache), *m.Int(b.Cache) = int64(10+i), int64(100*i+1)
+	}
+	var fleet StatsRaw
+	fleet.Add(a)
+	fleet.Add(b)
+	check := func(name string, kind obs.Kind, got, x, y int64) {
+		want := x + y
+		if kind == obs.Peak {
+			want = max(x, y)
+		}
+		if got != want {
+			t.Errorf("%s merged to %d, want %d", name, got, want)
+		}
+	}
+	for _, m := range statsMetrics {
+		if m.Int != nil {
+			check(m.Name, m.Kind, *m.Int(&fleet), *m.Int(a), *m.Int(b))
+		}
+	}
+	for _, m := range cacheMetrics {
+		check(m.Name, m.Kind, *m.Int(fleet.Cache), *m.Int(a.Cache), *m.Int(b.Cache))
+	}
+}
+
+// TestDerivedQuantilesCappedByMax: a lone 1000ns solve sits in a bucket
+// whose upper bound is 1023ns; the derived quantiles must not report a
+// latency above the slowest solve.
+func TestDerivedQuantilesCappedByMax(t *testing.T) {
+	st := shardRaw(1, 1000)
+	st.DeriveQuantiles()
+	if st.P50NS != 1000 || st.P99NS != 1000 {
+		t.Fatalf("p50/p99 = %d/%d, want 1000/1000", st.P50NS, st.P99NS)
 	}
 }

@@ -173,14 +173,27 @@ func (r *HistRaw) Merge(other *HistRaw) {
 }
 
 // QuantileNS estimates the q-quantile (0 ≤ q ≤ 1) by nearest rank over
-// the bucket counts, reporting the holding bucket's upper bound — the
-// same convention as the per-process sampled quantiles it replaces at the
-// fleet level. Returns 0 on an empty histogram.
+// the bucket counts, reporting the holding bucket's upper bound. Returns 0
+// on an empty histogram.
 func (r *HistRaw) QuantileNS(q float64) int64 {
 	if r == nil {
 		return 0
 	}
 	d := r.dense()
+	return quantileNS(&d, q)
+}
+
+// QuantileNS is HistRaw.QuantileNS read straight off the live bins, with
+// no snapshot: wait-free and allocation-free.
+func (h *Histogram) QuantileNS(q float64) int64 {
+	var d [NumBuckets]int64
+	for i := range h.bins {
+		d[i] = h.bins[i].Load()
+	}
+	return quantileNS(&d, q)
+}
+
+func quantileNS(d *[NumBuckets]int64, q float64) int64 {
 	var total int64
 	for _, n := range d {
 		total += n

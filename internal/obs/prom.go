@@ -13,28 +13,23 @@ import (
 // histograms in seconds, HELP/TYPE appear once per family, and stage
 // breakdowns share one family with a stage="" label.
 
-// WriteHeader emits the # HELP / # TYPE pair for a metric family.
-func WriteHeader(w io.Writer, name, typ, help string) {
+// writeHeader emits the # HELP / # TYPE pair for a metric family.
+func writeHeader(w io.Writer, name, typ, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// WriteInt emits one integer-valued series. labels is either empty or a
-// comma-joined list like `stage="kernel"` (no surrounding braces).
-func WriteInt(w io.Writer, name, labels string, v int64) {
-	fmt.Fprintf(w, "%s%s %d\n", name, wrapLabels(labels), v)
+// writeSample emits one series. labels is either empty or a comma-joined
+// list like `stage="kernel"` (no surrounding braces).
+func writeSample(w io.Writer, name, labels, value string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, wrapLabels(labels), value)
 }
 
-// WriteFloat emits one float-valued series.
-func WriteFloat(w io.Writer, name, labels string, v float64) {
-	fmt.Fprintf(w, "%s%s %s\n", name, wrapLabels(labels), formatFloat(v))
-}
-
-// WriteHistogram emits the _bucket/_sum/_count series for one histogram,
+// writeHistogram emits the _bucket/_sum/_count series for one histogram,
 // with le boundaries in seconds. Only occupied buckets get a line (plus
 // the mandatory +Inf), keeping a 252-bin layout compact on the wire; the
 // cumulative counts are still well-formed because le values stay
 // ascending.
-func WriteHistogram(w io.Writer, name, labels string, r *HistRaw) {
+func writeHistogram(w io.Writer, name, labels string, r *HistRaw) {
 	d := r.dense()
 	var cum int64
 	for i, n := range d {
@@ -70,6 +65,14 @@ func joinLabels(labels string) string {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// WriteBuildInfo emits the build-identity gauge both binaries serve: a
+// constant 1 whose labels carry BuildInfo.
+func WriteBuildInfo(w io.Writer) {
+	rev, dirty := BuildInfo()
+	writeHeader(w, "mmlp_build_info", "gauge", "Build identity (constant 1; identity in the labels).")
+	writeSample(w, "mmlp_build_info", `revision="`+rev+`",dirty="`+strconv.FormatBool(dirty)+`"`, "1")
 }
 
 var (

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/canon"
+	"repro/internal/mmlp"
 	"repro/internal/obs"
 )
 
@@ -57,22 +58,6 @@ const (
 // budget per successful request. At 0.1, sustaining one retry per ten
 // successes is free; anything worse eats into the burst.
 const DefaultRetryRefill = 0.1
-
-// Stats is a snapshot of the client's routing counters.
-type Stats struct {
-	// Routed counts key→member assignments answered (Owner calls).
-	Routed int64
-	// Forwarded counts HTTP forwards attempted, including retries.
-	Forwarded int64
-	// Retried counts forwards that were re-sent to a later replica after a
-	// transport failure on an earlier one.
-	Retried int64
-	// ShardDown counts transitions of a member into the down state.
-	ShardDown int64
-	// BudgetExhausted counts requests failed fast because a retry hop was
-	// due and the retry budget was empty.
-	BudgetExhausted int64
-}
 
 // RingVersion is one immutable generation of the fleet topology: a ring
 // plus a version number and the count of requests still pinned to it. The
@@ -356,14 +341,24 @@ func (c *Client) Draining() *Cutover {
 	}
 }
 
-// Stats snapshots the routing counters.
-func (c *Client) Stats() Stats {
-	return Stats{
-		Routed:          c.routed.Load(),
-		Forwarded:       c.forwarded.Load(),
-		Retried:         c.retried.Load(),
-		ShardDown:       c.shardDown.Load(),
-		BudgetExhausted: c.budgetExhausted.Load(),
+// Stats snapshots the client's routing view as the router's stats block:
+// the topology (members, healthy members, generation, drain, replication),
+// the routing counters and the forward-latency histogram. The router adds
+// the counters it keeps itself.
+func (c *Client) Stats() mmlp.RouterStats {
+	cur := c.cur.Load()
+	return mmlp.RouterStats{
+		Shards:               int64(len(cur.ring.Members())),
+		Healthy:              int64(len(c.Healthy())),
+		RingVersion:          int64(cur.version),
+		Draining:             c.Draining() != nil,
+		Replication:          c.replication,
+		Routed:               c.routed.Load(),
+		Forwarded:            c.forwarded.Load(),
+		Retried:              c.retried.Load(),
+		ShardDown:            c.shardDown.Load(),
+		RetryBudgetExhausted: c.budgetExhausted.Load(),
+		Forward:              c.forwardHist.Snapshot(),
 	}
 }
 
@@ -565,11 +560,6 @@ func (c *Client) Forward(ctx context.Context, member, path, contentType string, 
 	c.forwardHist.Observe(time.Since(start))
 	c.markUp(member)
 	return resp, nil
-}
-
-// ForwardHist snapshots the forward-latency histogram.
-func (c *Client) ForwardHist() *obs.HistRaw {
-	return c.forwardHist.Snapshot()
 }
 
 // Get fetches path from one member (health probes, /statsz scrapes). Like

@@ -160,8 +160,8 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	if dials != 3 {
 		t.Fatalf("dialled %d members, want 3 (1 free + 2 budgeted)", dials)
 	}
-	if st := c.Stats(); st.BudgetExhausted != 1 {
-		t.Fatalf("BudgetExhausted = %d, want 1", st.BudgetExhausted)
+	if st := c.Stats(); st.RetryBudgetExhausted != 1 {
+		t.Fatalf("RetryBudgetExhausted = %d, want 1", st.RetryBudgetExhausted)
 	}
 	if got := c.BudgetTokens(); got != 0 {
 		t.Fatalf("tokens = %v, want 0 after exhaustion", got)
@@ -217,8 +217,8 @@ func TestRetryBudgetDisabledIsFree(t *testing.T) {
 			t.Fatalf("dialled %d, want %d", dials, len(members))
 		}
 	}
-	if st := c.Stats(); st.BudgetExhausted != 0 {
-		t.Fatalf("BudgetExhausted = %d with budgeting disabled", st.BudgetExhausted)
+	if st := c.Stats(); st.RetryBudgetExhausted != 0 {
+		t.Fatalf("RetryBudgetExhausted = %d with budgeting disabled", st.RetryBudgetExhausted)
 	}
 }
 

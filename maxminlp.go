@@ -212,13 +212,13 @@ type BatchOptions struct {
 }
 
 // BatchStats aggregates throughput and latency over a batch or a serving
-// pool.
-type BatchStats = batch.Stats
+// pool: the same block a serving process reports on GET /statsz.
+type BatchStats = mmlp.StatsRaw
 
 // CacheStats reports the result cache's activity (hits, misses, coalesced
 // waiters, evictions, current entries/bytes); BatchStats.Cache carries one
 // when BatchOptions.CacheBytes enables caching.
-type CacheStats = engine.CacheStats
+type CacheStats = mmlp.CacheStatsRaw
 
 // SolveBatch solves many independent instances concurrently on a fixed
 // worker pool. Results are positional: result i belongs to jobs[i], and

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -31,31 +29,6 @@ func heavySet(seedBase int64, n int) []mmlp.SolveRequest {
 		reqs[i] = mmlp.SolveRequest{Instance: in, Engine: mmlp.EngineDistCompact, R: 5, BinIters: 8000}
 	}
 	return reqs
-}
-
-// postSolveShed sends one solve with an optional X-Mmlp-Deadline-Ms header
-// and returns status, body and the Retry-After header — the overload
-// contract surface the plain postSolve helper does not expose.
-func (h *harness) postSolveShed(addr string, req *mmlp.SolveRequest, deadlineMS string) (int, []byte, string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/solve", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if deadlineMS != "" {
-		hreq.Header.Set(obs.DeadlineHeader, deadlineMS)
-	}
-	resp, err := h.hc.Do(hreq)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, resp.Header.Get("Retry-After"), err
 }
 
 // checkConservationShed is the overload form of the counter-conservation
@@ -224,7 +197,7 @@ func (h *harness) runOverload() error {
 			defer wg.Done()
 			deadline := time.Now().Add(90 * time.Second)
 			for {
-				code, body, retryAfter, err := h.postSolveShed(h.routerAddr, &storm[i], "")
+				code, body, hdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &storm[i], nil)
 				if err != nil {
 					outs[i].err = fmt.Errorf("storm job %d: %w", i, err)
 					return
@@ -242,6 +215,7 @@ func (h *harness) runOverload() error {
 					outs[i].err = fmt.Errorf("storm job %d: status %d (%s), want 200 or 429", i, code, body)
 					return
 				}
+				retryAfter := hdr.Get("Retry-After")
 				secs, aerr := strconv.Atoi(retryAfter)
 				if aerr != nil || secs < 1 {
 					outs[i].err = fmt.Errorf("storm job %d: 429 carried Retry-After %q, want a positive second count", i, retryAfter)
@@ -271,7 +245,7 @@ func (h *harness) runOverload() error {
 	// Every storm answer matches the direct reference bit-for-bit: shedding
 	// refused work, it never corrupted any.
 	for i := range storm {
-		code, body, _, err := h.postSolve(h.directAddr, &storm[i])
+		code, body, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, &storm[i], nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("direct reference job %d: status %d, err %v", i, code, err)
 		}
@@ -304,11 +278,11 @@ func (h *harness) runOverload() error {
 	// rides through the whole chain and answers 200; a malformed one is the
 	// client's bug and dies at the router with 400.
 	probe := fastSet(h.seed+990, 1)[0]
-	code, body, _, err := h.postSolveShed(h.routerAddr, &probe, "60000")
+	code, body, _, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &probe, map[string]string{obs.DeadlineHeader: "60000"})
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("generous-deadline solve: status %d, err %v (%s)", code, err, body)
 	}
-	code, body, _, err = h.postSolveShed(h.routerAddr, &probe, "soon")
+	code, body, _, err = h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &probe, map[string]string{obs.DeadlineHeader: "soon"})
 	if err != nil || code != http.StatusBadRequest {
 		return fmt.Errorf("malformed deadline header: status %d, err %v (%s), want 400", code, err, body)
 	}
@@ -334,7 +308,7 @@ func (h *harness) runOverload() error {
 		owg.Add(1)
 		go func(j int) {
 			defer owg.Done()
-			code, body, _, err := h.postSolveShed(target, &heavy[j], "")
+			code, body, _, err := h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &heavy[j], nil)
 			if err != nil || code != http.StatusOK {
 				oerrs[j] = fmt.Errorf("occupier %d: status %d, err %v (%s)", j, code, err, body)
 			}
@@ -343,7 +317,7 @@ func (h *harness) runOverload() error {
 	time.Sleep(300 * time.Millisecond) // occupiers dequeued, workers wedged, queue empty
 	expProbe := fastSet(h.seed+991, 1)[0]
 	start := time.Now()
-	code, body, _, err = h.postSolveShed(target, &expProbe, "250")
+	code, body, _, err = h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &expProbe, map[string]string{obs.DeadlineHeader: "250"})
 	elapsed := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("deadline probe: %w", err)

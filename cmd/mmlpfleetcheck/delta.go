@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"time"
@@ -15,22 +14,6 @@ import (
 	"repro/internal/mmlp"
 	"repro/internal/shard"
 )
-
-// postDelta sends one delta request body and returns status, body and the
-// answering shard.
-func (h *harness) postDelta(addr string, req *mmlp.DeltaRequest) (int, []byte, string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	resp, err := h.hc.Post("http://"+addr+"/v1/delta", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, resp.Header.Get("X-Mmlp-Shard"), err
-}
 
 // reweightRow builds the edit set that scales one canonical constraint row
 // by factor.
@@ -94,7 +77,7 @@ func (h *harness) runDelta() error {
 	if err != nil {
 		return err
 	}
-	dcode, dbody, _, err := h.postSolve(h.directAddr, &editedReq)
+	dcode, dbody, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, &editedReq, nil)
 	if err != nil || dcode != http.StatusOK {
 		return fmt.Errorf("direct reference solve: status %d, err %v (%s)", dcode, err, dbody)
 	}
@@ -106,10 +89,11 @@ func (h *harness) runDelta() error {
 	// The delta through the router: owner-of-base routing, bit-identity,
 	// splice accounting, and the chained-base key.
 	dreq := &mmlp.DeltaRequest{Base: baseKey.String(), Edits: edits}
-	code, body, member, err := h.postDelta(h.routerAddr, dreq)
+	code, body, hdr, err := h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, dreq, nil)
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("delta via router: status %d, err %v (%s)", code, err, body)
 	}
+	member := hdr.Get("X-Mmlp-Shard")
 	owner := ring.Owner(baseKey)
 	if member != owner {
 		return fmt.Errorf("delta served by shard %s, base key's ring owner is %s", member, owner)
@@ -133,7 +117,7 @@ func (h *harness) runDelta() error {
 		dresp.DirtyAgents, dresp.TotalAgents)
 
 	// The same delta again is a cache hit with the same solution bytes.
-	code, body2, _, err := h.postDelta(h.routerAddr, dreq)
+	code, body2, _, err := h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, dreq, nil)
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("repeated delta: status %d, err %v (%s)", code, err, body2)
 	}
@@ -146,7 +130,7 @@ func (h *harness) runDelta() error {
 	}
 
 	// An empty edit set answers from the base's own cache line.
-	code, body3, _, err := h.postDelta(h.routerAddr, &mmlp.DeltaRequest{Base: baseKey.String()})
+	code, body3, _, err := h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, &mmlp.DeltaRequest{Base: baseKey.String()}, nil)
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("empty-edit delta: status %d, err %v (%s)", code, err, body3)
 	}
@@ -161,7 +145,7 @@ func (h *harness) runDelta() error {
 	// An unknown base relays the shard's 404/base_unknown verbatim and the
 	// shard is NOT marked down: a cold cache is an answer, not a failure.
 	unknown := canon.HashBytes([]byte("fleetcheck: never solved"))
-	code, body4, _, err := h.postDelta(h.routerAddr, &mmlp.DeltaRequest{Base: unknown.String(), Edits: edits})
+	code, body4, _, err := h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, &mmlp.DeltaRequest{Base: unknown.String(), Edits: edits}, nil)
 	if err != nil {
 		return err
 	}
@@ -181,10 +165,11 @@ func (h *harness) runDelta() error {
 	// The chain's base is the EDITED instance, so its edit must match the
 	// already-reweighted row, not the original.
 	chain := &mmlp.DeltaRequest{Base: editedKey.String(), Edits: reweightRow(edits[0].Terms, 1.5)}
-	code, body5, member5, err := h.postDelta(h.routerAddr, chain)
+	code, body5, hdr, err := h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, chain, nil)
 	if err != nil {
 		return err
 	}
+	member5 := hdr.Get("X-Mmlp-Shard")
 	chainOwner := ring.Owner(editedKey)
 	if member5 != chainOwner {
 		return fmt.Errorf("chained delta served by %s, edited key's ring owner is %s", member5, chainOwner)
@@ -198,10 +183,10 @@ func (h *harness) runDelta() error {
 		if code != http.StatusNotFound {
 			return fmt.Errorf("chained delta on a different owner: status %d (%s), want the 404 fallback", code, body5)
 		}
-		if scode, sbody, _, err := h.postSolve(h.routerAddr, &editedReq); err != nil || scode != http.StatusOK {
+		if scode, sbody, _, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &editedReq, nil); err != nil || scode != http.StatusOK {
 			return fmt.Errorf("seeding solve for the chain: status %d, err %v (%s)", scode, err, sbody)
 		}
-		code, body5, _, err = h.postDelta(h.routerAddr, chain)
+		code, body5, _, err = h.post(h.routerAddr, "/v1/delta", mmlp.ContentTypeJSON, chain, nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("chained delta after seeding: status %d, err %v (%s)", code, err, body5)
 		}
@@ -216,7 +201,7 @@ func (h *harness) runDelta() error {
 		return err
 	}
 	chainReq := mmlp.SolveRequest{Instance: chainEdited, R: 2, DisableSpecialCases: true}
-	ccode, cbody, _, err := h.postSolve(h.directAddr, &chainReq)
+	ccode, cbody, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, &chainReq, nil)
 	if err != nil || ccode != http.StatusOK {
 		return fmt.Errorf("direct reference for the chain: status %d, err %v (%s)", ccode, err, cbody)
 	}

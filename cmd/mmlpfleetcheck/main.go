@@ -392,19 +392,33 @@ func (h *harness) workload() (reqs, dups []mmlp.SolveRequest, keys []canon.Key, 
 	return reqs, dups, keys, nil
 }
 
-// postSolve sends one request body and returns status, body.
-func (h *harness) postSolve(addr string, req *mmlp.SolveRequest) (int, []byte, string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, "", err
+// post sends one POST to addr and returns the status, the body and the
+// response headers (X-Mmlp-Shard names the answering shard of a routed
+// request). A []byte body is sent as is and anything else JSON-encoded;
+// hdr holds extra request headers.
+func (h *harness) post(addr, path, contentType string, body any, hdr map[string]string) (int, []byte, http.Header, error) {
+	raw, ok := body.([]byte)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return 0, nil, nil, err
+		}
 	}
-	resp, err := h.hc.Post("http://"+addr+"/v1/solve", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+path, bytes.NewReader(raw))
 	if err != nil {
-		return 0, nil, "", err
+		return 0, nil, nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := h.hc.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, resp.Header.Get("X-Mmlp-Shard"), err
+	return resp.StatusCode, b, resp.Header, err
 }
 
 // normalize strips the per-run fields (latency, cached, the opt-in trace
@@ -431,11 +445,12 @@ func normalize(body []byte) ([]byte, bool, error) {
 func (h *harness) checkSolveIdentity(reqs, dups []mmlp.SolveRequest, keys []canon.Key) error {
 	ring := h.ring
 	solveBoth := func(i int, req *mmlp.SolveRequest, wantCached bool) error {
-		rcode, rbody, member, err := h.postSolve(h.routerAddr, req)
+		rcode, rbody, rhdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, req, nil)
 		if err != nil {
 			return fmt.Errorf("job %d via router: %w", i, err)
 		}
-		dcode, dbody, _, err := h.postSolve(h.directAddr, req)
+		member := rhdr.Get("X-Mmlp-Shard")
+		dcode, dbody, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, req, nil)
 		if err != nil {
 			return fmt.Errorf("job %d direct: %w", i, err)
 		}

@@ -48,31 +48,6 @@ func (h *harness) checkConservation(addrs []string) error {
 	return nil
 }
 
-// postSolveObs sends one solve with an optional query string and trace
-// header, returning status, body, the answering shard, and the echoed
-// X-Mmlp-Trace header.
-func (h *harness) postSolveObs(addr string, req *mmlp.SolveRequest, query, traceID string) (int, []byte, string, string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, "", "", err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/solve"+query, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, "", "", err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		hreq.Header.Set(obs.TraceHeader, traceID)
-	}
-	resp, err := h.hc.Do(hreq)
-	if err != nil {
-		return 0, nil, "", "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, resp.Header.Get("X-Mmlp-Shard"), resp.Header.Get(obs.TraceHeader), err
-}
-
 // promLine is one parsed sample of the Prometheus text format.
 type promLine struct {
 	series string // name plus label block, e.g. `mmlp_jobs_total` or `x_bucket{le="0.1"}`
@@ -229,10 +204,11 @@ func (h *harness) runObservability() error {
 	var idList []string
 	ref := make([][]byte, len(reqs))
 	for i := range reqs {
-		code, rbody, _, id, err := h.postSolveObs(h.routerAddr, &reqs[i], "?trace=1", "")
+		code, rbody, hdr, err := h.post(h.routerAddr, "/v1/solve?trace=1", mmlp.ContentTypeJSON, &reqs[i], nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("traced solve %d: status %d, err %v (%s)", i, code, err, rbody)
 		}
+		id := hdr.Get(obs.TraceHeader)
 		if len(id) != 16 {
 			return fmt.Errorf("traced solve %d: router echoed trace ID %q, want 16 hex chars", i, id)
 		}
@@ -259,7 +235,7 @@ func (h *harness) runObservability() error {
 		if err != nil {
 			return err
 		}
-		dcode, dbody, _, err := h.postSolve(h.directAddr, &reqs[i])
+		dcode, dbody, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, &reqs[i], nil)
 		if err != nil || dcode != http.StatusOK {
 			return fmt.Errorf("direct solve %d: status %d, err %v", i, dcode, err)
 		}
@@ -278,10 +254,11 @@ func (h *harness) runObservability() error {
 	for i := range reqs {
 		dup := reqs[i]
 		dup.Instance = gen.Permuted(reqs[i].Instance)
-		code, rbody, _, id, err := h.postSolveObs(h.routerAddr, &dup, "?trace=1", "")
+		code, rbody, hdr, err := h.post(h.routerAddr, "/v1/solve?trace=1", mmlp.ContentTypeJSON, &dup, nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("traced dup %d: status %d, err %v (%s)", i, code, err, rbody)
 		}
+		id := hdr.Get(obs.TraceHeader)
 		if ids[id] {
 			return fmt.Errorf("traced dup %d: router reused trace ID %s", i, id)
 		}
@@ -312,10 +289,11 @@ func (h *harness) runObservability() error {
 
 	// A client-supplied ID is adopted, not replaced.
 	clientID := "feedface00000001"
-	code, _, _, echoed, err := h.postSolveObs(h.routerAddr, &reqs[0], "", clientID)
+	code, _, hdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &reqs[0], map[string]string{obs.TraceHeader: clientID})
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("client-ID solve: status %d, err %v", code, err)
 	}
+	echoed := hdr.Get(obs.TraceHeader)
 	if echoed != clientID {
 		return fmt.Errorf("client-supplied trace ID echoed as %q, want %q", echoed, clientID)
 	}

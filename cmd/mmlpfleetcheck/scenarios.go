@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -89,11 +88,12 @@ func (h *harness) kill(name string) error {
 // reference, asserts bit-identity, and returns the normalized body plus
 // the router's cached flag and answering shard.
 func (h *harness) solveBothNormalized(i int, req *mmlp.SolveRequest) (norm []byte, cached bool, member string, err error) {
-	rcode, rbody, member, err := h.postSolve(h.routerAddr, req)
+	rcode, rbody, rhdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, req, nil)
 	if err != nil {
 		return nil, false, "", fmt.Errorf("job %d via router: %w", i, err)
 	}
-	dcode, dbody, _, err := h.postSolve(h.directAddr, req)
+	member = rhdr.Get("X-Mmlp-Shard")
+	dcode, dbody, _, err := h.post(h.directAddr, "/v1/solve", mmlp.ContentTypeJSON, req, nil)
 	if err != nil {
 		return nil, false, "", fmt.Errorf("job %d direct: %w", i, err)
 	}
@@ -301,10 +301,11 @@ func (h *harness) runReplicatedKill() error {
 	for i := range warm {
 		dup := warm[i]
 		dup.Instance = gen.Permuted(warm[i].Instance)
-		code, rbody, member, err := h.postSolve(h.routerAddr, &dup)
+		code, rbody, hdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &dup, nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("post-kill solve %d: status %d, err %v (%s)", i, code, err, rbody)
 		}
+		member := hdr.Get("X-Mmlp-Shard")
 		n, cached, err := normalize(rbody)
 		if err != nil {
 			return err
@@ -334,40 +335,18 @@ func (h *harness) runReplicatedKill() error {
 	return nil
 }
 
-// postCanon sends one canon wire payload and returns status, body and the
-// answering shard.
-func (h *harness) postCanon(addr string, payload []byte) (int, []byte, string, error) {
-	resp, err := h.hc.Post("http://"+addr+"/v1/solve", mmlp.ContentTypeCanon, bytes.NewReader(payload))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, resp.Header.Get("X-Mmlp-Shard"), err
-}
-
 // canonBatchResults posts a canon batch frame with the binary result
 // encoding negotiated and returns the decoded records by index.
 func (h *harness) canonBatchResults(addr string, frame []byte) (map[int]mmlp.BatchItem, error) {
-	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/batch", bytes.NewReader(frame))
+	code, body, hdr, err := h.post(addr, "/v1/batch", mmlp.ContentTypeCanonBatch, frame,
+		map[string]string{"Accept": mmlp.ContentTypeCanonResults})
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", mmlp.ContentTypeCanonBatch)
-	req.Header.Set("Accept", mmlp.ContentTypeCanonResults)
-	resp, err := h.hc.Do(req)
-	if err != nil {
-		return nil, err
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("canon batch via %s: status %d (%s)", addr, code, body)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("canon batch via %s: status %d (%s)", addr, resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != mmlp.ContentTypeCanonResults {
+	if ct := hdr.Get("Content-Type"); ct != mmlp.ContentTypeCanonResults {
 		return nil, fmt.Errorf("canon batch via %s: Content-Type %q", addr, ct)
 	}
 	recs, err := canon.DecodeResults(body)
@@ -447,10 +426,11 @@ func (h *harness) runMixed() error {
 	// payloads. Every one must hit the cache line its JSON spelling warmed,
 	// on the same shard, and answer bit-identically.
 	for i, payload := range payloads {
-		code, rbody, member, err := h.postCanon(h.routerAddr, payload)
+		code, rbody, hdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeCanon, payload, nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("canon solve %d: status %d, err %v (%s)", i, code, err, rbody)
 		}
+		member := hdr.Get("X-Mmlp-Shard")
 		if want := ring.Owner(keys[i]); member != want {
 			return fmt.Errorf("canon solve %d served by %s, ring owner is %s", i, member, want)
 		}
@@ -597,35 +577,29 @@ func (h *harness) runCutover() error {
 	}
 	var accepted mmlp.RingStatus
 	routerItems, err := h.streamBatch(h.routerAddr, body, 2, func() error {
-		prop, err := json.Marshal(mmlp.RingProposal{Members: newMembers})
-		if err != nil {
-			return err
-		}
-		resp, err := h.hc.Post("http://"+h.routerAddr+"/admin/ring", "application/json", bytes.NewReader(prop))
+		prop := &mmlp.RingProposal{Members: newMembers}
+		code, rbody, _, err := h.post(h.routerAddr, "/admin/ring", mmlp.ContentTypeJSON, prop, nil)
 		if err != nil {
 			return fmt.Errorf("propose ring: %w", err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("propose ring: status %d", resp.StatusCode)
+		if code != http.StatusOK {
+			return fmt.Errorf("propose ring: status %d", code)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+		if err := json.Unmarshal(rbody, &accepted); err != nil {
 			return err
 		}
 		// A second proposal while the first still drains must be refused
 		// with 409 and tell the operator when to retry: the pinned batch is
 		// still streaming, so the drain is provably in progress right now.
-		resp2, err := h.hc.Post("http://"+h.routerAddr+"/admin/ring", "application/json", bytes.NewReader(prop))
+		code, _, hdr, err := h.post(h.routerAddr, "/admin/ring", mmlp.ContentTypeJSON, prop, nil)
 		if err != nil {
 			return fmt.Errorf("second propose: %w", err)
 		}
-		defer resp2.Body.Close()
-		io.Copy(io.Discard, resp2.Body)
-		if resp2.StatusCode != http.StatusConflict {
-			return fmt.Errorf("second proposal during the drain: status %d, want 409", resp2.StatusCode)
+		if code != http.StatusConflict {
+			return fmt.Errorf("second proposal during the drain: status %d, want 409", code)
 		}
-		if secs, aerr := strconv.Atoi(resp2.Header.Get("Retry-After")); aerr != nil || secs < 1 {
-			return fmt.Errorf("409 during the drain carried Retry-After %q, want a positive second count", resp2.Header.Get("Retry-After"))
+		if secs, aerr := strconv.Atoi(hdr.Get("Retry-After")); aerr != nil || secs < 1 {
+			return fmt.Errorf("409 during the drain carried Retry-After %q, want a positive second count", hdr.Get("Retry-After"))
 		}
 		return nil
 	})
@@ -715,10 +689,11 @@ func (h *harness) runCutover() error {
 	for i := range allReqs {
 		dup := allReqs[i]
 		dup.Instance = gen.Permuted(allReqs[i].Instance)
-		code, rbody, member, err := h.postSolve(h.routerAddr, &dup)
+		code, rbody, hdr, err := h.post(h.routerAddr, "/v1/solve", mmlp.ContentTypeJSON, &dup, nil)
 		if err != nil || code != http.StatusOK {
 			return fmt.Errorf("re-drive %d: status %d, err %v (%s)", i, code, err, rbody)
 		}
+		member := hdr.Get("X-Mmlp-Shard")
 		n, cached, err := normalize(rbody)
 		if err != nil {
 			return err

@@ -56,11 +56,11 @@
 // 413) is terminal for that group's jobs — the shard processed the
 // request, so there is nothing to fail over.
 //
-// Observability: every admitted request gets an X-Mmlp-Trace ID (minted
-// here unless the client supplied one) that is echoed on the response and
-// forwarded with every shard hop, so the router response, the owning
-// shard's ?trace=1 block and its slow-log all share one ID. -debug-addr
-// serves net/http/pprof on a separate listener.
+// Observability: every /v1/ request gets an X-Mmlp-Trace ID (minted here
+// unless the client supplied one) that is echoed on the response — errors
+// included — and forwarded with every shard hop, so the router response,
+// the owning shard's ?trace=1 block and its slow-log all share one ID.
+// -debug-addr serves net/http/pprof on a separate listener.
 //
 // A shard that fails at the transport level is marked down for -cooldown
 // and its keys are served by the next replica on the ring until it
@@ -82,18 +82,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/httperr"
 	"repro/internal/shard"
 )
 
@@ -208,36 +204,7 @@ func main() {
 	})
 	rt = newRouter(client, cfg.maxBody)
 	rt.setDefaultDeadline(cfg.defaultDeadline)
-	if cfg.debugAddr != "" {
-		go serveDebug("mmlprouter", cfg.debugAddr)
-	}
-	srv := &http.Server{
-		Addr:    cfg.addr,
-		Handler: rt,
-		// WriteTimeout stays 0: merged batch streams last as long as the
-		// slowest shard's solves.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("mmlprouter: listening on %s, routing to %d shards (%s), %d vnodes each",
-		cfg.addr, len(ring.Members()), strings.Join(ring.Members(), ", "), ring.Replicas())
-
-	select {
-	case err := <-errc:
-		log.Fatalf("mmlprouter: %v", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("mmlprouter: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("mmlprouter: shutdown: %v", err)
-	}
+	httperr.Serve("mmlprouter", cfg.addr, cfg.debugAddr, rt, cfg.shutdownGrace,
+		fmt.Sprintf(", routing to %d shards (%s), %d vnodes each",
+			len(ring.Members()), strings.Join(ring.Members(), ", "), ring.Replicas()))
 }

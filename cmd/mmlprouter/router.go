@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,14 +10,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/canon"
-	"repro/internal/engine"
 	"repro/internal/httperr"
 	"repro/internal/mmlp"
 	"repro/internal/obs"
@@ -39,9 +38,9 @@ const replicateTimeout = 2 * time.Minute
 type router struct {
 	client  *shard.Client
 	maxBody int64
-	mux     *http.ServeMux
-	// handler is mux wrapped in the error-envelope layer, so the mux's own
-	// 404/405 fallbacks speak the unified JSON envelope too.
+	// handler is the endpoint mux behind the shared front: the error
+	// envelope (which the mux's own 404/405 fallbacks speak too) and the
+	// X-Mmlp-Trace adoption, minting and echo on every /v1/ request.
 	handler http.Handler
 
 	// replicated counts write-through warms delivered to backup replicas;
@@ -51,8 +50,9 @@ type router struct {
 	replWG     sync.WaitGroup
 
 	// canonPassthrough counts canon payloads routed by hashing the raw
-	// bytes — the router never decodes them. One increment per payload, so
-	// a canon batch of n jobs adds n.
+	// bytes — the router never decodes them. One increment per forwarded
+	// payload, so a canon batch of n jobs adds n; a request rejected before
+	// forwarding adds nothing.
 	canonPassthrough atomic.Int64
 
 	// defaultDeadline, when positive, is the deadline minted for requests
@@ -64,17 +64,18 @@ type router struct {
 
 // newRouter wires the endpoints over a shard client.
 func newRouter(client *shard.Client, maxBody int64) *router {
-	rt := &router{client: client, maxBody: maxBody, mux: http.NewServeMux()}
-	rt.mux.HandleFunc("POST /v1/solve", rt.handleSolve)
-	rt.mux.HandleFunc("POST /v1/delta", rt.handleDelta)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("GET /v1/capabilities", rt.handleCapabilities)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
-	rt.mux.HandleFunc("GET /statsz", rt.handleStats)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /admin/ring", rt.handleRingGet)
-	rt.mux.HandleFunc("POST /admin/ring", rt.handleRingPost)
-	rt.handler = httperr.Envelope(rt.mux)
+	rt := &router{client: client, maxBody: maxBody}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/solve", rt.route(httperr.DecodeSolve))
+	mux.HandleFunc("POST /v1/delta", rt.route(httperr.DecodeDelta))
+	mux.HandleFunc("POST /v1/batch", rt.handleBatch)
+	mux.HandleFunc("GET /v1/capabilities", rt.handleCapabilities)
+	mux.HandleFunc("GET /healthz", rt.handleHealth)
+	mux.HandleFunc("GET /statsz", rt.handleStats)
+	mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	mux.HandleFunc("GET /admin/ring", rt.handleRingGet)
+	mux.HandleFunc("POST /admin/ring", rt.handleRingPost)
+	rt.handler = httperr.Envelope(httperr.Trace(mux, true))
 	return rt
 }
 
@@ -83,148 +84,77 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.handler
 // setDefaultDeadline arms -default-deadline. Call before serving.
 func (rt *router) setDefaultDeadline(d time.Duration) { rt.defaultDeadline = d }
 
-// keyOf computes the canonical routing key of one validated request: the
-// same canon.Key the owning shard's result cache will index the result
-// under, so syntactic respellings of one problem (rows or terms permuted)
-// all land on the same shard.
-func keyOf(req *mmlp.SolveRequest) (canon.Key, error) {
-	job, err := batch.JobFromRequest(req)
-	if err != nil {
-		return canon.Key{}, err
-	}
-	return engine.SolveKey(job.In, job.Opts), nil
-}
-
-// traceFor adopts the client's X-Mmlp-Trace request ID or mints one, echoes
-// it on the response, and stashes it in a child of ctx (normally the
-// deadline-bearing context from obs.DeadlineContext) so Forward attaches it to
-// every hop to the shards. The router is where fleet requests are born, so
-// every solve ends up with exactly one ID shared by the client, the
-// router, and the owning shard's trace and slow-log.
-func traceFor(ctx context.Context, w http.ResponseWriter, r *http.Request) (context.Context, string) {
-	id := r.Header.Get(obs.TraceHeader)
-	if id == "" {
-		id = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, id)
-	return obs.WithTraceID(ctx, id), id
-}
-
-// handleSolve routes one solve to its owning shard and streams the shard's
-// response back verbatim: success bodies are byte-identical to what a
-// direct client of that shard would have received. A canon request
-// (Content-Type application/x-mmlp-canon) is routed by hashing the raw
-// payload — the canon encoding is injective over canonical instances, so
-// the hash of the bytes IS the cache key the shard will use, and the
-// router never decodes the body.
-func (rt *router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, code, err := httperr.ReadBody(w, r, rt.maxBody)
-	if err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
-		return
-	}
-	contentType := httperr.MediaType(r)
-	var key canon.Key
-	if contentType == mmlp.ContentTypeCanon {
-		if !canon.SniffSolve(body) {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("canon body does not start with %q", canon.SolveMagic))
+// route serves one routed request, /v1/solve or /v1/delta; the two differ
+// only in decode. The request is forwarded to the shard owning its route
+// key (httperr.RouteKey) and the shard's response streams back verbatim:
+// bodies are byte-identical to what a direct client of that shard would
+// have received, and X-Mmlp-Shard names the shard. A canon solve is routed
+// by hashing the raw payload — the canon encoding is injective over
+// canonical instances, so the hash of the bytes IS the cache key the shard
+// will use, and the router never decodes the body. A delta routes by its
+// BASE key, the only shard whose result cache can hold the base record; a
+// 404/base_unknown answer is relayed as-is and does NOT mark the shard
+// down (a cold cache is a correct answer, not a failure), so the client
+// can fall back to a full solve. A solve answered 200 also warms the key's
+// backup replicas in the background; a delta never does: backups lack the
+// base record, and a warm that recomputes from scratch would defeat the
+// point.
+func (rt *router) route(decode func(http.ResponseWriter, *http.Request, int64) (batch.Job, []byte, int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job, body, status, err := decode(w, r, rt.maxBody)
+		if err != nil {
+			httperr.Write(w, status, httperr.CodeForStatus(status), err)
 			return
 		}
-		key = canon.HashBytes(body)
-		rt.canonPassthrough.Add(1)
-	} else {
-		contentType = "application/json"
-		var req mmlp.SolveRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed JSON: %w", err))
+		ctx, cancel, ok := httperr.Deadline(w, r, rt.defaultDeadline)
+		if !ok {
 			return
 		}
-		if key, err = keyOf(&req); err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-			return
-		}
-	}
-	rt.routeByKey(w, r, key, "/v1/solve", contentType, body, true)
-}
-
-// handleDelta routes an incremental re-solve to the shard that owns its
-// BASE key — the only shard whose result cache can hold the base record
-// the delta prices against. The body is relayed verbatim; a shard
-// answering 404/base_unknown is relayed as-is and NOT marked down (a cold
-// cache is a correct answer, not a failure), so the client can fall back
-// to a full solve, which also seeds the base for the next delta. No
-// write-through happens for deltas: backups lack the base record, and a
-// warm that recomputes from scratch would defeat the point.
-func (rt *router) handleDelta(w http.ResponseWriter, r *http.Request) {
-	body, code, err := httperr.ReadBody(w, r, rt.maxBody)
-	if err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
-		return
-	}
-	var req mmlp.DeltaRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed JSON: %w", err))
-		return
-	}
-	job, err := batch.JobFromDelta(&req)
-	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-		return
-	}
-	rt.routeByKey(w, r, job.Delta.Base, "/v1/delta", "application/json", body, false)
-}
-
-// routeByKey forwards one request to key's owning shard and streams the
-// response back verbatim: success bodies are byte-identical to what a
-// direct client of that shard would have received. With writeThrough,
-// a 200 also warms the key's backup replicas in the background.
-func (rt *router) routeByKey(w http.ResponseWriter, r *http.Request, key canon.Key, path, contentType string, body []byte, writeThrough bool) {
-	ctx, cancel, err := obs.DeadlineContext(r, rt.defaultDeadline)
-	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-		return
-	}
-	if cancel != nil {
 		defer cancel()
-	}
-	ctx, _ = traceFor(ctx, w, r)
-	// Propagate the query string so ?trace=1 reaches the owning shard and
-	// its per-stage trace block rides back in the relayed response; warms
-	// reuse the bare path so a trace request does not trace its backups.
-	warmPath := path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	rv := rt.client.Acquire()
-	defer rt.client.Release(rv)
-	owner := rt.client.OwnerOn(rv, key)
-	resp, member, err := rt.client.DoOn(ctx, rv, key, path, contentType, body)
-	if err != nil {
-		// A dry retry budget is the router refusing to spend more hops, not
-		// the fleet being unreachable: 503 tells the client to back off and
-		// retry, where 502 would read as an outage.
-		status, code := http.StatusBadGateway, mmlp.ErrCodeBadGateway
-		if errors.Is(err, shard.ErrRetryBudgetExhausted) {
-			status, code = http.StatusServiceUnavailable, mmlp.ErrCodeUnavailable
+		key := httperr.RouteKey(job)
+		contentType := mmlp.ContentTypeJSON
+		if job.Canon != nil {
+			contentType = mmlp.ContentTypeCanon
+			rt.canonPassthrough.Add(1)
 		}
-		httperr.Write(w, status, code, fmt.Errorf("no shard reachable (owner %s): %w", owner, err))
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	// Relay the shard's retry hint so a shed (429) or overloaded answer
-	// keeps its Retry-After through the extra hop.
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Mmlp-Shard", member)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	if writeThrough && resp.StatusCode == http.StatusOK {
-		for _, m := range rt.backupsFor(rv, key, member) {
-			rt.replicate(m, warmPath, contentType, body)
+		// Propagate the query string so ?trace=1 reaches the owning shard and
+		// its per-stage trace block rides back in the relayed response; warms
+		// use the bare path so a trace request does not trace its backups.
+		path := r.URL.Path
+		if r.URL.RawQuery != "" {
+			path += "?" + r.URL.RawQuery
+		}
+		rv := rt.client.Acquire()
+		defer rt.client.Release(rv)
+		owner := rt.client.OwnerOn(rv, key)
+		resp, member, err := rt.client.DoOn(ctx, rv, key, path, contentType, body)
+		if err != nil {
+			// A dry retry budget is the router refusing to spend more hops,
+			// not the fleet being unreachable: 503 tells the client to back
+			// off and retry, where 502 would read as an outage.
+			status, code := http.StatusBadGateway, mmlp.ErrCodeBadGateway
+			if errors.Is(err, shard.ErrRetryBudgetExhausted) {
+				status, code = http.StatusServiceUnavailable, mmlp.ErrCodeUnavailable
+			}
+			httperr.Write(w, status, code, fmt.Errorf("no shard reachable (owner %s): %w", owner, err))
+			return
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "" {
+			w.Header().Set("Content-Type", ct)
+		}
+		// Relay the shard's retry hint so a shed (429) or overloaded answer
+		// keeps its Retry-After through the extra hop.
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			w.Header().Set("Retry-After", ra)
+		}
+		w.Header().Set("X-Mmlp-Shard", member)
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+		if job.Delta == nil && resp.StatusCode == http.StatusOK {
+			for _, m := range rt.backupsFor(rv, key, member) {
+				rt.replicate(m, r.URL.Path, contentType, body)
+			}
 		}
 	}
 }
@@ -233,27 +163,9 @@ func (rt *router) routeByKey(w http.ResponseWriter, r *http.Request, key canon.K
 // shape mmlpserve serves, so clients can feature-detect uniformly at
 // either tier.
 func (rt *router) handleCapabilities(w http.ResponseWriter, _ *http.Request) {
-	caps := mmlp.Capabilities{
-		Service: "mmlprouter",
-		Endpoints: []string{
-			"/v1/solve", "/v1/delta", "/v1/batch", "/v1/capabilities",
-			"/healthz", "/statsz", "/metrics", "/admin/ring",
-		},
-		Engines: mmlp.EngineNames(),
-		ContentTypes: []string{
-			mmlp.ContentTypeJSON, mmlp.ContentTypeCanon, mmlp.ContentTypeCanonBatch,
-			mmlp.ContentTypeCanonResults, mmlp.ContentTypeNDJSON,
-		},
-		MaxWireR:        mmlp.MaxWireR,
-		MaxWireBinIters: mmlp.MaxWireBinIters,
-		MaxWireAgents:   mmlp.MaxWireAgents,
-		MaxWireEdits:    mmlp.MaxWireEdits,
-		MaxBodyBytes:    rt.maxBody,
-		Delta:           true,
-		Replication:     rt.client.Replication(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(caps)
+	caps := httperr.Capabilities("mmlprouter", rt.maxBody, true)
+	caps.Replication = rt.client.Replication()
+	httperr.WriteJSON(w, caps)
 }
 
 // backupsFor lists the members of k's replica set other than answered —
@@ -274,15 +186,22 @@ func (rt *router) backupsFor(rv *shard.RingVersion, k canon.Key, answered string
 	return backups
 }
 
-// replicate POSTs body to one backup replica in the background, warming
-// its cache so the replica can answer the key without a recompute once
-// the primary is gone. Members inside a cooldown window are skipped — the
-// warm is an optimisation, not a delivery guarantee, and the next
-// write-through after recovery re-warms them.
+// replicate warms one backup replica's cache with body in the background,
+// so the replica can answer the key without a recompute once the primary
+// is gone. Members inside a cooldown window are skipped — the warm is an
+// optimisation, not a delivery guarantee, and the next write-through after
+// recovery re-warms them.
 func (rt *router) replicate(member, path, contentType string, body []byte) {
-	if rt.client.Down(member) {
-		return
+	if !rt.client.Down(member) {
+		rt.postBackground(member, path, contentType, body, &rt.replicated)
 	}
+}
+
+// postBackground POSTs body to member on a goroutine replWG tracks,
+// bounded by replicateTimeout and detached from any request, counting a
+// delivered response in delivered when non-nil. Write-through warms and
+// cutover notifications are both best-effort this way.
+func (rt *router) postBackground(member, path, contentType string, body []byte, delivered *atomic.Int64) {
 	rt.replWG.Add(1)
 	go func() {
 		defer rt.replWG.Done()
@@ -294,18 +213,29 @@ func (rt *router) replicate(member, path, contentType string, body []byte) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		rt.replicated.Add(1)
+		if delivered != nil {
+			delivered.Add(1)
+		}
 	}()
 }
 
-// group is the slice of one batch owned by a single shard. Exactly one of
-// jobs (JSON batch) or payloads (canon batch) is populated.
+// frameCanon frames canon payloads, bytes untouched, as one batch frame.
+func frameCanon(payloads [][]byte) (contentType string, body []byte) {
+	return mmlp.ContentTypeCanonBatch, canon.AppendBatch(nil, payloads)
+}
+
+// frameJSON frames marshalled JSON jobs as a mmlp.BatchRequest body: the
+// bytes json.Marshal gives the request holding the same jobs.
+func frameJSON(jobs [][]byte) (contentType string, body []byte) {
+	body = append([]byte(`{"jobs":[`), bytes.Join(jobs, []byte(","))...)
+	return mmlp.ContentTypeJSON, append(body, "]}"...)
+}
+
+// group is the slice of one batch owned by a single shard.
 type group struct {
-	owner    string
-	key      canon.Key // a representative key, seeds the failover replica walk
-	jobs     []mmlp.SolveRequest
-	payloads [][]byte
-	orig     []int // original indices, parallel to jobs/payloads
+	key   canon.Key // a representative key, seeds the failover replica walk
+	wires [][]byte  // each job's wire bytes
+	orig  []int     // original indices, parallel to wires
 }
 
 // handleBatch validates the batch, fans the jobs out to their owning
@@ -313,105 +243,66 @@ type group struct {
 // streams in arrival order, rewriting each record's index back to the
 // job's position in the original request. The per-job contract matches
 // mmlpserve's: exactly one record per job, whatever happens to the fleet.
-// A canon batch frame (Content-Type application/x-mmlp-canon-batch) is
-// split at frame boundaries only: each payload is routed by its hash and
-// re-framed per shard with the bytes forwarded verbatim, never decoded.
-// Accept: application/x-mmlp-canon-results selects the binary result
-// frame for the merged response under either request encoding.
+// Every job travels as its wire bytes, framed per sub-batch in the
+// request's encoding: a canon frame is split at frame boundaries only and
+// each payload routed by its hash and forwarded verbatim, never decoded;
+// a JSON job is marshalled once. Accept:
+// application/x-mmlp-canon-results selects the binary result frame for
+// the merged response under either request encoding.
 func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, code, err := httperr.ReadBody(w, r, rt.maxBody)
-	if err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
-		return
-	}
-	var req mmlp.BatchRequest
-	var payloads [][]byte
-	var n int
-	if httperr.MediaType(r) == mmlp.ContentTypeCanonBatch {
-		if payloads, err = canon.SplitBatch(body); err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed batch frame: %w", err))
-			return
-		}
-		n = len(payloads)
-	} else {
-		if err := json.Unmarshal(body, &req); err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed JSON: %w", err))
-			return
-		}
-		n = len(req.Jobs)
-	}
-	if n == 0 {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, errors.New("batch has no jobs"))
-		return
-	}
-	// Validate everything before emitting the first byte, matching the
-	// all-or-nothing 400 a single shard gives a malformed batch. Canon
-	// payloads need no per-job validation pass here: the frame split
-	// checked each payload's magic, and deeper decode errors are the
+	// Decoding validates everything before the first byte is emitted,
+	// matching the all-or-nothing 400 a single shard gives a malformed
+	// batch. Canon payloads are only sniffed: deeper decode errors are the
 	// owning shard's per-job verdict.
-	keys := make([]canon.Key, n)
-	for i := range keys {
-		if payloads != nil {
-			keys[i] = canon.HashBytes(payloads[i])
-			continue
-		}
-		key, err := keyOf(&req.Jobs[i])
-		if err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("job %d: %w", i, err))
-			return
-		}
-		keys[i] = key
-	}
-	if payloads != nil {
-		rt.canonPassthrough.Add(int64(n))
-	}
-	ctx, cancel, err := obs.DeadlineContext(r, rt.defaultDeadline)
+	jobs, reqs, status, err := httperr.DecodeBatch(w, r, rt.maxBody)
 	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
+		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return
 	}
-	if cancel != nil {
-		defer cancel()
+	ctx, cancel, ok := httperr.Deadline(w, r, rt.defaultDeadline)
+	if !ok {
+		return
 	}
-	ctx, _ = traceFor(ctx, w, r)
+	defer cancel()
+	// A canon payload is its own wire bytes; a JSON job is marshalled once,
+	// for its first forward, any re-forward and every warm alike.
+	frame := frameCanon
+	if reqs != nil {
+		frame = frameJSON
+	}
+	keys := make([]canon.Key, len(jobs))
+	wires := make([][]byte, len(jobs))
+	for i := range jobs {
+		keys[i], wires[i] = httperr.RouteKey(jobs[i]), jobs[i].Canon
+		if reqs != nil {
+			// Cannot fail: every value came out of a JSON decode, which
+			// admits no NaN, infinity or cycle (FuzzDecoders asserts it).
+			wires[i], _ = json.Marshal(&reqs[i])
+		}
+	}
+	if reqs == nil {
+		rt.canonPassthrough.Add(int64(len(jobs)))
+	}
 	// Pin one ring generation for the whole batch: grouping, forwarding and
 	// straggler re-forwards all agree on a single assignment even when an
 	// /admin/ring cutover lands mid-stream.
 	rv := rt.client.Acquire()
 	defer rt.client.Release(rv)
 	groups := map[string]*group{}
-	for i := 0; i < n; i++ {
-		owner := rt.client.OwnerOn(rv, keys[i])
+	for i, k := range keys {
+		owner := rt.client.OwnerOn(rv, k)
 		g := groups[owner]
 		if g == nil {
-			g = &group{owner: owner, key: keys[i]}
+			g = &group{key: k}
 			groups[owner] = g
 		}
-		if payloads != nil {
-			g.payloads = append(g.payloads, payloads[i])
-		} else {
-			g.jobs = append(g.jobs, req.Jobs[i])
-		}
+		g.wires = append(g.wires, wires[i])
 		g.orig = append(g.orig, i)
 	}
 
-	flusher, _ := w.(http.Flusher)
+	write := httperr.BatchWriter(w, r)
 	var emu sync.Mutex
-	answered := make([]string, n) // member that solved each job
-	var write func(mmlp.BatchItem)
-	if strings.Contains(r.Header.Get("Accept"), mmlp.ContentTypeCanonResults) {
-		w.Header().Set("Content-Type", mmlp.ContentTypeCanonResults)
-		w.Write(canon.AppendResultsHeader(nil))
-		var buf []byte
-		write = func(item mmlp.BatchItem) {
-			buf = canon.AppendResult(buf[:0], &item)
-			w.Write(buf)
-		}
-	} else {
-		w.Header().Set("Content-Type", mmlp.ContentTypeNDJSON)
-		enc := json.NewEncoder(w)
-		write = func(item mmlp.BatchItem) { enc.Encode(item) }
-	}
+	answered := make([]string, len(jobs)) // member that solved each job
 	emit := func(item mmlp.BatchItem, member string) {
 		emu.Lock()
 		defer emu.Unlock()
@@ -419,9 +310,6 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			answered[item.Index] = member
 		}
 		write(item)
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -429,44 +317,28 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			rt.forwardGroup(ctx, rv, g, emit)
+			rt.forwardGroup(ctx, rv, g, frame, emit)
 		}(g)
 	}
 	wg.Wait()
 
 	// Write-through: regroup the answered jobs by backup replica and warm
-	// each replica with one background sub-batch, so any member of a key's
-	// replica set can serve it cached after the primary dies. Canon warms
-	// re-frame the original payload bytes.
+	// each replica with one background sub-batch of the same wire bytes,
+	// so any member of a key's replica set can serve it cached after the
+	// primary dies.
 	if rt.client.Replication() > 1 {
-		if payloads != nil {
-			backups := map[string][][]byte{}
-			for i := 0; i < n; i++ {
-				if answered[i] == "" {
-					continue
-				}
-				for _, m := range rt.backupsFor(rv, keys[i], answered[i]) {
-					backups[m] = append(backups[m], payloads[i])
-				}
+		backups := map[string][][]byte{}
+		for i, k := range keys {
+			if answered[i] == "" {
+				continue
 			}
-			for m, ps := range backups {
-				rt.replicate(m, "/v1/batch", mmlp.ContentTypeCanonBatch, canon.AppendBatch(nil, ps))
+			for _, m := range rt.backupsFor(rv, k, answered[i]) {
+				backups[m] = append(backups[m], wires[i])
 			}
-		} else {
-			backups := map[string][]mmlp.SolveRequest{}
-			for i := 0; i < n; i++ {
-				if answered[i] == "" {
-					continue
-				}
-				for _, m := range rt.backupsFor(rv, keys[i], answered[i]) {
-					backups[m] = append(backups[m], req.Jobs[i])
-				}
-			}
-			for m, jobs := range backups {
-				if body, err := json.Marshal(mmlp.BatchRequest{Jobs: jobs}); err == nil {
-					rt.replicate(m, "/v1/batch", "application/json", body)
-				}
-			}
+		}
+		for m, ws := range backups {
+			contentType, body := frame(ws)
+			rt.replicate(m, "/v1/batch", contentType, body)
 		}
 	}
 }
@@ -479,29 +351,13 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // error lines), which feeds the write-through regrouping. Shards always
 // answer sub-batches as NDJSON regardless of the request encoding, so the
 // merge loop below is one code path.
-func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *group, emit func(mmlp.BatchItem, string)) {
-	jobs, payloads, orig := g.jobs, g.payloads, g.orig
-	contentType := "application/json"
-	if payloads != nil {
-		contentType = mmlp.ContentTypeCanonBatch
-	}
-	size := func() int {
-		if payloads != nil {
-			return len(payloads)
-		}
-		return len(jobs)
-	}
-	var body []byte // re-marshaled only when the remaining job set shrinks
+func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *group, frame func([][]byte) (string, []byte), emit func(mmlp.BatchItem, string)) {
+	wires, orig := g.wires, g.orig
+	var contentType string
+	var body []byte // re-framed only when the remaining job set shrinks
 	err := rt.client.DoFuncOn(ctx, rv, g.key, func(member string) (bool, error) {
 		if body == nil {
-			if payloads != nil {
-				body = canon.AppendBatch(nil, payloads)
-			} else {
-				var merr error
-				if body, merr = json.Marshal(mmlp.BatchRequest{Jobs: jobs}); merr != nil {
-					return true, merr // cannot improve on another replica
-				}
-			}
+			contentType, body = frame(wires)
 		}
 		resp, ferr := rt.client.Forward(ctx, member, "/v1/batch", contentType, body)
 		if ferr != nil {
@@ -522,7 +378,7 @@ func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *gr
 			}
 			return true, nil
 		}
-		emitted := make([]bool, size())
+		emitted := make([]bool, len(wires))
 		nEmitted := 0
 		rd := bufio.NewReader(resp.Body)
 		for {
@@ -542,30 +398,21 @@ func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *gr
 				break
 			}
 		}
-		if nEmitted == size() {
+		if nEmitted == len(wires) {
 			return true, nil
 		}
 		// The stream broke mid-way: keep the answered jobs, re-forward the
 		// rest. Solves are pure functions of their requests, so re-running
 		// an answered-but-lost job on another shard is safe.
-		var njobs []mmlp.SolveRequest
-		var npayloads [][]byte
+		var nwires [][]byte
 		var norig []int
-		for i := range emitted {
-			if !emitted[i] {
-				if payloads != nil {
-					npayloads = append(npayloads, payloads[i])
-				} else {
-					njobs = append(njobs, jobs[i])
-				}
-				norig = append(norig, i)
+		for i, done := range emitted {
+			if !done {
+				nwires = append(nwires, wires[i])
+				norig = append(norig, orig[i])
 			}
 		}
-		// Remap norig through the current orig before replacing it.
-		for i, oi := range norig {
-			norig[i] = orig[oi]
-		}
-		jobs, payloads, orig, body = njobs, npayloads, norig, nil
+		wires, orig, body = nwires, norig, nil
 		return false, fmt.Errorf("shard %s: response stream truncated after %d lines", member, nEmitted)
 	})
 	if err != nil {
@@ -596,8 +443,7 @@ func (rt *router) ringStatus() mmlp.RingStatus {
 // drains, the old generation's remaining in-flight count. Operators poll
 // it after a proposal to know when the handover has completed.
 func (rt *router) handleRingGet(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rt.ringStatus())
+	httperr.WriteJSON(w, rt.ringStatus())
 }
 
 // handleRingPost proposes a new member set. On acceptance the new ring
@@ -608,14 +454,9 @@ func (rt *router) handleRingGet(w http.ResponseWriter, _ *http.Request) {
 // still draining is rejected with 409 — retry once GET /admin/ring shows
 // no drain.
 func (rt *router) handleRingPost(w http.ResponseWriter, r *http.Request) {
-	body, code, err := httperr.ReadBody(w, r, rt.maxBody)
-	if err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
-		return
-	}
 	var prop mmlp.RingProposal
-	if err := json.Unmarshal(body, &prop); err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed JSON: %w", err))
+	if _, status, err := httperr.ReadJSON(w, r, rt.maxBody, &prop); err != nil {
+		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return
 	}
 	if _, err := rt.client.Propose(prop.Members); err != nil {
@@ -637,8 +478,7 @@ func (rt *router) handleRingPost(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rt.ringStatus())
+	httperr.WriteJSON(w, rt.ringStatus())
 }
 
 // notifyCutover is the client's OnCutoverDone hook: once the old ring has
@@ -663,22 +503,9 @@ func (rt *router) notifyCutover(old, new *shard.Ring) {
 	}
 	for m := range union {
 		upd.Self = m
-		body, err := json.Marshal(upd)
-		if err != nil {
-			continue
+		if body, err := json.Marshal(upd); err == nil {
+			rt.postBackground(m, "/admin/ring", mmlp.ContentTypeJSON, body, nil)
 		}
-		rt.replWG.Add(1)
-		go func(m string, body []byte) {
-			defer rt.replWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
-			defer cancel()
-			resp, err := rt.client.Forward(ctx, m, "/admin/ring", "application/json", body)
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}(m, body)
 	}
 }
 
@@ -739,8 +566,7 @@ func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 	// are process-local order statistics and cannot be combined.
 	out.Fleet.DeriveQuantiles()
 	out.Router = rt.stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	httperr.WriteJSON(w, out)
 }
 
 // stats snapshots the router block: the shard client's routing view plus
@@ -750,4 +576,14 @@ func (rt *router) stats() mmlp.RouterStats {
 	st.Replicated = rt.replicated.Load()
 	st.CanonPassthrough = rt.canonPassthrough.Load()
 	return st
+}
+
+// handleMetrics renders the router block /statsz serves in the
+// Prometheus text exposition format. Deliberately router-local: shard
+// totals are each shard's /metrics to report (scraping them here would
+// double-count in any setup where Prometheus also scrapes the shards
+// directly), and the fleet aggregate stays on /statsz.
+func (rt *router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	st := rt.stats()
+	httperr.WriteMetrics(w, st.WriteMetrics)
 }

@@ -27,7 +27,9 @@
 //	                  solve of the edited instance. 404/base_unknown when
 //	                  this process does not hold the base
 //	GET  /v1/capabilities — the serving surface (endpoints, engines,
-//	                  content types, wire limits) for feature detection
+//	                  content types, wire limits) for feature detection;
+//	                  "delta" is false when -cache-bytes 0 leaves no cache
+//	                  to hold a base
 //	GET  /healthz   — liveness plus the build's VCS revision/dirty flag
 //	GET  /statsz    — the typed stats block (mmlp.StatsRaw: exact
 //	                  counters, nanosecond latencies, mergeable latency
@@ -36,9 +38,10 @@
 //	                  ?raw=1 is accepted and serves the same block
 //	GET  /metrics   — the same block in the Prometheus text format
 //
-// Observability: ?trace=1 on /v1/solve adds a per-stage "trace" block to
-// the response; an X-Mmlp-Trace request header (normally set by the
-// router) is echoed on the response. -slow-log DURATION logs the full
+// Observability: ?trace=1 on /v1/solve or /v1/delta adds a per-stage
+// "trace" block to the response; an X-Mmlp-Trace request header (normally
+// set by the router) is echoed on every /v1/ response, errors included,
+// and never minted here. -slow-log DURATION logs the full
 // stage breakdown via log/slog for any solve at or above the threshold
 // (0 logs every solve; negative, the default, disables). -debug-addr
 // serves net/http/pprof on a separate listener.
@@ -59,19 +62,15 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/fault"
+	"repro/internal/httperr"
 )
 
 // serveConfig is the parsed and validated flag set.
@@ -171,39 +170,9 @@ func main() {
 		h.enableShed()
 	}
 	h.setFault(cfg.fault)
-	if cfg.debugAddr != "" {
-		go serveDebug("mmlpserve", cfg.debugAddr)
-	}
-	srv := &http.Server{
-		Addr: cfg.addr,
-		// The fault wrap is the identity when -fault-spec is empty, so the
-		// production handler chain is untouched by the chaos layer.
-		Handler: cfg.fault.Wrap(h),
-		// Bound slow/idle clients so they cannot pin connections forever;
-		// WriteTimeout stays 0 because batch NDJSON responses stream for as
-		// long as the solves take.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("mmlpserve: listening on %s (workers=%d)", cfg.addr, pool.Workers())
-
-	select {
-	case err := <-errc:
-		log.Fatalf("mmlpserve: %v", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("mmlpserve: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("mmlpserve: shutdown: %v", err)
-	}
+	// The fault wrap is the identity when -fault-spec is empty, so the
+	// production handler chain is untouched by the chaos layer.
+	httperr.Serve("mmlpserve", cfg.addr, cfg.debugAddr, cfg.fault.Wrap(h), cfg.shutdownGrace,
+		fmt.Sprintf(" (workers=%d)", pool.Workers()))
 	pool.Close()
 }

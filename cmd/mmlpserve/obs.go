@@ -1,41 +1,19 @@
 package main
 
 import (
-	"bytes"
-	"log"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/httperr"
 	"repro/internal/obs"
 )
-
-// serveDebug exposes net/http/pprof on its own listener — deliberately a
-// separate address from the serving port, so profiling endpoints are never
-// reachable through whatever exposes the service itself.
-func serveDebug(name, addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	log.Printf("%s: pprof on %s", name, addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		log.Printf("%s: debug listener: %v", name, err)
-	}
-}
 
 // handleMetrics renders the stats block /statsz serves in the Prometheus
 // text exposition format, from the one declaration of each metric, so the
 // two views can never disagree.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b bytes.Buffer
-	s.stats().WriteMetrics(&b)
-	obs.WriteBuildInfo(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(b.Bytes())
+	httperr.WriteMetrics(w, s.stats().WriteMetrics)
 }
 
 // logSlow emits the full per-stage breakdown of one solve via slog. The

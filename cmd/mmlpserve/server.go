@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/batch"
@@ -26,16 +24,16 @@ import (
 type server struct {
 	pool    *batch.Pool
 	maxBody int64
-	mux     *http.ServeMux
-	// handler is mux wrapped in the error-envelope layer, so the mux's own
-	// 404/405 fallbacks speak the unified JSON envelope too.
+	// handler is the endpoint mux behind the shared front: the error
+	// envelope (which the mux's own 404/405 fallbacks speak too) and the
+	// X-Mmlp-Trace echo on every /v1/ response.
 	handler http.Handler
 
-	// shed switches /v1/solve admission to the non-blocking TrySubmit
-	// path: a full queue answers 429 + Retry-After instead of parking the
-	// connection. /v1/batch keeps the blocking path regardless — its
-	// backpressure is streaming-shaped by design (results flow while later
-	// jobs wait), so parking the submitter goroutine there is correct.
+	// shed switches /v1/solve and /v1/delta admission to the non-blocking
+	// TrySubmit path: a full queue answers 429 + Retry-After instead of
+	// parking the connection. /v1/batch keeps the blocking path regardless
+	// — its backpressure is streaming-shaped by design (results flow while
+	// later jobs wait), so parking the submitter goroutine there is correct.
 	shed bool
 
 	// fault is the chaos-injection layer (-fault-spec); nil in production.
@@ -43,7 +41,7 @@ type server struct {
 	// injection itself wraps the whole handler in main.
 	fault *fault.Injector
 
-	// slowLogOn/slowLog gate the per-request breakdown log on /v1/solve:
+	// slowLogOn/slowLog gate the per-request breakdown log of synchronous jobs:
 	// disabled by default, enabled by -slow-log (0 logs every solve).
 	// logger is injectable for tests; defaults to slog's process logger.
 	slowLogOn bool
@@ -54,16 +52,17 @@ type server struct {
 // newServer wires the endpoints. maxBody bounds every request body; bodies
 // beyond it are rejected with 413.
 func newServer(pool *batch.Pool, maxBody int64) *server {
-	s := &server{pool: pool, maxBody: maxBody, mux: http.NewServeMux(), logger: slog.Default()}
-	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	s.mux.HandleFunc("POST /v1/delta", s.handleDelta)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /statsz", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /admin/ring", s.handleRing)
-	s.handler = httperr.Envelope(s.mux)
+	s := &server{pool: pool, maxBody: maxBody, logger: slog.Default()}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/solve", s.handleJob(httperr.DecodeSolve, renderSolve))
+	mux.HandleFunc("POST /v1/delta", s.handleJob(httperr.DecodeDelta, renderDelta))
+	mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
+	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("GET /statsz", s.handleStats)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("POST /admin/ring", s.handleRing)
+	s.handler = httperr.Envelope(httperr.Trace(mux, false))
 	return s
 }
 
@@ -74,7 +73,7 @@ func (s *server) enableSlowLog(threshold time.Duration) {
 	s.slowLog = threshold
 }
 
-// enableShed switches /v1/solve to load-shedding admission.
+// enableShed switches /v1/solve and /v1/delta to load-shedding admission.
 func (s *server) enableShed() { s.shed = true }
 
 // setFault attaches the chaos injector for stats surfacing.
@@ -105,6 +104,9 @@ func errStatus(err error) (int, string) {
 		return http.StatusNotFound, mmlp.ErrCodeBaseUnknown
 	case errors.Is(err, mmlp.ErrInvalid):
 		return http.StatusBadRequest, mmlp.ErrCodeInvalidArgument
+	case errors.Is(err, batch.ErrQueueFull):
+		// Only the -shed admission path refuses; the blocking one waits.
+		return http.StatusTooManyRequests, mmlp.ErrCodeOverloaded
 	case errors.Is(err, batch.ErrExpiredInQueue):
 		// The deadline died in the queue: the kernel never ran. 504 tells
 		// the client (and the router) this was pure queueing lateness, not
@@ -117,173 +119,85 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// acceptsCanonResults reports whether the client asked for the binary
-// result frame on /v1/batch.
-func acceptsCanonResults(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), mmlp.ContentTypeCanonResults)
-}
-
-// handleSolve solves one instance synchronously. The request is JSON by
-// default; Content-Type: application/x-mmlp-canon submits the canon wire
-// payload instead — keyed by its hash, decoded only on a cache miss. The
-// response is JSON either way.
-func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var job batch.Job
-	if httperr.MediaType(r) == mmlp.ContentTypeCanon {
-		payload, code, err := httperr.ReadBody(w, r, s.maxBody)
+// handleJob serves one synchronous job; /v1/solve and /v1/delta differ
+// only in decode and render. A solve is JSON by default, or under
+// Content-Type application/x-mmlp-canon the canon wire payload — keyed by
+// its hash, decoded only on a cache miss. A delta re-solves a cached base
+// with an edit set applied: the dirty agents — those within the kernel's
+// locality radius of an edited row — are re-priced and everything else is
+// spliced from the base's record, bit-identically to a cold solve of the
+// edited instance; a base this shard does not hold answers
+// 404/base_unknown, and the client (or the router's caller) falls back to
+// a full solve, which also seeds the base for the next delta. Both kinds
+// share the pool's workers, queue and admission ledger, so shedding and
+// deadline propagation behave alike. The response is JSON either way.
+func (s *server) handleJob(
+	decode func(http.ResponseWriter, *http.Request, int64) (batch.Job, []byte, int, error),
+	render func(res batch.Result, trace map[string]float64) any,
+) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job, _, status, err := decode(w, r, s.maxBody)
 		if err != nil {
-			httperr.Write(w, code, httperr.CodeForStatus(code), err)
+			httperr.Write(w, status, httperr.CodeForStatus(status), err)
 			return
 		}
-		if !canon.SniffSolve(payload) {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("canon body does not start with %q", canon.SolveMagic))
+		ctx, cancel, ok := httperr.Deadline(w, r, 0)
+		if !ok {
 			return
 		}
-		job = batch.JobFromCanon(payload)
-	} else {
-		var req mmlp.SolveRequest
-		if code, err := httperr.DecodeJSON(w, r, s.maxBody, &req); err != nil {
-			httperr.Write(w, code, httperr.CodeForStatus(code), err)
-			return
-		}
-		var err error
-		if job, err = batch.JobFromRequest(&req); err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-			return
-		}
-	}
-	traceID := r.Header.Get(obs.TraceHeader)
-	ctx, cancel, err := obs.DeadlineContext(r, 0)
-	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-		return
-	}
-	if cancel != nil {
 		defer cancel()
-	}
-	var res batch.Result
-	if s.shed {
-		res = s.doShed(ctx, job)
-		if errors.Is(res.Err, batch.ErrQueueFull) {
-			w.Header().Set("Retry-After", retryAfterSecs(s.pool.QueueWaitP50()))
-			httperr.Write(w, http.StatusTooManyRequests, mmlp.ErrCodeOverloaded, res.Err)
+		var res batch.Result
+		if s.shed {
+			res = s.doShed(ctx, job)
+		} else {
+			res = s.pool.Do(ctx, job)
+		}
+		if res.Err != nil {
+			status, code := errStatus(res.Err)
+			if status == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", retryAfterSecs(s.pool.QueueWaitP50()))
+			}
+			httperr.Write(w, status, code, res.Err)
 			return
 		}
-	} else {
-		res = s.pool.Do(ctx, job)
-	}
-	if res.Err != nil {
-		status, code := errStatus(res.Err)
-		httperr.Write(w, status, code, res.Err)
-		return
-	}
-	if traceID != "" {
-		w.Header().Set(obs.TraceHeader, traceID)
-	}
-	resp := batch.ResponseFromResult(res)
-	// The RawQuery guard keeps query parsing (which allocates) off the
-	// default path: plain solves stay within the warm-path alloc budget.
-	if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
-		resp.Trace = res.Trace.MSMap()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	encStart := time.Now()
-	json.NewEncoder(w).Encode(resp)
-	enc := time.Since(encStart)
-	s.pool.ObserveStage(obs.StageEncode, enc)
-	if s.slowLogOn && res.Latency >= s.slowLog {
-		s.logSlow(traceID, &res, enc)
+		// The RawQuery guard keeps query parsing (which allocates) off the
+		// default path: plain solves stay within the warm-path alloc budget.
+		var trace map[string]float64
+		if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
+			trace = res.Trace.MSMap()
+		}
+		resp := render(res, trace)
+		encStart := time.Now()
+		httperr.WriteJSON(w, resp)
+		enc := time.Since(encStart)
+		s.pool.ObserveStage(obs.StageEncode, enc)
+		if s.slowLogOn && res.Latency >= s.slowLog {
+			s.logSlow(r.Header.Get(obs.TraceHeader), &res, enc)
+		}
 	}
 }
 
-// handleDelta re-solves a cached base with an edit set applied: the dirty
-// agents — those within the kernel's locality radius of an edited row —
-// are re-priced and everything else is spliced from the base's record,
-// bit-identically to a cold solve of the edited instance. Delta jobs share
-// the pool's workers, queue and admission ledger with full solves, so
-// shedding and deadline propagation behave exactly as on /v1/solve. A base
-// this shard does not hold answers 404/base_unknown; the client (or the
-// router's caller) falls back to a full solve, which also seeds the base
-// for the next delta.
-func (s *server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	var req mmlp.DeltaRequest
-	if code, err := httperr.DecodeJSON(w, r, s.maxBody, &req); err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
-		return
-	}
-	job, err := batch.JobFromDelta(&req)
-	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-		return
-	}
-	traceID := r.Header.Get(obs.TraceHeader)
-	ctx, cancel, err := obs.DeadlineContext(r, 0)
-	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
-		return
-	}
-	if cancel != nil {
-		defer cancel()
-	}
-	var res batch.Result
-	if s.shed {
-		res = s.doShed(ctx, job)
-		if errors.Is(res.Err, batch.ErrQueueFull) {
-			w.Header().Set("Retry-After", retryAfterSecs(s.pool.QueueWaitP50()))
-			httperr.Write(w, http.StatusTooManyRequests, mmlp.ErrCodeOverloaded, res.Err)
-			return
-		}
-	} else {
-		res = s.pool.Do(ctx, job)
-	}
-	if res.Err != nil {
-		status, code := errStatus(res.Err)
-		httperr.Write(w, status, code, res.Err)
-		return
-	}
-	if traceID != "" {
-		w.Header().Set(obs.TraceHeader, traceID)
-	}
+// renderSolve and renderDelta are handleJob's response renderers.
+func renderSolve(res batch.Result, trace map[string]float64) any {
+	resp := batch.ResponseFromResult(res)
+	resp.Trace = trace
+	return resp
+}
+
+func renderDelta(res batch.Result, trace map[string]float64) any {
 	resp := batch.DeltaResponseFromResult(res)
-	if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
-		resp.Trace = res.Trace.MSMap()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	encStart := time.Now()
-	json.NewEncoder(w).Encode(resp)
-	enc := time.Since(encStart)
-	s.pool.ObserveStage(obs.StageEncode, enc)
-	if s.slowLogOn && res.Latency >= s.slowLog {
-		s.logSlow(traceID, &res, enc)
-	}
+	resp.Trace = trace
+	return resp
 }
 
 // handleCapabilities advertises what this process serves — endpoints,
 // engines, content types and wire limits — so clients and the router can
-// feature-detect (e.g. whether /v1/delta exists) instead of probing with
-// requests that may 404.
+// feature-detect instead of probing with requests that may fail. A delta
+// can only succeed where a result cache can hold its base.
 func (s *server) handleCapabilities(w http.ResponseWriter, _ *http.Request) {
-	caps := mmlp.Capabilities{
-		Service: "mmlpserve",
-		Endpoints: []string{
-			"/v1/solve", "/v1/delta", "/v1/batch", "/v1/capabilities",
-			"/healthz", "/statsz", "/metrics", "/admin/ring",
-		},
-		Engines: mmlp.EngineNames(),
-		ContentTypes: []string{
-			mmlp.ContentTypeJSON, mmlp.ContentTypeCanon, mmlp.ContentTypeCanonBatch,
-			mmlp.ContentTypeCanonResults, mmlp.ContentTypeNDJSON,
-		},
-		MaxWireR:        mmlp.MaxWireR,
-		MaxWireBinIters: mmlp.MaxWireBinIters,
-		MaxWireAgents:   mmlp.MaxWireAgents,
-		MaxWireEdits:    mmlp.MaxWireEdits,
-		MaxBodyBytes:    s.maxBody,
-		Delta:           true,
-		Shed:            s.shed,
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(caps)
+	caps := httperr.Capabilities("mmlpserve", s.maxBody, s.pool.Stats().Cache != nil)
+	caps.Shed = s.shed
+	httperr.WriteJSON(w, caps)
 }
 
 // doShed is Pool.Do over the non-blocking admission path: a full queue
@@ -305,73 +219,19 @@ func (s *server) doShed(ctx context.Context, job batch.Job) batch.Result {
 // frame. The two axes are independent: any request encoding can pick
 // either response encoding.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var jobs []batch.Job
-	if httperr.MediaType(r) == mmlp.ContentTypeCanonBatch {
-		frame, code, err := httperr.ReadBody(w, r, s.maxBody)
-		if err != nil {
-			httperr.Write(w, code, httperr.CodeForStatus(code), err)
-			return
-		}
-		payloads, err := canon.SplitBatch(frame)
-		if err != nil {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("malformed batch frame: %w", err))
-			return
-		}
-		if len(payloads) == 0 {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, errors.New("batch has no jobs"))
-			return
-		}
-		jobs = make([]batch.Job, len(payloads))
-		for i, p := range payloads {
-			jobs[i] = batch.JobFromCanon(p)
-		}
-	} else {
-		var req mmlp.BatchRequest
-		if code, err := httperr.DecodeJSON(w, r, s.maxBody, &req); err != nil {
-			httperr.Write(w, code, httperr.CodeForStatus(code), err)
-			return
-		}
-		if len(req.Jobs) == 0 {
-			httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, errors.New("batch has no jobs"))
-			return
-		}
-		jobs = make([]batch.Job, len(req.Jobs))
-		for i := range req.Jobs {
-			job, err := batch.JobFromRequest(&req.Jobs[i])
-			if err != nil {
-				httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, fmt.Errorf("job %d: %w", i, err))
-				return
-			}
-			jobs[i] = job
-		}
-	}
-
-	// The propagated deadline bounds every job in the batch: jobs still
-	// queued when it passes are reported expired instead of solved late.
-	ctx, cancel, err := obs.DeadlineContext(r, 0)
+	jobs, _, status, err := httperr.DecodeBatch(w, r, s.maxBody)
 	if err != nil {
-		httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
+		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return
 	}
-	if cancel != nil {
-		defer cancel()
+	// The propagated deadline bounds every job in the batch: jobs still
+	// queued when it passes are reported expired instead of solved late.
+	ctx, cancel, ok := httperr.Deadline(w, r, 0)
+	if !ok {
+		return
 	}
-
-	flusher, _ := w.(http.Flusher)
-	var emit func(mmlp.BatchItem)
-	if acceptsCanonResults(r) {
-		w.Header().Set("Content-Type", mmlp.ContentTypeCanonResults)
-		w.Write(canon.AppendResultsHeader(nil))
-		var buf []byte
-		emit = func(item mmlp.BatchItem) {
-			buf = canon.AppendResult(buf[:0], &item)
-			w.Write(buf)
-		}
-	} else {
-		w.Header().Set("Content-Type", mmlp.ContentTypeNDJSON)
-		enc := json.NewEncoder(w)
-		emit = func(item mmlp.BatchItem) { enc.Encode(item) }
-	}
+	defer cancel()
+	emit := httperr.BatchWriter(w, r)
 
 	// Submission runs on its own goroutine so the pool's backpressure never
 	// stalls the response: completed results stream out while later jobs
@@ -400,9 +260,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case res := <-results:
 			emit(batch.ItemFromResult(res))
-			if flusher != nil {
-				flusher.Flush()
-			}
 			emitted++
 		case out := <-submitDone:
 			submitted, submitErr = out.submitted, out.err
@@ -414,9 +271,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// dropped job from a lost response.
 	for i := submitted; i < len(jobs); i++ {
 		emit(batch.ItemFromResult(batch.Result{Index: i, Err: submitErr}))
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 }
 
@@ -448,8 +302,7 @@ func (s *server) handleRing(w http.ResponseWriter, r *http.Request) {
 	n := s.pool.PruneCache(func(k canon.Key) bool {
 		return slices.Contains(ring.Successors(k, rep), upd.Self)
 	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(mmlp.PruneResponse{Pruned: n})
+	httperr.WriteJSON(w, mmlp.PruneResponse{Pruned: n})
 }
 
 // handleHealth reports liveness plus the build's VCS identity, so fleet
@@ -474,6 +327,5 @@ func (s *server) stats() *mmlp.StatsRaw {
 // result cache is enabled. ?raw=1, the router's spelling, is accepted and
 // changes nothing.
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.stats())
+	httperr.WriteJSON(w, s.stats())
 }

@@ -1,18 +1,21 @@
-// Package httperr renders the fleet's unified JSON error envelope. Every
-// non-2xx response from mmlpserve and mmlprouter carries the same body —
+// Package httperr is the HTTP front mmlpserve and mmlprouter share: both
+// tiers serve one wire contract, so its request decoders, response
+// writers, error envelope and process shell exist here once.
+//
+// Every non-2xx response carries the same body —
 // {"error":{"code":"…","message":"…"}} — with a stable machine code from
 // the mmlp.ErrCode* vocabulary, so clients and the router branch on the
-// code instead of parsing English. The package also wraps an http.Handler
-// so the net/http mux's own plain-text fallbacks (404 page not found,
-// 405 method not allowed) speak the envelope too, and holds the request
-// helpers both binaries share, whose failures map onto 400 and 413.
+// code instead of parsing English. Envelope wraps an http.Handler so the
+// net/http mux's own plain-text fallbacks (404 page not found, 405 method
+// not allowed) speak the envelope too. Decoding failures map onto 400 and
+// 413 (see front.go); Serve is the listen/signal/shutdown shell.
 package httperr
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"strings"
@@ -22,12 +25,28 @@ import (
 
 // ReadBody reads r's body whole, capped at limit bytes. On failure it
 // returns the status to answer with: 413 for an oversized body, 400 for
-// any other read error.
+// any other read error. The buffer doubles as it fills, so a large body
+// costs about twice its size in allocations, as under the streaming JSON
+// decoder; io.ReadAll's finer growth steps cost several times it.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
+	var b bytes.Buffer
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		status, err := bodyError(err, "read body")
 		return nil, status, err
+	}
+	return b.Bytes(), 0, nil
+}
+
+// ReadJSON is ReadBody followed by one strict json.Unmarshal into dst: the
+// raw bytes come back for callers that forward them, and trailing data
+// after the value is malformed JSON (400).
+func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, dst any) ([]byte, int, error) {
+	body, status, err := ReadBody(w, r, limit)
+	if err != nil {
+		return nil, status, err
+	}
+	if err := json.Unmarshal(body, dst); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("malformed JSON: %w", err)
 	}
 	return body, 0, nil
 }
@@ -68,11 +87,17 @@ func MediaType(r *http.Request) string {
 
 // Write emits one enveloped error response.
 func Write(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", mmlp.ContentTypeJSON)
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(mmlp.ErrorResponse{
 		Error: mmlp.ErrorDetail{Code: code, Message: err.Error()},
 	})
+}
+
+// WriteJSON emits one 200 JSON response.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", mmlp.ContentTypeJSON)
+	json.NewEncoder(w).Encode(v)
 }
 
 // CodeForStatus maps an HTTP status onto its default machine code — for
@@ -135,15 +160,10 @@ func (w *envelopeWriter) WriteHeader(status int) {
 	}
 	w.wrote = true
 	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
-		!strings.HasPrefix(w.rw.Header().Get("Content-Type"), "application/json") {
+		!strings.HasPrefix(w.rw.Header().Get("Content-Type"), mmlp.ContentTypeJSON) {
 		w.swallow = true
-		w.rw.Header().Set("Content-Type", "application/json")
-		err := fmt.Errorf("%s %s: %s", w.req.Method, w.req.URL.Path,
-			strings.ToLower(http.StatusText(status)))
-		w.rw.WriteHeader(status)
-		json.NewEncoder(w.rw).Encode(mmlp.ErrorResponse{
-			Error: mmlp.ErrorDetail{Code: CodeForStatus(status), Message: err.Error()},
-		})
+		Write(w.rw, status, CodeForStatus(status), fmt.Errorf("%s %s: %s", w.req.Method, w.req.URL.Path,
+			strings.ToLower(http.StatusText(status))))
 		return
 	}
 	w.rw.WriteHeader(status)

@@ -45,10 +45,10 @@ var ErrCutoverInProgress = errors.New("shard: ring cutover already in progress")
 // layer maps it to 503 — fail fast, let the client back off.
 var ErrRetryBudgetExhausted = errors.New("shard: retry budget exhausted")
 
-// Retry-backoff defaults, used when ClientOptions enables backoff without
-// overriding the shape: first retry hop waits ~DefaultRetryBackoff,
-// doubling per hop up to DefaultRetryBackoffMax, each wait half fixed and
-// half deterministic jitter.
+// Retry-backoff shape: with backoff enabled, the first retry hop waits
+// ~DefaultRetryBackoff (the router's -retry-backoff default), doubling per
+// hop up to DefaultRetryBackoffMax, each wait half fixed and half
+// deterministic jitter.
 const (
 	DefaultRetryBackoff    = 25 * time.Millisecond
 	DefaultRetryBackoffMax = time.Second
@@ -97,14 +97,6 @@ type ClientOptions struct {
 	// Cooldown is how long a member stays down after a transport failure
 	// (0 = DefaultCooldown).
 	Cooldown time.Duration
-	// DialTimeout bounds connection establishment to a member
-	// (0 = DefaultDialTimeout). Ignored when Transport is set.
-	DialTimeout time.Duration
-	// Transport overrides the HTTP transport (nil = a keep-alive transport
-	// with a generous idle pool per shard, so steady traffic reuses
-	// connections instead of re-dialling, and a bounded dial so a
-	// blackholed member fails over promptly).
-	Transport http.RoundTripper
 	// Replication is the number of ring successors that hold each key
 	// (≤ 0 means 1, i.e. no replication). DoFunc retries target the
 	// replica set first: any of the R successors can answer a key from a
@@ -117,25 +109,19 @@ type ClientOptions struct {
 	// RetryBudget bounds retry amplification: a token bucket holding this
 	// many tokens (the burst), where every retry hop — any dial after a
 	// request's first — spends one, and every successful request deposits
-	// RetryRefill back, up to the burst. When a hop is due and the bucket
-	// is empty the request fails fast with ErrRetryBudgetExhausted, so a
-	// fleet-wide brownout degrades into fast 503s instead of a retry storm
-	// that multiplies the load on whatever is still standing. 0 disables
-	// budgeting (every retry is free, the pre-budget behavior).
+	// DefaultRetryRefill back, up to the burst. When a hop is due and the
+	// bucket is empty the request fails fast with ErrRetryBudgetExhausted,
+	// so a fleet-wide brownout degrades into fast 503s instead of a retry
+	// storm that multiplies the load on whatever is still standing. 0
+	// disables budgeting (every retry is free, the pre-budget behavior).
 	RetryBudget int
-	// RetryRefill is the fraction of a token deposited per success
-	// (0 = DefaultRetryRefill). Only meaningful with RetryBudget > 0.
-	RetryRefill float64
 	// RetryBackoff enables capped exponential backoff between replica
-	// attempts: retry hop n waits base<<(n-1) capped at RetryBackoffMax,
-	// half fixed and half jitter drawn from a Seed-determined stream (so a
-	// run replays identically). 0 disables the sleeps — retries remain
-	// immediate, which is what in-process tests want.
+	// attempts: retry hop n waits base<<(n-1) capped at
+	// DefaultRetryBackoffMax, half fixed and half jitter drawn from a
+	// fixed-seed stream (so a run replays identically). 0 disables the
+	// sleeps — retries remain immediate, which is what in-process tests
+	// want.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff growth (0 = DefaultRetryBackoffMax).
-	RetryBackoffMax time.Duration
-	// Seed seeds the backoff jitter stream (0 = seed 1).
-	Seed int64
 }
 
 // Client routes keys to fleet members and forwards HTTP requests to them.
@@ -186,29 +172,17 @@ func NewClient(ring *Ring, o ClientOptions) *Client {
 	if o.Cooldown <= 0 {
 		o.Cooldown = DefaultCooldown
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
 	if o.Replication <= 0 {
 		o.Replication = 1
 	}
-	tr := o.Transport
-	if tr == nil {
-		tr = &http.Transport{
-			DialContext:         (&net.Dialer{Timeout: o.DialTimeout, KeepAlive: 30 * time.Second}).DialContext,
-			MaxIdleConns:        4 * len(ring.Members()),
-			MaxIdleConnsPerHost: 4,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
-	if o.RetryRefill <= 0 {
-		o.RetryRefill = DefaultRetryRefill
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = DefaultRetryBackoffMax
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	// A keep-alive transport with a generous idle pool per shard, so steady
+	// traffic reuses connections instead of re-dialling, and a bounded dial
+	// so a blackholed member fails over promptly.
+	tr := &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: DefaultDialTimeout, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConns:        4 * len(ring.Members()),
+		MaxIdleConnsPerHost: 4,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	c := &Client{
 		hc:           &http.Client{Transport: tr},
@@ -216,10 +190,10 @@ func NewClient(ring *Ring, o ClientOptions) *Client {
 		replication:  o.Replication,
 		now:          time.Now,
 		sleep:        sleepCtx,
-		budgetRefill: int64(o.RetryRefill * 1000),
+		budgetRefill: int64(DefaultRetryRefill * 1000),
 		backoffBase:  o.RetryBackoff,
-		backoffMax:   o.RetryBackoffMax,
-		rng:          rand.New(rand.NewSource(o.Seed)),
+		backoffMax:   DefaultRetryBackoffMax,
+		rng:          rand.New(rand.NewSource(1)),
 		onDone:       o.OnCutoverDone,
 		downUntil:    make(map[string]time.Time),
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -61,12 +62,10 @@ func failingFn(dials *int) func(string) (bool, error) {
 // schedule, while a different seed diverges.
 func TestBackoffScheduleIsCappedAndSeeded(t *testing.T) {
 	members := []string{"m0:1", "m1:1", "m2:1", "m3:1", "m4:1", "m5:1", "m6:1", "m7:1"}
-	opts := ClientOptions{RetryBackoff: 25 * time.Millisecond, RetryBackoffMax: 100 * time.Millisecond, Seed: 7}
-
 	run := func(seed int64) []time.Duration {
-		o := opts
-		o.Seed = seed
-		c, rec := newRetryClient(t, members, o)
+		c, rec := newRetryClient(t, members, ClientOptions{RetryBackoff: 25 * time.Millisecond})
+		c.backoffMax = 100 * time.Millisecond
+		c.rng = rand.New(rand.NewSource(seed))
 		var dials int
 		err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials))
 		if !errors.Is(err, errMemberDown) {
@@ -142,10 +141,11 @@ func TestBackoffAbortsWhenContextExpires(t *testing.T) {
 
 // TestRetryBudgetExhaustsAndRefills is the token-bucket table: a burst of
 // failures drains the bucket to a typed fast-fail, and successes earn the
-// retries back at RetryRefill per request.
+// retries back at the refill per request.
 func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	members := []string{"m0:1", "m1:1", "m2:1", "m3:1", "m4:1", "m5:1"}
-	c, _ := newRetryClient(t, members, ClientOptions{RetryBudget: 2, RetryRefill: 0.5})
+	c, _ := newRetryClient(t, members, ClientOptions{RetryBudget: 2})
+	c.budgetRefill = 500 // half a token per success
 
 	// Request 1: every member fails. Dial 1 is free; hops 2 and 3 spend
 	// the whole budget; hop 4 is refused.

@@ -44,7 +44,9 @@
 // must hold exactly one cache line per problem across both encodings, and
 // the router's canon_passthrough counter must account for every canon job
 // — proving the router routes canon traffic by hashing bytes, without
-// decoding.
+// decoding. Last, a JSON instance that fails validation, alone and inside
+// a batch of valid jobs, must get the same error body and NDJSON line from
+// the router, which answers it without a shard, as from the direct server.
 //
 // observability (replication 1) boots the shards with -slow-log 0 and
 // drives traced traffic: every solve's router-minted X-Mmlp-Trace ID must

@@ -475,6 +475,12 @@ func (h *harness) runMixed() error {
 	}
 	fmt.Printf("mixed batch: %d binary result records bit-identical to the JSON reference\n", len(items))
 
+	// Phase D: the router answers an invalid JSON instance itself, since
+	// it forwards only canon; its verdict must be a shard's, byte for byte.
+	if err := h.checkInvalidIdentity(reqs); err != nil {
+		return fmt.Errorf("invalid-instance identity: %w", err)
+	}
+
 	// The canon traffic added no cache entries: one line per problem across
 	// both encodings, each on the shard the ring assigns.
 	if err := h.checkPartitioning(keys); err != nil {
@@ -492,6 +498,98 @@ func (h *harness) runMixed() error {
 	}
 	fmt.Printf("router: canon_passthrough=%d — every canon job routed without decoding\n", fleet.Router.CanonPassthrough)
 	return h.checkConservation(h.shardAddrs)
+}
+
+// checkInvalidIdentity sends a JSON solve whose instance fails validation,
+// then a JSON batch mixing that job with valid ones, to the router and the
+// direct reference. The router answers the invalid instance without a
+// shard, so the solve's error body and the job's NDJSON line must be
+// byte-identical to the direct server's, and the valid jobs bit-identical
+// as ever.
+func (h *harness) checkInvalidIdentity(valid []mmlp.SolveRequest) error {
+	// Constraint 1 names agent 3 of 3; canonical row order would call it
+	// constraint 0, so only validation before encoding keeps the message.
+	bad := mmlp.SolveRequest{R: 3, Instance: &mmlp.Instance{NumAgents: 3, Cons: []mmlp.Constraint{
+		{Terms: []mmlp.Term{{Agent: 0, Coef: 1}, {Agent: 1, Coef: 1}, {Agent: 2, Coef: 1}}},
+		{Terms: []mmlp.Term{{Agent: 2, Coef: 1}, {Agent: 3, Coef: 1}}},
+	}}}
+	var bodies [2][]byte
+	for i, addr := range []string{h.routerAddr, h.directAddr} {
+		code, body, hdr, err := h.post(addr, "/v1/solve", mmlp.ContentTypeJSON, &bad, nil)
+		if err != nil {
+			return err
+		}
+		if code != http.StatusBadRequest || hdr.Get("X-Mmlp-Shard") != "" {
+			return fmt.Errorf("invalid solve via %s: status %d, X-Mmlp-Shard %q (%s)", addr, code, hdr.Get("X-Mmlp-Shard"), body)
+		}
+		bodies[i] = body
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		return fmt.Errorf("invalid solve: router error body differs from direct\nrouter: %s\ndirect: %s", bodies[0], bodies[1])
+	}
+
+	jobs := []mmlp.SolveRequest{valid[0], bad, valid[1], valid[2]}
+	body := mustJSON(mmlp.BatchRequest{Jobs: jobs})
+	var lines [2]map[int][]byte
+	for i, addr := range []string{h.routerAddr, h.directAddr} {
+		var err error
+		if lines[i], err = h.batchLines(addr, body); err != nil {
+			return err
+		}
+		if len(lines[i]) != len(jobs) {
+			return fmt.Errorf("mixed-validity batch via %s: %d lines, want %d", addr, len(lines[i]), len(jobs))
+		}
+	}
+	// A valid job's line is compared once the per-run fields are gone.
+	norm := func(line []byte) ([]byte, error) {
+		var item mmlp.BatchItem
+		if err := json.Unmarshal(line, &item); err != nil || item.Error != "" {
+			return nil, fmt.Errorf("mixed-validity batch: line %s (%v)", line, err)
+		}
+		n, _, err := normalize(mustJSON(item.SolveResponse))
+		return n, err
+	}
+	for i := range jobs {
+		rl, dl := lines[0][i], lines[1][i]
+		if i != 1 {
+			var err error
+			if rl, err = norm(rl); err != nil {
+				return err
+			}
+			if dl, err = norm(dl); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(rl, dl) {
+			return fmt.Errorf("mixed-validity batch job %d: router line differs from direct\nrouter: %s\ndirect: %s", i, rl, dl)
+		}
+	}
+	fmt.Printf("invalid instance: error body and batch line byte-identical to the direct server's, %d valid siblings bit-identical\n", len(jobs)-1)
+	return nil
+}
+
+// batchLines posts one JSON batch and returns each NDJSON line, error
+// lines included, by index.
+func (h *harness) batchLines(addr string, body []byte) (map[int][]byte, error) {
+	code, resp, _, err := h.post(addr, "/v1/batch", mmlp.ContentTypeJSON, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("batch via %s: status %d (%s)", addr, code, resp)
+	}
+	lines := map[int][]byte{}
+	for _, line := range bytes.Split(bytes.TrimSpace(resp), []byte("\n")) {
+		var item mmlp.BatchItem
+		if err := json.Unmarshal(line, &item); err != nil {
+			return nil, fmt.Errorf("batch via %s: bad line %q: %w", addr, line, err)
+		}
+		if _, dup := lines[item.Index]; dup {
+			return nil, fmt.Errorf("batch via %s: index %d emitted twice", addr, item.Index)
+		}
+		lines[item.Index] = line
+	}
+	return lines, nil
 }
 
 // runCutover is the add-a-shard scenario: boot a spare mmlpserve off the

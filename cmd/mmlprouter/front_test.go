@@ -21,7 +21,24 @@ func keyOf(req *mmlp.SolveRequest) (canon.Key, error) {
 	if err != nil {
 		return canon.Key{}, err
 	}
+	if job, err = httperr.CanonJob(job); err != nil {
+		return canon.Key{}, err
+	}
 	return httperr.RouteKey(job), nil
+}
+
+// canonOf is the canon payload the router forwards for one valid JSON
+// solve request.
+func canonOf(t *testing.T, req *mmlp.SolveRequest) []byte {
+	t.Helper()
+	job, err := batch.JobFromRequest(req)
+	if err == nil {
+		job, err = httperr.CanonJob(job)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.Canon
 }
 
 // TestBadDeadlineLeavesPassthrough: a canon solve or batch whose

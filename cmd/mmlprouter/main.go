@@ -5,6 +5,11 @@
 // fleet-wide cache — a key is cached on exactly one shard, and every
 // syntactic spelling of one problem routes to it.
 //
+// Every solve reaches its shard as canon bytes: a canon payload as sent, a
+// JSON job decoded once, here, and transcoded — or, when its instance
+// fails validation, answered here with a shard's exact verdict. Only
+// /v1/delta and /admin/ring carry JSON to the shards.
+//
 // Usage:
 //
 //	mmlprouter -shards host:port,host:port,... [-addr :8090] [-replicas 128]
@@ -15,10 +20,11 @@
 // Endpoints (the wire contract matches mmlpserve, so clients need not know
 // whether they talk to a shard or the router):
 //
-//	POST /v1/solve  — routed to the owning shard; the shard's response is
-//	                  relayed verbatim (X-Mmlp-Shard names the shard)
+//	POST /v1/solve  — routed to the owning shard as canon; the shard's
+//	                  response is relayed verbatim (X-Mmlp-Shard names the
+//	                  shard)
 //	POST /v1/batch  — jobs fan out to their owning shards as per-shard
-//	                  sub-batches; the NDJSON streams re-merge in arrival
+//	                  canon frames; the NDJSON streams re-merge in arrival
 //	                  order with indices rewritten to the original request
 //	POST /v1/delta  — routed to the shard owning the BASE key (the only
 //	                  one whose cache can hold the base record); a 404
@@ -52,9 +58,10 @@
 // single-copy partition.
 //
 // -max-body should not exceed the shards' own -max-body: the router
-// forwards what it accepts, and a sub-batch a shard rejects (e.g. with
-// 413) is terminal for that group's jobs — the shard processed the
-// request, so there is nothing to fail over.
+// forwards what it accepts (a JSON body as its canon encoding, which is
+// smaller), and a sub-batch a shard rejects (e.g. with 413) is terminal
+// for that group's jobs — the shard processed the request, so there is
+// nothing to fail over.
 //
 // Observability: every /v1/ request gets an X-Mmlp-Trace ID (minted here
 // unless the client supplied one) that is echoed on the response — errors

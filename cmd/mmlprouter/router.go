@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,10 +48,10 @@ type router struct {
 	replicated atomic.Int64
 	replWG     sync.WaitGroup
 
-	// canonPassthrough counts canon payloads routed by hashing the raw
-	// bytes — the router never decodes them. One increment per forwarded
-	// payload, so a canon batch of n jobs adds n; a request rejected before
-	// forwarding adds nothing.
+	// canonPassthrough counts the canon payloads clients sent, routed by
+	// hashing the raw bytes — the router never decodes them. One increment
+	// per forwarded payload, so a canon batch of n jobs adds n; a request
+	// rejected before forwarding, or a transcoded JSON job, adds nothing.
 	canonPassthrough atomic.Int64
 
 	// defaultDeadline, when positive, is the deadline minted for requests
@@ -88,17 +87,18 @@ func (rt *router) setDefaultDeadline(d time.Duration) { rt.defaultDeadline = d }
 // only in decode. The request is forwarded to the shard owning its route
 // key (httperr.RouteKey) and the shard's response streams back verbatim:
 // bodies are byte-identical to what a direct client of that shard would
-// have received, and X-Mmlp-Shard names the shard. A canon solve is routed
-// by hashing the raw payload — the canon encoding is injective over
-// canonical instances, so the hash of the bytes IS the cache key the shard
-// will use, and the router never decodes the body. A delta routes by its
-// BASE key, the only shard whose result cache can hold the base record; a
-// 404/base_unknown answer is relayed as-is and does NOT mark the shard
-// down (a cold cache is a correct answer, not a failure), so the client
-// can fall back to a full solve. A solve answered 200 also warms the key's
-// backup replicas in the background; a delta never does: backups lack the
-// base record, and a warm that recomputes from scratch would defeat the
-// point.
+// have received, and X-Mmlp-Shard names the shard. A solve travels as
+// canon: a canon payload as sent, never decoded here — the encoding is
+// injective, so the hash of the bytes IS the shard's cache key — and a
+// JSON job transcoded once by httperr.CanonJob, which answers an invalid
+// instance here with a shard's 400. A delta travels as JSON and routes by
+// its BASE key, the only shard whose result cache can hold the base
+// record; a 404/base_unknown answer is relayed as-is and does NOT mark the
+// shard down (a cold cache is a correct answer, not a failure), so the
+// client can fall back to a full solve. A solve answered 200 also warms the
+// key's backup replicas in the background; a delta never does: backups
+// lack the base record, and a warm that recomputes from scratch would
+// defeat the point.
 func (rt *router) route(decode func(http.ResponseWriter, *http.Request, int64) (batch.Job, []byte, int, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		job, body, status, err := decode(w, r, rt.maxBody)
@@ -111,12 +111,20 @@ func (rt *router) route(decode func(http.ResponseWriter, *http.Request, int64) (
 			return
 		}
 		defer cancel()
-		key := httperr.RouteKey(job)
-		contentType := mmlp.ContentTypeJSON
-		if job.Canon != nil {
-			contentType = mmlp.ContentTypeCanon
+		contentType := mmlp.ContentTypeCanon
+		switch {
+		case job.Delta != nil:
+			contentType = mmlp.ContentTypeJSON
+		case job.Canon != nil:
 			rt.canonPassthrough.Add(1)
+		default:
+			if job, err = httperr.CanonJob(job); err != nil {
+				httperr.Write(w, http.StatusBadRequest, mmlp.ErrCodeInvalidArgument, err)
+				return
+			}
+			body = job.Canon
 		}
+		key := httperr.RouteKey(job)
 		// Propagate the query string so ?trace=1 reaches the owning shard and
 		// its per-stage trace block rides back in the relayed response; warms
 		// use the bare path so a trace request does not trace its backups.
@@ -219,23 +227,11 @@ func (rt *router) postBackground(member, path, contentType string, body []byte, 
 	}()
 }
 
-// frameCanon frames canon payloads, bytes untouched, as one batch frame.
-func frameCanon(payloads [][]byte) (contentType string, body []byte) {
-	return mmlp.ContentTypeCanonBatch, canon.AppendBatch(nil, payloads)
-}
-
-// frameJSON frames marshalled JSON jobs as a mmlp.BatchRequest body: the
-// bytes json.Marshal gives the request holding the same jobs.
-func frameJSON(jobs [][]byte) (contentType string, body []byte) {
-	body = append([]byte(`{"jobs":[`), bytes.Join(jobs, []byte(","))...)
-	return mmlp.ContentTypeJSON, append(body, "]}"...)
-}
-
 // group is the slice of one batch owned by a single shard.
 type group struct {
-	key   canon.Key // a representative key, seeds the failover replica walk
-	wires [][]byte  // each job's wire bytes
-	orig  []int     // original indices, parallel to wires
+	key      canon.Key // a representative key, seeds the failover replica walk
+	payloads [][]byte  // each job's canon payload
+	orig     []int     // original indices, parallel to payloads
 }
 
 // handleBatch validates the batch, fans the jobs out to their owning
@@ -243,18 +239,18 @@ type group struct {
 // streams in arrival order, rewriting each record's index back to the
 // job's position in the original request. The per-job contract matches
 // mmlpserve's: exactly one record per job, whatever happens to the fleet.
-// Every job travels as its wire bytes, framed per sub-batch in the
-// request's encoding: a canon frame is split at frame boundaries only and
-// each payload routed by its hash and forwarded verbatim, never decoded;
-// a JSON job is marshalled once. Accept:
+// Every sub-batch is one canon frame: a client's canon payloads are routed
+// by their hash and forwarded verbatim, never decoded; a JSON job is
+// transcoded once, or, when its instance is invalid, answered here with
+// the line its shard would have written. Accept:
 // application/x-mmlp-canon-results selects the binary result frame for
 // the merged response under either request encoding.
 func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// Decoding validates everything before the first byte is emitted,
-	// matching the all-or-nothing 400 a single shard gives a malformed
-	// batch. Canon payloads are only sniffed: deeper decode errors are the
-	// owning shard's per-job verdict.
-	jobs, reqs, status, err := httperr.DecodeBatch(w, r, rt.maxBody)
+	// Decoding validates every job envelope before the first byte is
+	// emitted, matching the all-or-nothing 400 a single shard gives a
+	// malformed batch. Canon payloads are only sniffed: deeper decode
+	// errors are the owning shard's per-job verdict.
+	jobs, status, err := httperr.DecodeBatch(w, r, rt.maxBody)
 	if err != nil {
 		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return
@@ -264,42 +260,6 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	// A canon payload is its own wire bytes; a JSON job is marshalled once,
-	// for its first forward, any re-forward and every warm alike.
-	frame := frameCanon
-	if reqs != nil {
-		frame = frameJSON
-	}
-	keys := make([]canon.Key, len(jobs))
-	wires := make([][]byte, len(jobs))
-	for i := range jobs {
-		keys[i], wires[i] = httperr.RouteKey(jobs[i]), jobs[i].Canon
-		if reqs != nil {
-			// Cannot fail: every value came out of a JSON decode, which
-			// admits no NaN, infinity or cycle (FuzzDecoders asserts it).
-			wires[i], _ = json.Marshal(&reqs[i])
-		}
-	}
-	if reqs == nil {
-		rt.canonPassthrough.Add(int64(len(jobs)))
-	}
-	// Pin one ring generation for the whole batch: grouping, forwarding and
-	// straggler re-forwards all agree on a single assignment even when an
-	// /admin/ring cutover lands mid-stream.
-	rv := rt.client.Acquire()
-	defer rt.client.Release(rv)
-	groups := map[string]*group{}
-	for i, k := range keys {
-		owner := rt.client.OwnerOn(rv, k)
-		g := groups[owner]
-		if g == nil {
-			g = &group{key: k}
-			groups[owner] = g
-		}
-		g.wires = append(g.wires, wires[i])
-		g.orig = append(g.orig, i)
-	}
-
 	write := httperr.BatchWriter(w, r)
 	var emu sync.Mutex
 	answered := make([]string, len(jobs)) // member that solved each job
@@ -312,20 +272,46 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		write(item)
 	}
 
+	// Pin one ring generation for the whole batch: grouping, forwarding and
+	// straggler re-forwards all agree on a single assignment even when an
+	// /admin/ring cutover lands mid-stream. A rejected job is never routed,
+	// so it moves no counter.
+	rv := rt.client.Acquire()
+	defer rt.client.Release(rv)
+	keys := make([]canon.Key, len(jobs))
+	groups := map[string]*group{}
+	for i := range jobs {
+		if jobs[i].Canon != nil {
+			rt.canonPassthrough.Add(1)
+		} else if jobs[i], err = httperr.CanonJob(jobs[i]); err != nil {
+			emit(batch.ItemFromResult(batch.Result{Index: i, Err: err}), "")
+			continue
+		}
+		keys[i] = httperr.RouteKey(jobs[i])
+		owner := rt.client.OwnerOn(rv, keys[i])
+		g := groups[owner]
+		if g == nil {
+			g = &group{key: keys[i]}
+			groups[owner] = g
+		}
+		g.payloads = append(g.payloads, jobs[i].Canon)
+		g.orig = append(g.orig, i)
+	}
+
 	var wg sync.WaitGroup
 	for _, g := range groups {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			rt.forwardGroup(ctx, rv, g, frame, emit)
+			rt.forwardGroup(ctx, rv, g, emit)
 		}(g)
 	}
 	wg.Wait()
 
 	// Write-through: regroup the answered jobs by backup replica and warm
-	// each replica with one background sub-batch of the same wire bytes,
-	// so any member of a key's replica set can serve it cached after the
-	// primary dies.
+	// each replica with one background frame of the same payloads, so any
+	// member of a key's replica set can serve it cached after the primary
+	// dies.
 	if rt.client.Replication() > 1 {
 		backups := map[string][][]byte{}
 		for i, k := range keys {
@@ -333,12 +319,11 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			for _, m := range rt.backupsFor(rv, k, answered[i]) {
-				backups[m] = append(backups[m], wires[i])
+				backups[m] = append(backups[m], jobs[i].Canon)
 			}
 		}
-		for m, ws := range backups {
-			contentType, body := frame(ws)
-			rt.replicate(m, "/v1/batch", contentType, body)
+		for m, ps := range backups {
+			rt.replicate(m, "/v1/batch", mmlp.ContentTypeCanonBatch, canon.AppendBatch(nil, ps))
 		}
 	}
 }
@@ -351,15 +336,14 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // error lines), which feeds the write-through regrouping. Shards always
 // answer sub-batches as NDJSON regardless of the request encoding, so the
 // merge loop below is one code path.
-func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *group, frame func([][]byte) (string, []byte), emit func(mmlp.BatchItem, string)) {
-	wires, orig := g.wires, g.orig
-	var contentType string
-	var body []byte // re-framed only when the remaining job set shrinks
+func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *group, emit func(mmlp.BatchItem, string)) {
+	payloads, orig := g.payloads, g.orig
+	var frame []byte // re-framed only when the remaining job set shrinks
 	err := rt.client.DoFuncOn(ctx, rv, g.key, func(member string) (bool, error) {
-		if body == nil {
-			contentType, body = frame(wires)
+		if frame == nil {
+			frame = canon.AppendBatch(nil, payloads)
 		}
-		resp, ferr := rt.client.Forward(ctx, member, "/v1/batch", contentType, body)
+		resp, ferr := rt.client.Forward(ctx, member, "/v1/batch", mmlp.ContentTypeCanonBatch, frame)
 		if ferr != nil {
 			return false, ferr // nothing processed; try the next replica
 		}
@@ -378,7 +362,7 @@ func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *gr
 			}
 			return true, nil
 		}
-		emitted := make([]bool, len(wires))
+		emitted := make([]bool, len(payloads))
 		nEmitted := 0
 		rd := bufio.NewReader(resp.Body)
 		for {
@@ -398,21 +382,21 @@ func (rt *router) forwardGroup(ctx context.Context, rv *shard.RingVersion, g *gr
 				break
 			}
 		}
-		if nEmitted == len(wires) {
+		if nEmitted == len(payloads) {
 			return true, nil
 		}
 		// The stream broke mid-way: keep the answered jobs, re-forward the
 		// rest. Solves are pure functions of their requests, so re-running
 		// an answered-but-lost job on another shard is safe.
-		var nwires [][]byte
+		var npayloads [][]byte
 		var norig []int
 		for i, done := range emitted {
 			if !done {
-				nwires = append(nwires, wires[i])
+				npayloads = append(npayloads, payloads[i])
 				norig = append(norig, orig[i])
 			}
 		}
-		wires, orig, body = nwires, norig, nil
+		payloads, orig, frame = npayloads, norig, nil
 		return false, fmt.Errorf("shard %s: response stream truncated after %d lines", member, nEmitted)
 	})
 	if err != nil {

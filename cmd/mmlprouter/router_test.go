@@ -74,38 +74,26 @@ func (f *fakeShard) handler() http.Handler {
 		fmt.Fprintf(w, "{\"status\":\"approximate\",\"utility\":1,\"upper_bound\":1,\"key\":\"k\",\"dirty_agents\":1,\"total_agents\":2,\"spliced\":true,\"latency_ms\":0.5,\"shard\":%q}\n", f.name)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		// Per-job payload echoed as Utility so index remapping is checkable:
-		// R for JSON jobs, the payload length for canon jobs (a real shard
-		// decodes the payload; the fake only needs a distinguishing echo).
+		// Routers send every sub-batch as one canon frame. Each payload's
+		// length is echoed as Utility so index remapping is checkable (a
+		// real shard decodes the payload; the fake only needs a
+		// distinguishing echo).
+		frame, err := io.ReadAll(r.Body)
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		payloads, err := canon.SplitBatch(frame)
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
 		var utilities []float64
-		if r.Header.Get("Content-Type") == mmlp.ContentTypeCanonBatch {
-			frame, err := io.ReadAll(r.Body)
-			if err != nil {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			payloads, err := canon.SplitBatch(frame)
-			if err != nil {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			for _, p := range payloads {
-				utilities = append(utilities, float64(len(p)))
-			}
-			f.mu.Lock()
-			f.canonPayloads = append(f.canonPayloads, payloads...)
-			f.mu.Unlock()
-		} else {
-			var req mmlp.BatchRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			for i := range req.Jobs {
-				utilities = append(utilities, float64(req.Jobs[i].R))
-			}
+		for _, p := range payloads {
+			utilities = append(utilities, float64(len(p)))
 		}
 		f.mu.Lock()
+		f.canonPayloads = append(f.canonPayloads, payloads...)
 		f.batch += len(utilities)
 		f.batchTraces = append(f.batchTraces, r.Header.Get(obs.TraceHeader))
 		f.batchCalls++
@@ -262,18 +250,54 @@ func TestSolveRoutesByCanonicalKey(t *testing.T) {
 	}
 }
 
+// invalidCase is one instance that fails Instance.Validate.
+type invalidCase struct {
+	name string
+	in   *mmlp.Instance
+}
+
+// invalidInstances holds one instance per class Instance.Validate reports.
+// Each bad term sits in constraint 1, which canonical row order moves to
+// index 0, so a message computed after canonicalization would name the
+// wrong row.
+func invalidInstances() []invalidCase {
+	row0 := mmlp.Constraint{Terms: []mmlp.Term{{Agent: 0, Coef: 1}, {Agent: 1, Coef: 1}, {Agent: 2, Coef: 1}}}
+	withRow1 := func(terms ...mmlp.Term) *mmlp.Instance {
+		return &mmlp.Instance{
+			NumAgents: 3,
+			Cons:      []mmlp.Constraint{row0, {Terms: terms}},
+			Objs:      []mmlp.Objective{{Terms: []mmlp.Term{{Agent: 0, Coef: 1}, {Agent: 1, Coef: 1}, {Agent: 2, Coef: 1}}}},
+		}
+	}
+	return []invalidCase{
+		{"agent ≥ num_agents", withRow1(mmlp.Term{Agent: 1, Coef: 1}, mmlp.Term{Agent: 3, Coef: 1})},
+		{"negative agent", withRow1(mmlp.Term{Agent: 1, Coef: 1}, mmlp.Term{Agent: -1, Coef: 1})},
+		{"zero coefficient", withRow1(mmlp.Term{Agent: 1, Coef: 1}, mmlp.Term{Agent: 2, Coef: 0})},
+		{"negative coefficient", withRow1(mmlp.Term{Agent: 1, Coef: 1}, mmlp.Term{Agent: 2, Coef: -2})},
+		{"duplicate agent", withRow1(mmlp.Term{Agent: 2, Coef: 1}, mmlp.Term{Agent: 2, Coef: 3})},
+		{"negative num_agents", &mmlp.Instance{NumAgents: -1}},
+	}
+}
+
 // TestSolveErrorsMatchServeContract checks the router rejects what a shard
 // would reject, with the same status codes, before any forward happens.
+// An invalid instance is answered here with a shard's exact verdict: 400
+// invalid_argument carrying Validate's message.
 func TestSolveErrorsMatchServeContract(t *testing.T) {
 	shards, rt := testFleet(t, 2, nil)
-	cases := []struct {
+	type errCase struct {
 		name, body string
 		code       int
-	}{
-		{"malformed JSON", `{"instance": nope}`, http.StatusBadRequest},
-		{"missing instance", `{}`, http.StatusBadRequest},
-		{"unknown engine", `{"instance":{"num_agents":0},"engine":"simplex"}`, http.StatusBadRequest},
-		{"oversized r", `{"instance":{"num_agents":0},"r":2000000000}`, http.StatusBadRequest},
+		msg        string // when set, the exact error message
+	}
+	cases := []errCase{
+		{"malformed JSON", `{"instance": nope}`, http.StatusBadRequest, ""},
+		{"missing instance", `{}`, http.StatusBadRequest, ""},
+		{"unknown engine", `{"instance":{"num_agents":0},"engine":"simplex"}`, http.StatusBadRequest, ""},
+		{"oversized r", `{"instance":{"num_agents":0},"r":2000000000}`, http.StatusBadRequest, ""},
+	}
+	for _, c := range invalidInstances() {
+		cases = append(cases, errCase{c.name, solveBody(t, c.in, `,"r":3`), http.StatusBadRequest, c.in.Validate().Error()})
 	}
 	for _, c := range cases {
 		w := post(rt, "/v1/solve", c.body)
@@ -284,6 +308,12 @@ func TestSolveErrorsMatchServeContract(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error.Message == "" || er.Error.Code == "" {
 			t.Fatalf("%s: error body %q (%v)", c.name, w.Body, err)
 		}
+		if c.msg != "" && (er.Error.Code != mmlp.ErrCodeInvalidArgument || er.Error.Message != c.msg) {
+			t.Fatalf("%s: error %+v, want %s %q", c.name, er.Error, mmlp.ErrCodeInvalidArgument, c.msg)
+		}
+		if got := w.Header().Get("X-Mmlp-Shard"); got != "" {
+			t.Fatalf("%s: a router-answered error names shard %q", c.name, got)
+		}
 	}
 	for _, f := range shards {
 		f.mu.Lock()
@@ -292,6 +322,9 @@ func TestSolveErrorsMatchServeContract(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("invalid requests reached shard %s", f.name)
 		}
+	}
+	if st := rt.stats(); st.Routed != 0 {
+		t.Fatalf("rejected requests were routed: %+v", st)
 	}
 	// Oversized bodies 413 like a shard would.
 	big := `{"instance":{"num_agents":1,"objectives":[` + strings.Repeat(`{"terms":[]},`, 200000) + `{"terms":[]}]}}`
@@ -320,8 +353,7 @@ func batchLines(t *testing.T, body []byte) map[int]mmlp.BatchItem {
 	return items
 }
 
-// batchBody builds a batch over n distinct instances with R cycling 2..3,
-// so each job's payload is distinguishable (the fake echoes R as Utility).
+// batchBody builds a batch over n distinct instances with R cycling 2..3.
 func batchBody(t *testing.T, n int) ([]mmlp.SolveRequest, string) {
 	t.Helper()
 	reqs := make([]mmlp.SolveRequest, n)
@@ -363,10 +395,11 @@ func TestBatchFanOutMerges(t *testing.T) {
 		if item.Error != "" {
 			t.Fatalf("job %d failed: %s", i, item.Error)
 		}
-		// The fake echoes the job's R as Utility: the index rewrite must
-		// pair each line with its original job, not the sub-batch position.
-		if item.Utility != float64(reqs[i].R) {
-			t.Fatalf("job %d: utility %v, want %v (index remap broken)", i, item.Utility, float64(reqs[i].R))
+		// The fake echoes the length of the job's canon payload as Utility:
+		// the index rewrite must pair each line with its original job, not
+		// the sub-batch position.
+		if want := float64(len(canonOf(t, &reqs[i]))); item.Utility != want {
+			t.Fatalf("job %d: utility %v, want %v (index remap broken)", i, item.Utility, want)
 		}
 	}
 	// Every job reached exactly one shard, and collectively all of them.
@@ -487,6 +520,62 @@ func TestBatchErrorsMatchServeContract(t *testing.T) {
 	var er mmlp.ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || !strings.HasPrefix(er.Error.Message, "job 1:") {
 		t.Fatalf("error body %q, want a job 1 prefix", w.Body)
+	}
+}
+
+// TestBatchInvalidInstancesAnsweredAtRouter: in a JSON batch, each job
+// whose instance fails Validate gets its line from the router, carrying a
+// shard's exact message, and is never routed; its valid siblings are
+// answered by their shards.
+func TestBatchInvalidInstancesAnsweredAtRouter(t *testing.T) {
+	shards, rt := testFleet(t, 3, nil)
+	valid, _ := batchBody(t, 8)
+	var jobs []mmlp.SolveRequest
+	want := map[int]string{} // index → the invalid job's message
+	for i, c := range invalidInstances() {
+		jobs = append(jobs, valid[i])
+		want[len(jobs)] = c.in.Validate().Error()
+		jobs = append(jobs, mmlp.SolveRequest{Instance: c.in, R: 3})
+	}
+	jobs = append(jobs, valid[6:]...)
+	raw, err := json.Marshal(mmlp.BatchRequest{Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := post(rt, "/v1/batch", string(raw))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	items := batchLines(t, w.Body.Bytes())
+	if len(items) != len(jobs) {
+		t.Fatalf("got %d lines, want %d", len(items), len(jobs))
+	}
+	for i := range jobs {
+		item := items[i]
+		if msg, bad := want[i]; bad {
+			if item.Error != msg || item.Status != "" || item.X != nil {
+				t.Fatalf("job %d: line %+v, want only the error %q", i, item, msg)
+			}
+			continue
+		}
+		if item.Error != "" {
+			t.Fatalf("job %d failed: %s", i, item.Error)
+		}
+		if want := float64(len(canonOf(t, &jobs[i]))); item.Utility != want {
+			t.Fatalf("job %d: utility %v, want %v (index remap broken)", i, item.Utility, want)
+		}
+	}
+	seen := 0
+	for _, f := range shards {
+		f.mu.Lock()
+		seen += f.batch
+		f.mu.Unlock()
+	}
+	nValid := int64(len(jobs) - len(want))
+	if st := rt.stats(); int64(seen) != nValid || st.Routed != nValid || st.CanonPassthrough != 0 {
+		t.Fatalf("shards saw %d jobs, routed %d, passthrough %d; want %d, %d, 0",
+			seen, st.Routed, st.CanonPassthrough, nValid, nValid)
 	}
 }
 

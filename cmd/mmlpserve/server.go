@@ -219,7 +219,7 @@ func (s *server) doShed(ctx context.Context, job batch.Job) batch.Result {
 // frame. The two axes are independent: any request encoding can pick
 // either response encoding.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	jobs, _, status, err := httperr.DecodeBatch(w, r, s.maxBody)
+	jobs, status, err := httperr.DecodeBatch(w, r, s.maxBody)
 	if err != nil {
 		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return

@@ -61,13 +61,14 @@ func SolveDelta(ctx context.Context, base canon.Key, edits []mmlp.RowEdit, sc *S
 	return rep.Sol, rep.Delta, rep.Cached, err
 }
 
-// deltaPrologue keys a delta: it fetches the base record, applies the
-// edits, and canonicalizes and hashes the edited instance, all under the
-// delta-plan trace slot. The fetch is not a cache lookup (cache.Load), so
-// a delta counts once in the cache stats, under its edited key. The record
-// is immutable cache state, so it stays valid even if the entry is evicted
-// between here and the kernel (the eviction edge case is a 404 only when
-// it precedes this fetch).
+// deltaPrologue keys a delta: it fetches the base record and applies and
+// validates the edits under the delta-plan trace slot, then canonicalizes
+// and hashes the edited instance under the same slots as a solve. The
+// fetch is not a cache lookup (cache.Load), so a delta counts once in the
+// cache stats, under its edited key. The record is immutable cache state,
+// so it stays valid even if the entry is evicted between here and the
+// kernel (the eviction edge case is a 404 only when it precedes this
+// fetch).
 func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Trace) (keyed, error) {
 	if ca == nil {
 		return keyed{}, ErrBaseUnknown
@@ -88,11 +89,15 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	if err := edited.Validate(); err != nil {
 		return keyed{}, err
 	}
+	tr.Add(obs.StageDeltaPlan, time.Since(tp))
+	tc := time.Now()
 	k := keyed{in: edited.CanonicalInto(cs), opts: OptionsFromCanon(base.Opts), base: base}
+	tr.Add(obs.StageCanonicalize, time.Since(tc))
+	th := time.Now()
 	k.key = canon.Hash(k.in, base.Opts)
+	tr.Add(obs.StageHash, time.Since(th))
 	k.out = &DeltaOutcome{Key: k.key}
 	k.store = k.opts.Engine == Central
-	tr.Add(obs.StageDeltaPlan, time.Since(tp))
 	return k, nil
 }
 

@@ -3,6 +3,9 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/canon"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/mmlp"
+	"repro/internal/obs"
 )
 
 // reweightEdit builds an edit set that doubles (or scales) the
@@ -128,6 +132,74 @@ func TestSolveDeltaSplices(t *testing.T) {
 	}
 	if out.DirtyAgents <= 0 || out.DirtyAgents >= out.TotalAgents {
 		t.Fatalf("dirty %d of %d agents: expected a strict subset", out.DirtyAgents, out.TotalAgents)
+	}
+}
+
+// TestSolveDeltaTraceStages: a spliced delta times its key prologue under
+// the stages that name the work — edit application under delta_plan, the
+// edited instance's canonicalization and hash under canonicalize and hash,
+// as on a solve — and its kernel under the delta stages only. SelfCheck is
+// on, so the splice must also pass the trace verification.
+func TestSolveDeltaTraceStages(t *testing.T) {
+	ctx := context.Background()
+	in := gen.Random(gen.RandomConfig{Agents: 200, MaxDegI: 3, MaxDegK: 3, ExtraCons: 40, ExtraObjs: 10}, 11)
+	opts := engine.Options{R: 2, DisableSpecialCases: true, SelfCheck: true}
+	ca := engine.NewCache(engine.CacheOptions{})
+	base := seedBase(t, ca, in, opts)
+	sc := engine.NewScratch()
+	_, out, _, err := engine.SolveDelta(ctx, base, reweightEdit(in, 3), sc, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Spliced {
+		t.Fatalf("outcome %+v: expected a spliced solve", out)
+	}
+	for _, st := range []obs.Stage{obs.StageCanonicalize, obs.StageHash, obs.StageDeltaPlan, obs.StageDeltaKernel, obs.StageDeltaSplice} {
+		if sc.Trace.NS(st) <= 0 {
+			t.Fatalf("spliced delta recorded no %s time: %v", st, sc.Trace.MSMap())
+		}
+	}
+	for _, st := range []obs.Stage{obs.StageKernel, obs.StageBackMap} {
+		if sc.Trace.NS(st) != 0 {
+			t.Fatalf("spliced delta recorded %s time: %v", st, sc.Trace.MSMap())
+		}
+	}
+}
+
+// TestWarmDeltaOnWorkerScratchAllocs: a spliced delta on a worker's scratch
+// prices its dirty ball on that scratch's evaluator, single-worker, instead
+// of fanning a few dozen agents out over GOMAXPROCS goroutines that each
+// allocate evaluator tables sized for the whole necklace.
+func TestWarmDeltaOnWorkerScratchAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	in := gen.TriNecklace(1000)
+	opts := engine.Options{R: 4, DisableSpecialCases: true}
+	ca := engine.NewCache(engine.CacheOptions{MaxBytes: 1 << 30})
+	base := seedBase(t, ca, in, opts)
+	sc := engine.NewScratch()
+	if _, _, _, err := engine.SolveDelta(ctx, base, reweightEdit(in, 2), sc, ca); err != nil {
+		t.Fatal(err) // warms sc and the record's memoised base transform
+	}
+	// The fewest bytes over a few distinct edits: the race detector's
+	// sync.Pool drops a quarter of its puts, which a single run can hit.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, out, _, err := engine.SolveDelta(ctx, base, reweightEdit(in, float64(3+i)), sc, ca)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Spliced {
+			t.Fatalf("outcome %+v: expected a spliced solve", out)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1<<20 {
+		t.Fatalf("warm spliced delta allocated %d bytes, want under 1 MiB", least)
 	}
 }
 

@@ -65,9 +65,7 @@ type Options struct {
 	R int
 	// Workers bounds the parallelism of the centralised engine
 	// (0 = GOMAXPROCS). Ignored when a Scratch is supplied: scratch solving
-	// is single-worker by construction. A delta's incremental kernel is
-	// the exception: it runs on GOMAXPROCS workers, because its options
-	// come from the base's cache record, which never carries Workers.
+	// is single-worker by construction.
 	Workers int
 	// BinIters caps the per-agent binary search (0 = 100).
 	BinIters int
@@ -194,19 +192,19 @@ func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch
 
 // solveCanonical runs the pipeline stages on a validated instance already
 // in canonical form: the §4 preamble and transformations, the trivial-case
-// dispatch, the kernel and the back-map. coreScratch selects the
-// single-worker scratch kernel; the transform stages always build into
-// sc's arena.
+// dispatch, the kernel and the back-map. coreScratch marks sc as a
+// worker's scratch, whose centralised kernel runs single-worker; the
+// transform stages always build into sc's arena.
 //
 // rec, when non-nil, captures the kernel t-vector for the delta record a
 // stored result carries (a private copy; the trivial and preprocess
 // shortcuts leave rec.T nil — they have no kernel to splice from).
 //
-// base, when non-nil, is the record of the solve a delta edits: the kernel
-// stage is then swapped for plan + dirty t-stage + tail whenever the base
-// ran the kernel and the structured forms align, and out receives the
-// accounting. Every other shape runs the full kernel, which is always
-// bit-identical (just not incremental).
+// base, when non-nil, is the record of the solve a delta edits: the
+// centralised t-stage then runs over the dirty agents only, seeded with the
+// base's t-vector, whenever the base ran the kernel and the structured
+// forms align, and out receives the accounting. Every other shape runs the
+// full kernel, which is always bit-identical (just not incremental).
 func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec, base *delta.Record, out *DeltaOutcome) (*Solution, *DistInfo, error) {
 	var info *DistInfo
 	if o.Engine != Central {
@@ -273,78 +271,71 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	}
 	sc.Trace.Add(obs.StageTransform, time.Since(tt))
 
+	// A splice re-prices only the dirty agents, keeping every other t_u of
+	// the base record; a fresh solve evaluates every agent.
 	copts := core.Options{R: o.R, Workers: o.Workers, BinIters: o.BinIters}
+	if coreScratch {
+		copts.Workers = 1
+	}
 	var t, xs []float64
 	var ub float64
-	backStage := obs.StageBackMap
-	if dirty, ok := planSplice(base, s, o.R, &sc.Trace); ok {
-		// The incremental kernel: re-price exactly the dirty agents against
-		// the edited form, splice every other t_u from the base record, and
-		// re-run the tail on the worker's scratch.
-		tk := time.Now()
-		tv, err := sc.core.TStage(ctx, s, copts, dirty, base.T)
+	dirty, spliced := planSplice(base, s, o.R, &sc.Trace)
+	kernelStage, tailStage, backStage := obs.StageKernel, obs.StageKernel, obs.StageBackMap
+	var baseT []float64
+	if spliced {
+		kernelStage, tailStage, backStage = obs.StageDeltaKernel, obs.StageDeltaSplice, obs.StageDeltaSplice
+		baseT = base.T
+		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
+	}
+	tk := time.Now()
+	switch {
+	case spliced || o.Engine == Central:
+		tv, err := sc.core.TStage(ctx, s, copts, dirty, baseT)
 		if err != nil {
 			return nil, nil, err
 		}
-		sc.Trace.Add(obs.StageDeltaKernel, time.Since(tk))
+		sc.Trace.Add(kernelStage, time.Since(tk))
 		ts := time.Now()
 		tr, err := sc.core.Tail(s, copts, tv)
 		if err != nil {
 			return nil, nil, err
 		}
-		sc.Trace.Add(obs.StageDeltaSplice, time.Since(ts))
+		if o.SelfCheck {
+			if err := core.VerifyTrace(s, tr, 1e-9); err != nil {
+				return nil, nil, fmt.Errorf("maxminlp: self-check failed: %w", err)
+			}
+		}
+		sc.Trace.Add(tailStage, time.Since(ts))
 		t, xs, ub = tr.T, tr.X, tr.UpperBound
-		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
-		backStage = obs.StageDeltaSplice
-	} else {
-		tk := time.Now()
-		switch o.Engine {
-		case Central:
-			var tr *core.Trace
-			if coreScratch {
-				tr, err = core.SolveScratchCtx(ctx, s, copts, &sc.core)
-			} else {
-				tr, err = core.SolveCtx(ctx, s, copts)
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			if o.SelfCheck {
-				if err := core.VerifyTrace(s, tr, 1e-9); err != nil {
-					return nil, nil, fmt.Errorf("maxminlp: self-check failed: %w", err)
-				}
-			}
-			t, xs, ub = tr.T, tr.X, tr.UpperBound
-		case Distributed, DistributedCompact:
-			solver := dist.SolveDistributed
-			if o.Engine == DistributedCompact {
-				solver = dist.SolveDistributedCompact
-			}
-			res, err := solver(s, copts)
-			if err != nil {
-				return nil, nil, err
-			}
-			info.Rounds = res.Rounds
-			info.Messages = res.Stats.Messages
-			info.Bytes = res.Stats.Bytes
-			info.MaxMessageBytes = res.Stats.MaxMessageBytes
-			info.CompressedBytes = res.Stats.CompressedBytes
-			ub = math.Inf(1)
-			for _, tu := range res.T {
-				if tu < ub {
-					ub = tu
-				}
-			}
-			// The dist protocols' T is bit-identical to the centralised
-			// kernel's (internal/dist), so a record splices for any engine.
-			t, xs = res.T, res.X
-		default:
-			return nil, nil, fmt.Errorf("maxminlp: unknown engine %v", o.Engine)
+	case o.Engine == Distributed || o.Engine == DistributedCompact:
+		solver := dist.SolveDistributed
+		if o.Engine == DistributedCompact {
+			solver = dist.SolveDistributedCompact
 		}
+		res, err := solver(s, copts)
+		if err != nil {
+			return nil, nil, err
+		}
+		info.Rounds = res.Rounds
+		info.Messages = res.Stats.Messages
+		info.Bytes = res.Stats.Bytes
+		info.MaxMessageBytes = res.Stats.MaxMessageBytes
+		info.CompressedBytes = res.Stats.CompressedBytes
+		ub = math.Inf(1)
+		for _, tu := range res.T {
+			if tu < ub {
+				ub = tu
+			}
+		}
+		// The dist protocols' T is bit-identical to the centralised
+		// kernel's (internal/dist), so a record splices for any engine.
+		t, xs = res.T, res.X
 		sc.Trace.Add(obs.StageKernel, time.Since(tk))
-		if out != nil && rec != nil {
-			out.DirtyAgents, out.TotalAgents = len(t), len(t)
-		}
+	default:
+		return nil, nil, fmt.Errorf("maxminlp: unknown engine %v", o.Engine)
+	}
+	if !spliced && out != nil && rec != nil {
+		out.DirtyAgents, out.TotalAgents = len(t), len(t)
 	}
 	if rec != nil {
 		// The scratch kernel's T aliases sc's buffers; the record outlives

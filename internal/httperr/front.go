@@ -64,17 +64,16 @@ func DecodeDelta(w http.ResponseWriter, r *http.Request, limit int64) (job batch
 // application/x-mmlp-canon-batch the body is a canon batch frame, split at
 // frame boundaries only (each payload's magic is checked, none is
 // decoded); any other type is a JSON mmlp.BatchRequest read in one
-// streamed decode. reqs holds the decoded JSON requests, parallel to jobs,
-// and is nil for a frame, whose jobs carry their payloads in Canon.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (jobs []batch.Job, reqs []mmlp.SolveRequest, status int, err error) {
+// streamed decode.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (jobs []batch.Job, status int, err error) {
 	if MediaType(r) == mmlp.ContentTypeCanonBatch {
 		frame, status, err := ReadBody(w, r, limit)
 		if err != nil {
-			return nil, nil, status, err
+			return nil, status, err
 		}
 		payloads, err := canon.SplitBatch(frame)
 		if err != nil {
-			return nil, nil, http.StatusBadRequest, fmt.Errorf("malformed batch frame: %w", err)
+			return nil, http.StatusBadRequest, fmt.Errorf("malformed batch frame: %w", err)
 		}
 		jobs = make([]batch.Job, len(payloads))
 		for i, p := range payloads {
@@ -83,36 +82,45 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (jobs []ba
 	} else {
 		var req mmlp.BatchRequest
 		if status, err := DecodeJSON(w, r, limit, &req); err != nil {
-			return nil, nil, status, err
+			return nil, status, err
 		}
-		reqs = req.Jobs
-		jobs = make([]batch.Job, len(reqs))
-		for i := range reqs {
-			if jobs[i], err = batch.JobFromRequest(&reqs[i]); err != nil {
-				return nil, nil, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err)
+		jobs = make([]batch.Job, len(req.Jobs))
+		for i := range req.Jobs {
+			if jobs[i], err = batch.JobFromRequest(&req.Jobs[i]); err != nil {
+				return nil, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err)
 			}
 		}
 	}
 	if len(jobs) == 0 {
-		return nil, nil, http.StatusBadRequest, errors.New("batch has no jobs")
+		return nil, http.StatusBadRequest, errors.New("batch has no jobs")
 	}
-	return jobs, reqs, 0, nil
+	return jobs, 0, nil
 }
 
-// RouteKey is the fleet routing key of a decoded job: the cache key its
-// owning shard files the result under — a canon payload's hash, which the
-// encoding's injectivity makes equal to the canonical key of the JSON
-// spelling — or, for a delta, its base's key, since only the shard that
-// holds the base record can price the edits.
-func RouteKey(job batch.Job) canon.Key {
-	switch {
-	case job.Delta != nil:
-		return job.Delta.Base
-	case job.Canon != nil:
-		return canon.HashBytes(job.Canon)
-	default:
-		return engine.SolveKey(job.In, job.Opts)
+// CanonJob turns a decoded JSON solve job into the canon job the router
+// forwards. The instance is validated first, as the client spelled it: a
+// shard names the client's row indices, the payload's rows are in
+// canonical order. An invalid instance returns exactly Validate's error,
+// the message a shard answers with (400 invalid_argument, or the job's
+// batch line), and is never encoded.
+func CanonJob(job batch.Job) (batch.Job, error) {
+	if err := job.In.Validate(); err != nil {
+		return batch.Job{}, err
 	}
+	return batch.JobFromCanon(engine.EncodeCanon(job.In, job.Opts)), nil
+}
+
+// RouteKey is the fleet routing key of a job the router forwards: a canon
+// payload's hash, which is the cache key its owning shard files the result
+// under and, by the encoding's injectivity, the canonical key of every
+// JSON spelling of the problem (CanonJob builds the payload); or, for a
+// delta, its base's key, since only the shard that holds the base record
+// can price the edits.
+func RouteKey(job batch.Job) canon.Key {
+	if job.Delta != nil {
+		return job.Delta.Base
+	}
+	return canon.HashBytes(job.Canon)
 }
 
 // Deadline derives a request's working context from its

@@ -21,7 +21,7 @@ var shapeNames = [...]string{"solve", "delta", "batch"}
 
 // decodeShape runs the decoder of one fuzz shape — /v1/solve, /v1/delta
 // or /v1/batch — returning a single-job decode as a one-job slice.
-func decodeShape(shape uint8, r *http.Request, limit int64) ([]batch.Job, []mmlp.SolveRequest, int, error) {
+func decodeShape(shape uint8, r *http.Request, limit int64) ([]batch.Job, int, error) {
 	if shape == 2 {
 		return DecodeBatch(httptest.NewRecorder(), r, limit)
 	}
@@ -30,7 +30,7 @@ func decodeShape(shape uint8, r *http.Request, limit int64) ([]batch.Job, []mmlp
 		decode = DecodeDelta
 	}
 	job, _, status, err := decode(httptest.NewRecorder(), r, limit)
-	return []batch.Job{job}, nil, status, err
+	return []batch.Job{job}, status, err
 }
 
 // request builds a POST carrying body under contentType ("" sends none).
@@ -44,24 +44,31 @@ func request(contentType string, body []byte) *http.Request {
 
 const solveJSON = `{"instance":{"num_agents":2,"constraints":[{"terms":[{"agent":0,"coef":1},{"agent":1,"coef":2}]}],"objectives":[{"terms":[{"agent":0,"coef":1}]},{"terms":[{"agent":1,"coef":1}]}]},"r":3}`
 
+// invalidJSON is a solve whose instance fails Validate: constraint 0
+// names an agent outside [0, num_agents).
+const invalidJSON = `{"instance":{"num_agents":2,"constraints":[{"terms":[{"agent":0,"coef":1},{"agent":2,"coef":1}]}]},"r":3}`
+
 // FuzzDecoders throws (shape, content type, body) triples at the shared
 // request decoders: shape picks /v1/solve, /v1/delta or /v1/batch. The
-// decoders must never panic and must reject only with 400 or 413, and
-// every accepted JSON job must keep its routing key through json.Marshal
-// and a second decode — the router forwards re-marshalled JSON batch
-// jobs, so a key that moved would send a job to the wrong shard's cache.
+// decoders must never panic and must reject only with 400 or 413. Every
+// accepted JSON solve job is then transcoded the way the router forwards
+// it: CanonJob must fail with exactly Validate's error — the message a
+// shard answers that JSON job with — or yield a payload a shard decodes to
+// a valid instance and that hashes to the job's cache key, so the shard
+// files the result where a direct JSON client's lookup lands.
 func FuzzDecoders(f *testing.F) {
 	payload := engine.EncodeCanon(gen.TriNecklace(2), engine.Options{R: 3})
 	f.Add(uint8(0), mmlp.ContentTypeJSON, []byte(solveJSON))
+	f.Add(uint8(0), mmlp.ContentTypeJSON, []byte(invalidJSON))
 	f.Add(uint8(0), mmlp.ContentTypeCanon, payload)
 	f.Add(uint8(1), "", []byte(`{"base":"`+strings.Repeat("ab", 32)+`","edits":[]}`))
-	f.Add(uint8(2), mmlp.ContentTypeJSON, []byte(`{"jobs":[`+solveJSON+`,`+solveJSON+`]}`))
+	f.Add(uint8(2), mmlp.ContentTypeJSON, []byte(`{"jobs":[`+solveJSON+`,`+invalidJSON+`,`+solveJSON+`]}`))
 	f.Add(uint8(2), mmlp.ContentTypeCanonBatch, canon.AppendBatch(nil, [][]byte{payload}))
 
 	f.Fuzz(func(t *testing.T, shape uint8, contentType string, body []byte) {
 		shape %= 3
 		name := shapeNames[shape]
-		jobs, reqs, status, err := decodeShape(shape, request(contentType, body), 1<<16)
+		jobs, status, err := decodeShape(shape, request(contentType, body), 1<<16)
 		if err != nil {
 			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
 				t.Fatalf("%s rejected with status %d: %v", name, status, err)
@@ -71,39 +78,27 @@ func FuzzDecoders(f *testing.F) {
 		if status != 0 {
 			t.Fatalf("%s accepted with status %d", name, status)
 		}
-
-		// Re-marshal what was accepted as JSON and decode it again.
-		var again []byte
-		switch {
-		case shape == 2 && reqs != nil:
-			again, err = json.Marshal(mmlp.BatchRequest{Jobs: reqs})
-		case shape == 1:
-			var req mmlp.DeltaRequest
-			if err = json.Unmarshal(body, &req); err == nil {
-				again, err = json.Marshal(&req)
+		for i, job := range jobs {
+			if job.In == nil {
+				continue // a canon payload or a delta is forwarded as sent
 			}
-		case shape == 0 && jobs[0].Canon == nil:
-			var req mmlp.SolveRequest
-			if err = json.Unmarshal(body, &req); err == nil {
-				again, err = json.Marshal(&req)
+			cjob, err := CanonJob(job)
+			if verr := job.In.Validate(); verr != nil || err != nil {
+				if verr == nil || err == nil || err.Error() != verr.Error() {
+					t.Fatalf("%s job %d: transcode error %v, Validate error %v\nbody: %s", name, i, err, verr, body)
+				}
+				continue
 			}
-		default:
-			return // canon payloads are forwarded verbatim
-		}
-		if err != nil {
-			t.Fatalf("accepted %s did not re-marshal: %v", name, err)
-		}
-		jobs2, _, _, err := decodeShape(shape, request(mmlp.ContentTypeJSON, again), 1<<24)
-		if err != nil {
-			t.Fatalf("re-marshalled %s rejected: %v\nbody: %s", name, err, again)
-		}
-		if len(jobs2) != len(jobs) {
-			t.Fatalf("re-marshalled %s has %d jobs, want %d", name, len(jobs2), len(jobs))
-		}
-		for i := range jobs {
-			if k1, k2 := RouteKey(jobs[i]), RouteKey(jobs2[i]); k1 != k2 {
-				t.Fatalf("%s job %d: routing key %s became %s after a re-marshal\nbody:  %s\nagain: %s",
-					name, i, k1, k2, body, again)
+			in, _, err := canon.DecodeSolve(cjob.Canon, nil)
+			if err == nil {
+				err = in.Validate()
+			}
+			if err != nil {
+				t.Fatalf("%s job %d: a shard rejects the forwarded payload: %v\nbody: %s", name, i, err, body)
+			}
+			if k, want := RouteKey(cjob), engine.SolveKey(job.In, job.Opts); k != want {
+				t.Fatalf("%s job %d: the forwarded payload hashes to %s, the JSON job's key is %s\nbody: %s",
+					name, i, k, want, body)
 			}
 		}
 	})
@@ -126,7 +121,11 @@ func TestDecodeSolveEncodings(t *testing.T) {
 	if err != nil || !bytes.Equal(cbody, payload) || !bytes.Equal(cjob.Canon, payload) {
 		t.Fatalf("canon solve: %v", err)
 	}
-	if RouteKey(jjob) != RouteKey(cjob) {
+	tjob, err := CanonJob(jjob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RouteKey(tjob) != RouteKey(cjob) {
 		t.Fatal("the JSON and canon spellings of one problem route apart")
 	}
 	for _, bad := range [][]byte{nil, []byte("junk"), []byte(canon.SolveMagic[:4])} {
@@ -152,7 +151,7 @@ func TestDecodeBatchRejections(t *testing.T) {
 		{"oversized", "", []byte(`{"jobs":[` + strings.Repeat(solveJSON+",", 8) + solveJSON + `]}`), http.StatusRequestEntityTooLarge, "request body exceeds"},
 	}
 	for _, c := range cases {
-		_, _, status, err := DecodeBatch(httptest.NewRecorder(), request(c.contentType, c.body), 1024)
+		_, status, err := DecodeBatch(httptest.NewRecorder(), request(c.contentType, c.body), 1024)
 		if status != c.status || err == nil || !strings.HasPrefix(err.Error(), c.prefix) {
 			t.Fatalf("%s: (%d, %v), want (%d, %q…)", c.name, status, err, c.status, c.prefix)
 		}

@@ -32,7 +32,7 @@ const (
 	StageKernel
 	StageBackMap
 	// The three delta stages partition an incremental re-solve: planning
-	// the dirty agent set (edit application, canonicalization, the BFS over
+	// the dirty agent set (edit application and validation, the BFS over
 	// both topologies), re-running the kernel for exactly the dirty agents,
 	// and splicing the untouched coordinates from the cached base solution
 	// (the smooth/approximate/back-map tail over the merged kernel output).

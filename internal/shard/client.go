@@ -98,7 +98,7 @@ type ClientOptions struct {
 	// (0 = DefaultCooldown).
 	Cooldown time.Duration
 	// Replication is the number of ring successors that hold each key
-	// (≤ 0 means 1, i.e. no replication). DoFunc retries target the
+	// (≤ 0 means 1, i.e. no replication). DoFuncOn retries target the
 	// replica set first: any of the R successors can answer a key from a
 	// warm cache, so a dead primary costs a hop, not a recompute.
 	Replication int
@@ -128,8 +128,8 @@ type ClientOptions struct {
 // It layers mutable health state over immutable Rings: a member that
 // fails at the transport level (connection refused, reset, timeout — not an
 // HTTP error status, which proves the shard is alive) is marked down for a
-// cooldown and skipped by Owner and Do until it expires or a later forward
-// succeeds.
+// cooldown and skipped by OwnerOn and DoOn until it expires or a later
+// forward succeeds.
 //
 // The topology itself is versioned: the client starts at ring version 1 and
 // Propose installs version n+1 while version n drains (see RingVersion).
@@ -371,13 +371,6 @@ func (c *Client) budgetDeposit() {
 	}
 }
 
-// BudgetTokens returns the retry tokens currently available (fractional;
-// the burst capacity when budgeting is disabled is 0). For tests and the
-// admin surface.
-func (c *Client) BudgetTokens() float64 {
-	return float64(c.budgetTokens.Load()) / 1000
-}
-
 // backoff waits before retry hop n (n ≥ 1): base<<(n-1) capped at max,
 // half fixed plus half deterministic jitter — full-deterministic waits
 // would re-synchronize the very thundering herd the backoff is spreading
@@ -421,7 +414,7 @@ func (c *Client) Down(member string) bool { return c.down(member) }
 
 // markDown records a transport failure against m. A failure observed while
 // m is already inside an active cooldown window is not a new outage and
-// must not slide the window forward: DoFunc's desperation passes re-probe
+// must not slide the window forward: DoFuncOn's desperation passes re-probe
 // cooled-down members on every request, so extending the window on each
 // failed probe would keep a member that recovers on schedule routed-around
 // for far longer than the configured cooldown. A failure after the window
@@ -458,11 +451,6 @@ func (c *Client) Healthy() []string {
 	return out
 }
 
-// Owner routes k on the current generation; see OwnerOn.
-func (c *Client) Owner(k canon.Key) string {
-	return c.OwnerOn(c.cur.Load(), k)
-}
-
 // OwnerOn returns the healthy member that owns k on generation rv: k's
 // ring owner when it is up, otherwise the first healthy successor. When
 // every member is down the plain ring owner is returned — the caller's
@@ -472,7 +460,7 @@ func (c *Client) Owner(k canon.Key) string {
 // when the owner recovers.
 func (c *Client) OwnerOn(rv *RingVersion, k canon.Key) string {
 	c.routed.Add(1)
-	// Fast path: the ring owner is healthy (the steady state). Owner runs
+	// Fast path: the ring owner is healthy (the steady state). OwnerOn runs
 	// once per routed job, so it must not pay the successor walk's
 	// allocations just to take its first element.
 	owner := rv.ring.Owner(k)
@@ -554,13 +542,6 @@ func (c *Client) Get(ctx context.Context, member, path string) (*http.Response, 
 	return resp, nil
 }
 
-// DoFunc drives fn on the current generation; see DoFuncOn.
-func (c *Client) DoFunc(ctx context.Context, k canon.Key, fn func(member string) (done bool, err error)) error {
-	rv := c.Acquire()
-	defer c.Release(rv)
-	return c.DoFuncOn(ctx, rv, k, fn)
-}
-
 // DoFuncOn drives fn against k's members on generation rv until one
 // handles the request. fn returns done=true when the request was handled
 // on that member — even partially, so a broken mid-stream response is not
@@ -640,13 +621,6 @@ func (c *Client) DoFuncOn(ctx context.Context, rv *RingVersion, k canon.Key, fn 
 		lastErr = fmt.Errorf("shard: no members")
 	}
 	return lastErr
-}
-
-// Do forwards body on the current generation; see DoOn.
-func (c *Client) Do(ctx context.Context, k canon.Key, path, contentType string, body []byte) (*http.Response, string, error) {
-	rv := c.Acquire()
-	defer c.Release(rv)
-	return c.DoOn(ctx, rv, k, path, contentType, body)
 }
 
 // DoOn forwards body to k's owner on generation rv, retrying through the

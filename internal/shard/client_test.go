@@ -57,7 +57,7 @@ func TestDoForwardsToOwner(t *testing.T) {
 	c := newTestClient(t, addrs, time.Second)
 
 	k := testKey(7)
-	resp, member, err := c.Do(context.Background(), k, "/v1/solve", "application/json", []byte("payload"))
+	resp, member, err := do(c, k, "/v1/solve", "application/json", []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +76,13 @@ func TestDoForwardsToOwner(t *testing.T) {
 	if st.Forwarded != 1 || st.Retried != 0 || st.ShardDown != 0 {
 		t.Fatalf("stats = %+v, want 1 forward, 0 retries, 0 down", st)
 	}
+}
+
+// do forwards body through DoOn on c's current ring generation.
+func do(c *Client, k canon.Key, path, contentType string, body []byte) (*http.Response, string, error) {
+	rv := c.Acquire()
+	defer c.Release(rv)
+	return c.DoOn(context.Background(), rv, k, path, contentType, body)
 }
 
 // addrs0 pulls the Host header so the handler can echo its own identity.
@@ -109,7 +116,7 @@ func TestDoRetriesNextReplica(t *testing.T) {
 		t.Fatal("no key owned by the dead member in 4096 samples")
 	}
 
-	resp, member, err := c.Do(context.Background(), k, "/x", "application/json", nil)
+	resp, member, err := do(c, k, "/x", "application/json", nil)
 	if err != nil {
 		t.Fatalf("Do failed entirely: %v", err)
 	}
@@ -127,10 +134,13 @@ func TestDoRetriesNextReplica(t *testing.T) {
 
 	// While the cooldown holds, Owner routes around the corpse directly and
 	// Do needs no further retries.
-	if got := c.Owner(k); got == dead {
+	rv := c.Acquire()
+	got := c.OwnerOn(rv, k)
+	c.Release(rv)
+	if got == dead {
 		t.Fatalf("Owner still routes to the down member %q", got)
 	}
-	resp, _, err = c.Do(context.Background(), k, "/x", "application/json", nil)
+	resp, _, err = do(c, k, "/x", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestDoFallsBackToCooledDownMembers(t *testing.T) {
 	if !found {
 		t.Fatal("no key owned by the dead member in 4096 samples")
 	}
-	resp, member, err := c.Do(context.Background(), k, "/x", "application/json", nil)
+	resp, member, err := do(c, k, "/x", "application/json", nil)
 	if err != nil {
 		t.Fatalf("Do gave up without dialling the cooled-down members: %v", err)
 	}
@@ -215,7 +225,7 @@ func TestDoAllDown(t *testing.T) {
 	for _, m := range dead {
 		c.markDown(m)
 	}
-	_, _, err = c.Do(context.Background(), testKey(1), "/x", "application/json", nil)
+	_, _, err = do(c, testKey(1), "/x", "application/json", nil)
 	if err == nil {
 		t.Fatal("Do succeeded against a fully-dead fleet")
 	}

@@ -48,6 +48,16 @@ func (r *sleepRecorder) durations() []time.Duration {
 
 var errMemberDown = errors.New("synthetic transport failure")
 
+// doFunc drives fn through DoFuncOn on c's current ring generation.
+func doFunc(c *Client, k canon.Key, fn func(member string) (bool, error)) error {
+	rv := c.Acquire()
+	defer c.Release(rv)
+	return c.DoFuncOn(context.Background(), rv, k, fn)
+}
+
+// tokens reads c's retry budget in whole tokens.
+func tokens(c *Client) float64 { return float64(c.budgetTokens.Load()) / 1000 }
+
 // failingFn returns a DoFuncOn fn that fails every member, counting dials.
 func failingFn(dials *int) func(string) (bool, error) {
 	return func(string) (bool, error) {
@@ -67,7 +77,7 @@ func TestBackoffScheduleIsCappedAndSeeded(t *testing.T) {
 		c.backoffMax = 100 * time.Millisecond
 		c.rng = rand.New(rand.NewSource(seed))
 		var dials int
-		err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials))
+		err := doFunc(c, canon.Key{}, failingFn(&dials))
 		if !errors.Is(err, errMemberDown) {
 			t.Fatalf("DoFunc = %v, want the synthetic transport failure", err)
 		}
@@ -113,7 +123,7 @@ func TestBackoffScheduleIsCappedAndSeeded(t *testing.T) {
 func TestBackoffDisabledByDefault(t *testing.T) {
 	c, rec := newRetryClient(t, []string{"m0:1", "m1:1", "m2:1"}, ClientOptions{})
 	var dials int
-	if err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials)); !errors.Is(err, errMemberDown) {
+	if err := doFunc(c, canon.Key{}, failingFn(&dials)); !errors.Is(err, errMemberDown) {
 		t.Fatalf("DoFunc = %v", err)
 	}
 	if dials != 3 {
@@ -130,7 +140,7 @@ func TestBackoffAbortsWhenContextExpires(t *testing.T) {
 	c, rec := newRetryClient(t, []string{"m0:1", "m1:1", "m2:1", "m3:1"}, ClientOptions{RetryBackoff: 10 * time.Millisecond})
 	rec.cancel = 2 // the second sleep reports ctx-done
 	var dials int
-	err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials))
+	err := doFunc(c, canon.Key{}, failingFn(&dials))
 	if !errors.Is(err, errMemberDown) {
 		t.Fatalf("DoFunc = %v, want the last member error", err)
 	}
@@ -150,7 +160,7 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	// Request 1: every member fails. Dial 1 is free; hops 2 and 3 spend
 	// the whole budget; hop 4 is refused.
 	var dials int
-	err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials))
+	err := doFunc(c, canon.Key{}, failingFn(&dials))
 	if !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrRetryBudgetExhausted", err)
 	}
@@ -163,13 +173,13 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	if st := c.Stats(); st.RetryBudgetExhausted != 1 {
 		t.Fatalf("RetryBudgetExhausted = %d, want 1", st.RetryBudgetExhausted)
 	}
-	if got := c.BudgetTokens(); got != 0 {
+	if got := tokens(c); got != 0 {
 		t.Fatalf("tokens = %v, want 0 after exhaustion", got)
 	}
 
 	// An empty bucket refuses even the first retry hop.
 	dials = 0
-	if err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials)); !errors.Is(err, ErrRetryBudgetExhausted) {
+	if err := doFunc(c, canon.Key{}, failingFn(&dials)); !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want immediate ErrRetryBudgetExhausted", err)
 	}
 	if dials != 1 {
@@ -180,26 +190,26 @@ func TestRetryBudgetExhaustsAndRefills(t *testing.T) {
 	// hop works again, and the bucket never exceeds its burst capacity.
 	okFn := func(string) (bool, error) { return true, nil }
 	for i := 0; i < 2; i++ {
-		if err := c.DoFunc(context.Background(), canon.Key{}, okFn); err != nil {
+		if err := doFunc(c, canon.Key{}, okFn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.BudgetTokens(); got != 1 {
+	if got := tokens(c); got != 1 {
 		t.Fatalf("tokens = %v, want 1 after two successes at refill 0.5", got)
 	}
 	dials = 0
-	if err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials)); !errors.Is(err, ErrRetryBudgetExhausted) {
+	if err := doFunc(c, canon.Key{}, failingFn(&dials)); !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 	if dials != 2 {
 		t.Fatalf("dialled %d, want 2 (one earned retry)", dials)
 	}
 	for i := 0; i < 100; i++ {
-		if err := c.DoFunc(context.Background(), canon.Key{}, okFn); err != nil {
+		if err := doFunc(c, canon.Key{}, okFn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.BudgetTokens(); got != 2 {
+	if got := tokens(c); got != 2 {
 		t.Fatalf("tokens = %v, want the burst capacity 2 (deposits must cap)", got)
 	}
 }
@@ -210,7 +220,7 @@ func TestRetryBudgetDisabledIsFree(t *testing.T) {
 	c, _ := newRetryClient(t, members, ClientOptions{})
 	for i := 0; i < 10; i++ {
 		var dials int
-		if err := c.DoFunc(context.Background(), canon.Key{}, failingFn(&dials)); !errors.Is(err, errMemberDown) {
+		if err := doFunc(c, canon.Key{}, failingFn(&dials)); !errors.Is(err, errMemberDown) {
 			t.Fatalf("err = %v", err)
 		}
 		if dials != len(members) {
@@ -245,7 +255,7 @@ func TestRetryStormAgainstBrownedOutMember(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				// The browned-out member fails whenever the walk reaches
 				// it first; any other member answers.
-				err := c.DoFunc(context.Background(), canon.Key{byte(g), byte(i)}, func(m string) (bool, error) {
+				err := doFunc(c, canon.Key{byte(g), byte(i)}, func(m string) (bool, error) {
 					if m == members[0] {
 						return false, errMemberDown
 					}
@@ -276,7 +286,7 @@ func TestRetryStormAgainstBrownedOutMember(t *testing.T) {
 	if count(&failed) != 0 {
 		t.Fatalf("%d requests failed with a non-budget error; with two healthy members they must succeed or be refused", count(&failed))
 	}
-	if got := c.BudgetTokens(); got < 0 || got > capacity {
+	if got := tokens(c); got < 0 || got > capacity {
 		t.Fatalf("tokens = %v, outside [0, %d]", got, capacity)
 	}
 }

@@ -39,6 +39,9 @@
 // Hashing sits on the cache-hit path of the serving layer, so the encoder
 // state (hash, message buffer, row buffers, term scratch) is pooled:
 // steady-state hashing of similarly-shaped instances does not allocate.
+// An instance already in canonical form — every instance the engine keys
+// — is written straight into the message, with no row buffers and no row
+// sort, so even a cold hasher costs a constant number of allocations.
 package canon
 
 import (
@@ -105,8 +108,8 @@ const (
 type hasher struct {
 	h     hash.Hash
 	msg   []byte      // whole-message scratch, reused by Hash
-	rows  [][]byte    // per-row encodings; backings are reused across calls
-	terms []mmlp.Term // scratch copy, so callers' rows stay untouched
+	rows  [][]byte    // appendSorted's row encodings; backings are reused
+	terms []mmlp.Term // appendSorted's term copy, so callers' rows stay untouched
 }
 
 var hasherPool = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
@@ -144,8 +147,9 @@ func AppendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
 func EncodeSolve(in *mmlp.Instance, o Options) []byte { return AppendSolve(nil, in, o) }
 
 // appendSolve writes magic, normalized options and the canonicalized
-// instance into dst using the pooled row/term scratch.
+// instance into dst, growing dst once to the message's exact size.
 func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
+	dst = slices.Grow(dst, encodedLen(in))
 	dst = append(dst, SolveMagic...)
 	o = o.normalized()
 	dst = binary.AppendUvarint(dst, uint64(o.Engine))
@@ -162,17 +166,67 @@ func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
 
 	dst = binary.AppendUvarint(dst, uint64(in.NumAgents))
 	dst = binary.AppendUvarint(dst, uint64(len(in.Cons)))
-	s.rows = s.rows[:0]
-	for _, c := range in.Cons {
-		s.addRow(c.Terms)
-	}
-	dst = s.appendSortedRows(dst)
+	dst = appendSection(s, dst, in.Cons)
 	dst = binary.AppendUvarint(dst, uint64(len(in.Objs)))
-	s.rows = s.rows[:0]
-	for _, oj := range in.Objs {
-		s.addRow(oj.Terms)
+	return appendSection(s, dst, in.Objs)
+}
+
+// encodedLen bounds the message appendSolve writes: the header's varints
+// at their widest, then every row at its fixed width.
+func encodedLen(in *mmlp.Instance) int {
+	n := len(SolveMagic) + 6*binary.MaxVarintLen64 + 1
+	for _, c := range in.Cons {
+		n += rowHeaderBytes + bytesPerTerm*len(c.Terms)
 	}
-	return s.appendSortedRows(dst)
+	for _, o := range in.Objs {
+		n += rowHeaderBytes + bytesPerTerm*len(o.Terms)
+	}
+	return n
+}
+
+// appendSection emits one section's rows in canonical order. A section
+// already in canonical order — every instance the engine keys is — is
+// written straight into dst, each row checked as it goes: its terms
+// sorted by mmlp.CompareTerm, the row no smaller under mmlp.CompareRows
+// (which is byte order on the encodings) than the one before. Those are
+// exactly the orders appendSorted establishes, so the bytes are the same.
+// The first row out of order sends the whole section through appendSorted
+// instead.
+func appendSection[R mmlp.Row](s *hasher, dst []byte, rows []R) []byte {
+	start := len(dst)
+	var prev []mmlp.Term
+	for j, r := range rows {
+		terms := mmlp.Constraint(r).Terms
+		if !slices.IsSortedFunc(terms, mmlp.CompareTerm) || j > 0 && mmlp.CompareRows(prev, terms) > 0 {
+			return appendSorted(s, dst[:start], rows)
+		}
+		dst = appendRow(dst, terms)
+		prev = terms
+	}
+	return dst
+}
+
+// appendSorted emits one section in canonical order from any row and term
+// order: each row is encoded with its terms sorted into a pooled row
+// buffer, then the rows are emitted in lexicographic (== mmlp.Canonical)
+// order. Each row is self-delimiting, so plain concatenation is
+// injective.
+func appendSorted[R mmlp.Row](s *hasher, dst []byte, rows []R) []byte {
+	s.rows = s.rows[:0]
+	for _, r := range rows {
+		s.terms = append(s.terms[:0], mmlp.Constraint(r).Terms...)
+		slices.SortFunc(s.terms, mmlp.CompareTerm)
+		var buf []byte
+		if n := len(s.rows); n < cap(s.rows) {
+			buf = s.rows[:n+1][n][:0] // recycle the backing parked in this slot
+		}
+		s.rows = append(s.rows, appendRow(buf, s.terms))
+	}
+	slices.SortFunc(s.rows, bytes.Compare)
+	for _, row := range s.rows {
+		dst = append(dst, row...)
+	}
+	return dst
 }
 
 // orderAgent maps a (possibly negative, in not-yet-validated instances)
@@ -180,36 +234,19 @@ func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
 // bit makes unsigned byte comparison agree with signed numeric order.
 func orderAgent(agent int) uint64 { return uint64(int64(agent)) ^ (1 << 63) }
 
-// addRow encodes one row: a 4-byte big-endian term count, then per term the
-// sign-flipped agent pattern and the coefficient bits, 8 bytes each, all
-// big-endian. Terms are ordered by mmlp.CompareTerm — the one definition
-// this ordering shares with mmlp.Canonical, so key equality and pipeline
-// canonicalization can never drift apart. Fixed-width fields make
-// lexicographic byte order of whole rows coincide with mmlp.Canonical's
-// (length, then termwise CompareTerm) row order. The row buffer is recycled
-// from a previous call when one is available.
-func (s *hasher) addRow(terms []mmlp.Term) {
-	s.terms = append(s.terms[:0], terms...)
-	slices.SortFunc(s.terms, mmlp.CompareTerm)
-	var row []byte
-	if n := len(s.rows); n < cap(s.rows) {
-		row = s.rows[:n+1][n][:0] // recycle the backing parked in this slot
-	}
-	row = binary.BigEndian.AppendUint32(row, uint32(len(s.terms)))
-	for _, t := range s.terms {
-		row = binary.BigEndian.AppendUint64(row, orderAgent(t.Agent))
-		row = binary.BigEndian.AppendUint64(row, math.Float64bits(t.Coef))
-	}
-	s.rows = append(s.rows, row)
-}
-
-// appendSortedRows emits the section's rows in canonical (lexicographic ==
-// mmlp.Canonical) order. Each row is self-delimiting, so plain
-// concatenation is injective.
-func (s *hasher) appendSortedRows(dst []byte) []byte {
-	slices.SortFunc(s.rows, bytes.Compare)
-	for _, row := range s.rows {
-		dst = append(dst, row...)
+// appendRow encodes one row in the given term order: a 4-byte big-endian
+// term count, then per term the sign-flipped agent pattern and the
+// coefficient bits, 8 bytes each, all big-endian. Callers order the terms
+// by mmlp.CompareTerm — the one definition this ordering shares with
+// mmlp.Canonical, so key equality and pipeline canonicalization can never
+// drift apart. Fixed-width fields make lexicographic byte order of whole
+// rows coincide with mmlp.Canonical's (length, then termwise CompareTerm)
+// row order.
+func appendRow(dst []byte, terms []mmlp.Term) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(terms)))
+	for _, t := range terms {
+		dst = binary.BigEndian.AppendUint64(dst, orderAgent(t.Agent))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(t.Coef))
 	}
 	return dst
 }

@@ -22,8 +22,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/structured"
 )
@@ -82,6 +84,29 @@ type Trace struct {
 	// UpperBound = min_v T[v] ≥ the optimum of the instance (Lemma 2), a
 	// certificate usable when the instance is too large for an LP solve.
 	UpperBound float64
+
+	// byT lists the agents by ascending T. Only Own sets it: it is the
+	// index a ball-local Tail reads the upper bound outside its ball from.
+	byT []int32
+}
+
+// Own returns a copy of tr that owns every array — a trace from a Scratch
+// aliases the scratch — indexed for use as the base of a ball-local Tail.
+// The copy is read-only from then on, so any number of concurrent Tails
+// may share it.
+func (tr *Trace) Own() *Trace {
+	c := &Trace{R: tr.R, SmallR: tr.SmallR, UpperBound: tr.UpperBound,
+		T: slices.Clone(tr.T), S: slices.Clone(tr.S), X: slices.Clone(tr.X)}
+	for d := range tr.GPlus {
+		c.GPlus = append(c.GPlus, slices.Clone(tr.GPlus[d]))
+		c.GMinus = append(c.GMinus, slices.Clone(tr.GMinus[d]))
+	}
+	c.byT = make([]int32, len(c.T))
+	for v := range c.byT {
+		c.byT[v] = int32(v)
+	}
+	slices.SortFunc(c.byT, func(a, b int32) int { return cmp.Compare(c.T[a], c.T[b]) })
+	return c
 }
 
 // Solve runs the local algorithm on a structured instance and returns the
@@ -120,39 +145,52 @@ func run(ctx context.Context, s *structured.Instance, opt Options, sc *Scratch, 
 func computeGInto(s *structured.Instance, sv []float64, r int, gp, gm [][]float64) {
 	for d := 0; d <= r; d++ {
 		for v := 0; v < s.N; v++ {
-			if d == 0 {
-				gp[d][v] = s.Caps[v] // (12)
-			} else {
-				// (14): g+_{v,d} = min_i (1 − a_{i,n} g−_{n,d−1}) / a_iv.
-				best := 0.0
-				for j, i := range s.ConsOf[v] {
-					n, av, aw := s.Partner(int(i), int32(v))
-					val := GPlusCandidate(av, aw, gm[d-1][n])
-					if j == 0 || val < best {
-						best = val
-					}
-				}
-				gp[d][v] = best
-			}
+			gp[d][v] = gPlusAt(s, gm, d, v)
 		}
 		for v := 0; v < s.N; v++ {
-			// (13): g−_{v,d} = max{0, s_v − Σ_{w∈N(v)} g+_{w,d}}.
-			sum := 0.0
-			s.PeersDo(int32(v), func(w int32) { sum += gp[d][w] })
-			gm[d][v] = HingePos(sv[v] - sum)
+			gm[d][v] = gMinusAt(s, sv, gp, d, v)
 		}
 	}
 }
 
+// gPlusAt evaluates g+_{v,d}: (12) at d = 0, (14) above it.
+func gPlusAt(s *structured.Instance, gm [][]float64, d, v int) float64 {
+	if d == 0 {
+		return s.Caps[v] // (12)
+	}
+	// (14): g+_{v,d} = min_i (1 − a_{i,n} g−_{n,d−1}) / a_iv.
+	best := 0.0
+	for j, i := range s.ConsOf[v] {
+		n, av, aw := s.Partner(int(i), int32(v))
+		val := GPlusCandidate(av, aw, gm[d-1][n])
+		if j == 0 || val < best {
+			best = val
+		}
+	}
+	return best
+}
+
+// gMinusAt evaluates (13): g−_{v,d} = max{0, s_v − Σ_{w∈N(v)} g+_{w,d}}.
+func gMinusAt(s *structured.Instance, sv []float64, gp [][]float64, d, v int) float64 {
+	sum := 0.0
+	s.PeersDo(int32(v), func(w int32) { sum += gp[d][w] })
+	return HingePos(sv[v] - sum)
+}
+
 // outputInto evaluates (18) into x, with gps/gms as per-agent column
 // scratch of length len(gp).
-func outputInto(s *structured.Instance, gp, gm [][]float64, R int, x, gps, gms []float64) {
+func outputInto(gp, gm [][]float64, R int, x, gps, gms []float64) {
 	for v := range x {
-		for d := range gp {
-			gps[d], gms[d] = gp[d][v], gm[d][v]
-		}
-		x[v] = CombineOutput(gps, gms, R)
+		x[v] = outputAt(gp, gm, R, v, gps, gms)
 	}
+}
+
+// outputAt evaluates (18) for agent v.
+func outputAt(gp, gm [][]float64, R, v int, gps, gms []float64) float64 {
+	for d := range gp {
+		gps[d], gms[d] = gp[d][v], gm[d][v]
+	}
+	return CombineOutput(gps, gms, R)
 }
 
 // smoothInto computes s_v = min over agents within distance 4r+2 of v, via
@@ -164,21 +202,27 @@ func outputInto(s *structured.Instance, gp, gm [][]float64, R int, x, gps, gms [
 func smoothInto(s *structured.Instance, r int, cur, next []float64) []float64 {
 	for round := 0; round < 2*r+1; round++ {
 		for v := 0; v < s.N; v++ {
-			m := cur[v]
-			for _, i := range s.ConsOf[v] {
-				w, _, _ := s.Partner(int(i), int32(v))
-				if cur[w] < m {
-					m = cur[w]
-				}
-			}
-			s.PeersDo(int32(v), func(w int32) {
-				if cur[w] < m {
-					m = cur[w]
-				}
-			})
-			next[v] = m
+			next[v] = minAround(s, cur, v)
 		}
 		cur, next = next, cur
 	}
 	return cur
+}
+
+// minAround is one diffusion step at v: the minimum of cur over v, its
+// constraint partners and its objective peers, in that order.
+func minAround(s *structured.Instance, cur []float64, v int) float64 {
+	m := cur[v]
+	for _, i := range s.ConsOf[v] {
+		w, _, _ := s.Partner(int(i), int32(v))
+		if cur[w] < m {
+			m = cur[w]
+		}
+	}
+	s.PeersDo(int32(v), func(w int32) {
+		if cur[w] < m {
+			m = cur[w]
+		}
+	})
+	return m
 }

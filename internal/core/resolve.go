@@ -26,5 +26,5 @@ func RecomputeT(s *structured.Instance, baseT []float64, dirty []int, opt Option
 // have produced, the returned trace is bit-identical to that Solve's. The
 // t slice is copied, not retained.
 func DeriveFromT(s *structured.Instance, t []float64, opt Options) (*Trace, error) {
-	return new(Scratch).Tail(s, opt, append([]float64(nil), t...))
+	return new(Scratch).Tail(s, opt, append([]float64(nil), t...), nil, nil)
 }

@@ -8,14 +8,18 @@
 //   - Record, the per-key cache payload a base solve leaves behind (the
 //     canonical instance, the solve options, the kernel t-vector);
 //   - Apply, which materialises the edited instance from a base plus a
-//     content-addressed edit set;
+//     content-addressed edit set, copy-on-write: the edited instance
+//     shares every untouched row with its base;
 //   - Plan, the hop-exact multi-source BFS that turns the positionally
-//     changed rows of the structured forms into the dirty agent set.
+//     changed rows of the structured forms into the dirty agent set and,
+//     run further, the ball of agents whose outputs the edit can move.
 //
 // The correctness contract is exact: for every agent Plan does NOT mark
 // dirty, the radius-(4r+3) ball is positionally identical in the old and
 // new structured instances, so recomputing t_u only for dirty agents and
 // splicing the rest from the record reproduces a cold solve bit for bit.
+// The same holds one level up for the output ball: outside
+// core.OutputRadius(r), s, g± and x are the base's.
 package delta
 
 import (
@@ -24,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/canon"
+	"repro/internal/core"
 	"repro/internal/mmlp"
 	"repro/internal/structured"
 )
@@ -32,7 +37,8 @@ import (
 // everything needed to price an edit without re-solving from scratch.
 type Record struct {
 	// In is the canonical instance the base solve ran on. It is immutable —
-	// cache values are shared across requests.
+	// cache values are shared across requests, and a delta's edited
+	// instance shares its untouched rows with its base's.
 	In *mmlp.Instance
 	// Opts are the canonical solve options (engine, R, BinIters, flags) the
 	// base was keyed under; a delta inherits them, so the edited key is
@@ -44,29 +50,33 @@ type Record struct {
 	// a base falls back to a cold solve of the edited instance.
 	T []float64
 
-	// once guards sOld/sOK: Plan needs the structured form of In, and
-	// rebuilding it means re-running preprocess+structure on the whole base
-	// — O(n) work per delta that would dwarf the small-edit pricing it
-	// enables. The first delta against this record builds it; every later
-	// one reuses it.
-	once sync.Once
-	sOld *structured.Instance
-	sOK  bool
+	// once guards the memo: Plan needs the structured form of In, and a
+	// ball-local tail needs the base's full trace. Rebuilding either means
+	// re-running the pipeline on the whole base — O(n) work per delta that
+	// would dwarf the small-edit pricing it enables. The first delta
+	// against this record builds both; every later one reuses them, and a
+	// base nobody edits never pays for them.
+	once   sync.Once
+	sOld   *structured.Instance
+	trOld  *core.Trace
+	baseOK bool
 }
 
-// BaseStructured returns the structured form of the base instance,
-// building it with build on the first call and memoising the result —
-// including failure: a base whose pipeline leaves the standard
-// preprocess→structure shape can never be spliced against, so rebuilding
-// would not change the answer. Safe for concurrent use; build runs at
-// most once and must return an instance that owns its memory (no shared
-// scratch arenas).
-func (r *Record) BaseStructured(build func() (*structured.Instance, bool)) (*structured.Instance, bool) {
-	r.once.Do(func() { r.sOld, r.sOK = build() })
-	return r.sOld, r.sOK
+// Base returns the structured form of the base instance and the full
+// trace of its solve, building both with build on the first call and
+// memoising the result — including failure: a base whose pipeline leaves
+// the standard preprocess→structure shape can never be spliced against,
+// so rebuilding would not change the answer. Safe for concurrent use;
+// build runs at most once and must return memory the record may own (no
+// shared scratch arenas; the trace from core's Trace.Own).
+func (r *Record) Base(build func() (*structured.Instance, *core.Trace, bool)) (*structured.Instance, *core.Trace, bool) {
+	r.once.Do(func() { r.sOld, r.trOld, r.baseOK = build() })
+	return r.sOld, r.trOld, r.baseOK
 }
 
-// Bytes estimates the record's heap footprint for cache accounting.
+// Bytes estimates the record's heap footprint for cache accounting. Every
+// row is charged in full, even one shared with another record's instance:
+// the shared rows stay alive as long as either record does.
 func (r *Record) Bytes() int64 {
 	if r == nil {
 		return 0
@@ -87,16 +97,31 @@ func (r *Record) Bytes() int64 {
 	return n
 }
 
-// Apply materialises the edited instance: a fresh deep copy of base with
-// every edit applied in order. base must be in canonical form (terms
-// sorted within rows) and is not modified. Edits address rows by content:
-// Match is sorted and compared termwise against the base's rows, so the
-// client does not need to know the canonical row order. All failures —
-// unknown rows, agents outside the base's agent set, ambiguity-free
-// semantic violations like deleting the last objective — wrap
-// mmlp.ErrInvalid, so the serving layer answers them with a typed 400.
+// Apply materialises the edited instance: base with every edit applied in
+// order, copy-on-write. The result gets its own two row-header slices but
+// shares every untouched row with base, so neither may be mutated — the
+// contract every canonical instance in the pipeline already keeps. base
+// must be in canonical form (mmlp.Canonical's output; every Record.In
+// is): Apply finds rows by binary search and inserts each written row at
+// its canonical position, so the result is canonical too and
+// canonicalizing it is a check, not a copy.
+//
+// Edits address rows by content: Match is sorted and compared termwise
+// against the base's rows, so the client does not need to know the
+// canonical row order. Every row Apply writes is validated (the edit's own
+// Validate, agents inside the base's agent set, no agent twice); the rows
+// it keeps were validated with their base. All failures — unknown rows,
+// agents outside the base's agent set, ambiguity-free semantic violations
+// like deleting the last objective — wrap mmlp.ErrInvalid, so the serving
+// layer answers them with a typed 400.
 func Apply(base *mmlp.Instance, edits []mmlp.RowEdit) (*mmlp.Instance, error) {
-	out := base.Clone()
+	// Room for every edit to add a row, so no insertion copies the headers
+	// again.
+	out := &mmlp.Instance{
+		NumAgents: base.NumAgents,
+		Cons:      append(make([]mmlp.Constraint, 0, len(base.Cons)+len(edits)), base.Cons...),
+		Objs:      append(make([]mmlp.Objective, 0, len(base.Objs)+len(edits)), base.Objs...),
+	}
 	for j := range edits {
 		if err := applyOne(out, &edits[j]); err != nil {
 			return nil, fmt.Errorf("edit %d: %w", j, err)
@@ -127,25 +152,63 @@ func applyOne(in *mmlp.Instance, e *mmlp.RowEdit) error {
 	if dup := firstDuplicateAgent(terms); dup >= 0 {
 		return fmt.Errorf("%w: agent %d appears twice in terms", mmlp.ErrInvalid, dup)
 	}
-	switch e.Op {
-	case mmlp.EditAdd:
-		addRow(in, e.Kind, terms)
+	if e.Kind == mmlp.EditConstraint {
+		return edit(&in.Cons, e, terms)
+	}
+	return edit(&in.Objs, e, terms)
+}
+
+func termsOf[R mmlp.Row](r R) []mmlp.Term { return mmlp.Constraint(r).Terms }
+
+// edit applies one validated edit to a canonical section, keeping it
+// canonical. terms is the edit's new row content in canonical term order.
+func edit[R mmlp.Row](rows *[]R, e *mmlp.RowEdit, terms []mmlp.Term) error {
+	if e.Op == mmlp.EditAdd {
+		i, _ := find(*rows, terms)
+		*rows = slices.Insert(*rows, i, R(mmlp.Constraint{Terms: terms}))
 		return nil
+	}
+	m := sortedTerms(e.Match)
+	i, ok := find(*rows, m)
+	if !ok {
+		return fmt.Errorf("%w: no %s row matches %v", mmlp.ErrInvalid, e.Kind, m)
+	}
+	switch e.Op {
 	case mmlp.EditRemove:
-		_, err := takeRow(in, e.Kind, e.Match)
-		return err
+		*rows = slices.Delete(*rows, i, i+1)
+		return nil
 	case mmlp.EditReweight:
-		old, err := takeRow(in, e.Kind, e.Match)
-		if err != nil {
-			return err
-		}
-		if !sameAgentSet(old, terms) {
+		if !sameAgentSet(termsOf((*rows)[i]), terms) {
 			return fmt.Errorf("%w: reweight must keep the row's agent set (use remove+add to change membership)", mmlp.ErrInvalid)
 		}
-		addRow(in, e.Kind, terms)
+		move(*rows, i, terms)
 		return nil
 	}
 	return fmt.Errorf("%w: unknown edit op %q", mmlp.ErrInvalid, e.Op) // unreachable after Validate
+}
+
+// find binary-searches a canonical section for a row with exactly these
+// (canonically ordered) terms, returning its index, or the index a new
+// row with them takes.
+func find[R mmlp.Row](rows []R, terms []mmlp.Term) (int, bool) {
+	return slices.BinarySearchFunc(rows, terms, func(r R, t []mmlp.Term) int {
+		return mmlp.CompareRows(termsOf(r), t)
+	})
+}
+
+// move replaces rows[i] with terms and restores canonical order by
+// shifting only the rows between the old and the new position — none, for
+// a reweight small enough to keep its rank.
+func move[R mmlp.Row](rows []R, i int, terms []mmlp.Term) {
+	for i > 0 && mmlp.CompareRows(termsOf(rows[i-1]), terms) > 0 {
+		rows[i] = rows[i-1]
+		i--
+	}
+	for i+1 < len(rows) && mmlp.CompareRows(termsOf(rows[i+1]), terms) < 0 {
+		rows[i] = rows[i+1]
+		i++
+	}
+	rows[i] = R(mmlp.Constraint{Terms: terms})
 }
 
 // sortedTerms returns a copy of ts in canonical term order.
@@ -174,49 +237,4 @@ func sameAgentSet(a, b []mmlp.Term) bool {
 		}
 	}
 	return true
-}
-
-func equalTerms(a, b []mmlp.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for j := range a {
-		if mmlp.CompareTerm(a[j], b[j]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// addRow appends a row with the given (already sorted) terms.
-func addRow(in *mmlp.Instance, kind string, terms []mmlp.Term) {
-	if kind == mmlp.EditConstraint {
-		in.Cons = append(in.Cons, mmlp.Constraint{Terms: terms})
-	} else {
-		in.Objs = append(in.Objs, mmlp.Objective{Terms: terms})
-	}
-}
-
-// takeRow removes the first row whose content equals match (compared in
-// canonical term order) and returns its terms.
-func takeRow(in *mmlp.Instance, kind string, match []mmlp.Term) ([]mmlp.Term, error) {
-	m := sortedTerms(match)
-	if kind == mmlp.EditConstraint {
-		for i := range in.Cons {
-			if equalTerms(in.Cons[i].Terms, m) {
-				terms := in.Cons[i].Terms
-				in.Cons = slices.Delete(in.Cons, i, i+1)
-				return terms, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: no constraint row matches %v", mmlp.ErrInvalid, m)
-	}
-	for k := range in.Objs {
-		if equalTerms(in.Objs[k].Terms, m) {
-			terms := in.Objs[k].Terms
-			in.Objs = slices.Delete(in.Objs, k, k+1)
-			return terms, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no objective row matches %v", mmlp.ErrInvalid, m)
 }

@@ -50,7 +50,9 @@ func TestApplyAddSortsAndAppends(t *testing.T) {
 	if len(out.Cons) != 4 || len(out.Objs) != 3 {
 		t.Fatalf("got %d cons, %d objs, want 4 and 3", len(out.Cons), len(out.Objs))
 	}
-	added := out.Cons[3].Terms
+	// The added row lands at its canonical position: (0,2)-(3,2) sorts
+	// after (0,1)-(1,1) and before (1,1)-(2,1).
+	added := out.Cons[1].Terms
 	if len(added) != 2 || added[0].Agent != 0 || added[1].Agent != 3 {
 		t.Fatalf("added constraint terms not in canonical order: %v", added)
 	}

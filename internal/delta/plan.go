@@ -2,7 +2,9 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/reuse"
 	"repro/internal/structured"
 )
 
@@ -27,42 +29,81 @@ import (
 // (one edge per level), so callers can rely on the radius semantics
 // exactly.
 func Plan(sOld, sNew *structured.Instance, radius int) ([]int, error) {
+	dirty, _, err := new(Scratch).Plan(sOld, sNew, radius, radius)
+	return dirty, err
+}
+
+// Scratch is the reusable working memory of one worker's plans: the BFS's
+// visit stamps and frontiers, and the two result lists. The zero value is
+// ready. Not safe for concurrent use.
+type Scratch struct {
+	// Visit stamps: an entry equal to epoch was reached by the current
+	// BFS. The epoch only grows, so stale entries never need clearing.
+	consAt, objAt, agentAt []uint64
+	epoch                  uint64
+
+	consF, objF, agentsF []int32
+	dirty, ball          []int
+}
+
+// Plan is the package-level Plan run once, to two radii: dirty lists the
+// agents within tRadius of a changed row and ball those within ballRadius
+// (at least tRadius). With tRadius = core.TRadius(r) and ballRadius =
+// core.OutputRadius(r), dirty is the t-set a splice re-prices and ball
+// the agents whose s, g± and x it must re-derive — outside it every output
+// is the base's. Both lists are sorted ascending, never nil, and alias
+// ps until its next use. Only the changed-row scan is O(rows); the BFS
+// touches the ball alone.
+func (ps *Scratch) Plan(sOld, sNew *structured.Instance, tRadius, ballRadius int) (dirty, ball []int, err error) {
 	if sOld.N != sNew.N {
-		return nil, fmt.Errorf("delta: agent counts differ (old %d, new %d)", sOld.N, sNew.N)
+		return nil, nil, fmt.Errorf("delta: agent counts differ (old %d, new %d)", sOld.N, sNew.N)
 	}
+	ballRadius = max(ballRadius, tRadius)
 	nCons := max(len(sOld.ConsV), len(sNew.ConsV))
 	nObjs := max(len(sOld.Objs), len(sNew.Objs))
-	consSeen := make([]bool, nCons)
-	objSeen := make([]bool, nObjs)
-	agentSeen := make([]bool, sOld.N)
+	ps.epoch++
+	ep := ps.epoch
+	consAt := reuse.Grow(&ps.consAt, nCons)
+	objAt := reuse.Grow(&ps.objAt, nObjs)
+	agentAt := reuse.Grow(&ps.agentAt, sOld.N)
+	dirty, ball = ps.dirty[:0], ps.ball[:0]
+	if dirty == nil {
+		dirty, ball = make([]int, 0, 64), make([]int, 0, 256)
+	}
 
 	// Level 0: the positionally changed rows.
-	var consF, objF []int32
+	consF, objF := ps.consF[:0], ps.objF[:0]
 	for i := 0; i < nCons; i++ {
 		if consRowChanged(sOld, sNew, i) {
-			consSeen[i] = true
+			consAt[i] = ep
 			consF = append(consF, int32(i))
 		}
 	}
 	for k := 0; k < nObjs; k++ {
 		if objRowChanged(sOld, sNew, k) {
-			objSeen[k] = true
+			objAt[k] = ep
 			objF = append(objF, int32(k))
 		}
 	}
 
 	// Alternating frontier expansion: rows at even levels, agents at odd
-	// levels. An agent is dirty when first reached, i.e. at its true hop
-	// distance from the nearest changed row; expansion stops as soon as no
-	// further agent could still be within radius.
-	var agentsF []int32
+	// levels. An agent joins the ball (and, within tRadius, the dirty set)
+	// when first reached, i.e. at its true hop distance from the nearest
+	// changed row; expansion stops as soon as no further agent could still
+	// be within ballRadius.
+	agentsF := ps.agentsF[:0]
 	dist := 0
-	for len(consF)+len(objF) > 0 && dist < radius {
+	for len(consF)+len(objF) > 0 && dist < ballRadius {
 		agentsF = agentsF[:0]
+		dist++ // the agents reached now sit at distance dist ≤ ballRadius
 		visit := func(v int32) {
-			if !agentSeen[v] {
-				agentSeen[v] = true
+			if agentAt[v] != ep {
+				agentAt[v] = ep
 				agentsF = append(agentsF, v)
+				ball = append(ball, int(v))
+				if dist <= tRadius {
+					dirty = append(dirty, int(v))
+				}
 			}
 		}
 		for _, i := range consF {
@@ -87,44 +128,40 @@ func Plan(sOld, sNew *structured.Instance, radius int) ([]int, error) {
 				}
 			}
 		}
-		dist++ // agentsF sits at distance dist ≤ radius
 		// The next agents would sit at dist+2; stop if they cannot qualify.
-		if dist+2 > radius || len(agentsF) == 0 {
+		if dist+2 > ballRadius || len(agentsF) == 0 {
 			break
 		}
 		consF, objF = consF[:0], objF[:0]
 		for _, v := range agentsF {
 			for _, i := range sOld.ConsOf[v] {
-				if !consSeen[i] {
-					consSeen[i] = true
+				if consAt[i] != ep {
+					consAt[i] = ep
 					consF = append(consF, i)
 				}
 			}
 			for _, i := range sNew.ConsOf[v] {
-				if !consSeen[i] {
-					consSeen[i] = true
+				if consAt[i] != ep {
+					consAt[i] = ep
 					consF = append(consF, i)
 				}
 			}
-			if k := sOld.ObjOf[v]; !objSeen[k] {
-				objSeen[k] = true
+			if k := sOld.ObjOf[v]; objAt[k] != ep {
+				objAt[k] = ep
 				objF = append(objF, k)
 			}
-			if k := sNew.ObjOf[v]; !objSeen[k] {
-				objSeen[k] = true
+			if k := sNew.ObjOf[v]; objAt[k] != ep {
+				objAt[k] = ep
 				objF = append(objF, k)
 			}
 		}
 		dist++ // consF/objF sit at distance dist
 	}
-
-	dirty := make([]int, 0, 16)
-	for v, hit := range agentSeen {
-		if hit {
-			dirty = append(dirty, v)
-		}
-	}
-	return dirty, nil
+	ps.consF, ps.objF, ps.agentsF = consF, objF, agentsF
+	slices.Sort(dirty)
+	slices.Sort(ball)
+	ps.dirty, ps.ball = dirty, ball
+	return dirty, ball, nil
 }
 
 // consRowChanged reports a positional difference of constraint row i.

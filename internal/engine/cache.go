@@ -257,6 +257,10 @@ type keyed struct {
 	// base and out are a delta's base record and its accounting.
 	base *delta.Record
 	out  *DeltaOutcome
+	// owned marks an in that belongs to this request alone — a delta's
+	// edited instance, fresh row headers over its base's immutable rows —
+	// so a record may keep it without a copy.
+	owned bool
 	// store is false for a request that may only look the cache up.
 	store bool
 }
@@ -332,9 +336,14 @@ func (r Request) miss(ctx context.Context, k keyed, sc *Scratch, capture bool) (
 	}
 	var rec *delta.Record
 	if capture {
-		// The instance may live in sc's arenas; the record outlives the
-		// request, so it takes a deep copy.
-		rec = &delta.Record{In: k.in.Clone(), Opts: canonOptions(k.opts)}
+		// The record outlives the request. Any instance but an owned one
+		// may live in sc's arenas or belong to the caller, so the record
+		// takes a deep copy of it.
+		in := k.in
+		if !k.owned {
+			in = in.Clone()
+		}
+		rec = &delta.Record{In: in, Opts: canonOptions(k.opts)}
 	}
 	sol, info, err := solveCanonical(ctx, k.in, k.opts, sc, coreScratch, rec, k.base, k.out)
 	return cachedResult{sol: sol, info: info, rec: rec}, err

@@ -61,9 +61,12 @@ func SolveDelta(ctx context.Context, base canon.Key, edits []mmlp.RowEdit, sc *S
 	return rep.Sol, rep.Delta, rep.Cached, err
 }
 
-// deltaPrologue keys a delta: it fetches the base record and applies and
-// validates the edits under the delta-plan trace slot, then canonicalizes
-// and hashes the edited instance under the same slots as a solve. The
+// deltaPrologue keys a delta: it fetches the base record and applies the
+// edits under the delta-plan trace slot, then canonicalizes and hashes the
+// edited instance under the same slots as a solve. Apply validates every
+// row it writes and shares the rest with the base, which was validated
+// when it was solved, so there is no whole-instance Validate; and its
+// result is canonical, so canonicalizing it is a check, not a copy. The
 // fetch is not a cache lookup (cache.Load), so a delta counts once in the
 // cache stats, under its edited key. The record is immutable cache state,
 // so it stays valid even if the entry is evicted between here and the
@@ -86,12 +89,10 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	if err != nil {
 		return keyed{}, err
 	}
-	if err := edited.Validate(); err != nil {
-		return keyed{}, err
-	}
 	tr.Add(obs.StageDeltaPlan, time.Since(tp))
 	tc := time.Now()
 	k := keyed{in: edited.CanonicalInto(cs), opts: OptionsFromCanon(base.Opts), base: base}
+	k.owned = k.in == edited
 	tr.Add(obs.StageCanonicalize, time.Since(tc))
 	th := time.Now()
 	k.key = canon.Hash(k.in, base.Opts)
@@ -101,41 +102,52 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	return k, nil
 }
 
-// planSplice returns the dirty agent set of a delta against base — every
-// agent within the kernel's radius-(4r+3) reach of an edited row — or
-// ok=false when the edit cannot be spliced: no base, a base that never ran
-// the kernel, or structured forms that do not align.
-func planSplice(base *delta.Record, sNew *structured.Instance, R int, tr *obs.Trace) (dirty []int, ok bool) {
+// planSplice plans a delta against base: the dirty agent set — every
+// agent within the kernel's radius-(4r+3) reach of an edited row — and
+// the output ball — every agent within OutputRadius(r), whose s, g± and x
+// the tail re-derives — from one BFS on sc's plan scratch, plus the base's
+// full trace. ok is false when the edit cannot be spliced: no base, a
+// base that never ran the kernel, or structured forms that do not align.
+func planSplice(base *delta.Record, sNew *structured.Instance, copts core.Options, sc *Scratch) (dirty, ball []int, baseTr *core.Trace, ok bool) {
 	if base == nil || base.T == nil {
-		return nil, false
+		return nil, nil, nil, false
 	}
 	tp := time.Now()
-	// The base is transformed once per record, not per delta: the memoised
-	// form is shared by every delta priced against it. The build uses a
-	// private arena (the worker's holds the edited side) whose memory the
-	// structured instance then owns. The base reached the kernel, so its
-	// pipeline must take the standard shape; anything else means the
+	// The base is transformed and its tail derived once per record, not
+	// per delta: the memoised forms are shared by every delta priced
+	// against it. The build uses a private arena (the worker's holds the
+	// edited side) whose memory the structured instance then owns; the
+	// trace is detached from it by Own. The base reached the kernel, so
+	// its pipeline must take the standard shape; anything else means the
 	// record cannot be aligned.
-	sOld, ok := base.BaseStructured(func() (*structured.Instance, bool) {
+	sOld, baseTr, ok := base.Base(func() (*structured.Instance, *core.Trace, bool) {
 		osc := NewScratch()
 		pp := transform.PreprocessScratch(base.In, &osc.pipe)
 		if pp.Outcome != transform.OK {
-			return nil, false
+			return nil, nil, false
 		}
 		pipe, err := transform.StructureScratch(pp.Out, &osc.pipe)
 		if err != nil {
-			return nil, false
+			return nil, nil, false
 		}
 		s, err := structured.FromMMLPScratch(pipe.Final(), &osc.str)
-		return s, err == nil
+		if err != nil || len(base.T) != s.N {
+			return nil, nil, false
+		}
+		tr, err := osc.core.Tail(s, copts, base.T, nil, nil)
+		if err != nil {
+			return nil, nil, false
+		}
+		return s, tr.Own(), true
 	})
-	if !ok || sOld.N != sNew.N || len(base.T) != sOld.N {
-		return nil, false
+	if !ok || sOld.N != sNew.N {
+		return nil, nil, nil, false
 	}
-	dirty, err := delta.Plan(sOld, sNew, core.TRadius(R-2))
+	r := copts.R - 2
+	dirty, ball, err := sc.plan.Plan(sOld, sNew, core.TRadius(r), core.OutputRadius(r))
 	if err != nil {
-		return nil, false
+		return nil, nil, nil, false
 	}
-	tr.Add(obs.StageDeltaPlan, time.Since(tp))
-	return dirty, true
+	sc.Trace.Add(obs.StageDeltaPlan, time.Since(tp))
+	return dirty, ball, baseTr, true
 }

@@ -137,7 +137,8 @@ type DistInfo struct {
 // Scratch is the reusable per-worker working memory of the whole pipeline:
 // the canonicalization copy, the §4 transform arena (intermediate
 // instances, index tables and back-map arrays), the compact-form
-// conversion buffers and the centralised kernel's evaluator/float buffers.
+// conversion buffers, a delta's plan BFS and the centralised kernel's
+// evaluator/float buffers.
 // A warm worker therefore runs the full centralised solve with a small
 // constant number of heap allocations per job (see the alloc budget
 // tests). The zero value is ready; see NewScratch. Not safe for concurrent
@@ -148,6 +149,7 @@ type Scratch struct {
 	dec   canon.DecodeScratch
 	pipe  transform.Scratch
 	str   structured.Scratch
+	plan  delta.Scratch
 
 	// Trace is the per-request stage-timing record, reset by every entry
 	// point and filled as the pipeline runs. A fixed array inside the
@@ -200,11 +202,13 @@ func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch
 // stored result carries (a private copy; the trivial and preprocess
 // shortcuts leave rec.T nil — they have no kernel to splice from).
 //
-// base, when non-nil, is the record of the solve a delta edits: the
-// centralised t-stage then runs over the dirty agents only, seeded with the
-// base's t-vector, whenever the base ran the kernel and the structured
-// forms align, and out receives the accounting. Every other shape runs the
-// full kernel, which is always bit-identical (just not incremental).
+// base, when non-nil, is the record of the solve a delta edits: whenever
+// the base ran the kernel and the structured forms align, the centralised
+// t-stage runs over the dirty agents only, seeded with the base's
+// t-vector, the tail re-derives only the edit's output ball from the
+// base's trace, and out receives the accounting. Every other shape runs
+// the full kernel and tail, which is always bit-identical (just not
+// incremental).
 func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec, base *delta.Record, out *DeltaOutcome) (*Solution, *DistInfo, error) {
 	var info *DistInfo
 	if o.Engine != Central {
@@ -272,20 +276,24 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	sc.Trace.Add(obs.StageTransform, time.Since(tt))
 
 	// A splice re-prices only the dirty agents, keeping every other t_u of
-	// the base record; a fresh solve evaluates every agent.
+	// the base record, and re-derives only the output ball, keeping the
+	// rest of the base's trace; a fresh solve evaluates every agent.
 	copts := core.Options{R: o.R, Workers: o.Workers, BinIters: o.BinIters}
 	if coreScratch {
 		copts.Workers = 1
 	}
 	var t, xs []float64
 	var ub float64
-	dirty, spliced := planSplice(base, s, o.R, &sc.Trace)
+	dirty, ball, baseTr, spliced := planSplice(base, s, copts, sc)
 	kernelStage, tailStage, backStage := obs.StageKernel, obs.StageKernel, obs.StageBackMap
 	var baseT []float64
 	if spliced {
 		kernelStage, tailStage, backStage = obs.StageDeltaKernel, obs.StageDeltaSplice, obs.StageDeltaSplice
 		baseT = base.T
 		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
+		if len(ball) == s.N {
+			ball = nil // the ball is everything: the full tail is cheaper
+		}
 	}
 	tk := time.Now()
 	switch {
@@ -296,7 +304,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		}
 		sc.Trace.Add(kernelStage, time.Since(tk))
 		ts := time.Now()
-		tr, err := sc.core.Tail(s, copts, tv)
+		tr, err := sc.core.Tail(s, copts, tv, ball, baseTr)
 		if err != nil {
 			return nil, nil, err
 		}

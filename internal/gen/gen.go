@@ -4,7 +4,8 @@
 // application topologies the paper's introduction motivates (balanced data
 // gathering in sensor networks, fair bandwidth allocation) plus the
 // mixed packing/covering connection of [20] (nonnegative linear equation
-// systems). All generators are deterministic in their seed.
+// systems), and random row edits against any of them (RowEdits). All
+// generators are deterministic in their seed.
 package gen
 
 import (

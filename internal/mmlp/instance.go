@@ -39,6 +39,12 @@ type Objective struct {
 	Terms []Term `json:"terms"`
 }
 
+// Row is either section's row type. Both are a bare term list, so generic
+// code over rows reads a row's terms as Constraint(r).Terms.
+type Row interface {
+	Constraint | Objective
+}
+
 // Instance is a complete max-min LP. Agents are identified by the integers
 // 0..NumAgents-1; constraints and objectives by their position in Cons and
 // Objs. The zero value is an empty, valid instance with no agents.
@@ -329,8 +335,8 @@ func (in *Instance) CanonicalInto(sc *CanonScratch) *Instance {
 		slices.SortFunc(row, CompareTerm)
 		out.Objs[k] = Objective{Terms: row}
 	}
-	slices.SortFunc(out.Cons, func(a, b Constraint) int { return compareTerms(a.Terms, b.Terms) })
-	slices.SortFunc(out.Objs, func(a, b Objective) int { return compareTerms(a.Terms, b.Terms) })
+	slices.SortFunc(out.Cons, func(a, b Constraint) int { return CompareRows(a.Terms, b.Terms) })
+	slices.SortFunc(out.Objs, func(a, b Objective) int { return CompareRows(a.Terms, b.Terms) })
 	return out
 }
 
@@ -348,12 +354,12 @@ func (in *Instance) isCanonical() bool {
 		}
 	}
 	for i := 1; i < len(in.Cons); i++ {
-		if compareTerms(in.Cons[i-1].Terms, in.Cons[i].Terms) > 0 {
+		if CompareRows(in.Cons[i-1].Terms, in.Cons[i].Terms) > 0 {
 			return false
 		}
 	}
 	for k := 1; k < len(in.Objs); k++ {
-		if compareTerms(in.Objs[k-1].Terms, in.Objs[k].Terms) > 0 {
+		if CompareRows(in.Objs[k-1].Terms, in.Objs[k].Terms) > 0 {
 			return false
 		}
 	}
@@ -369,9 +375,10 @@ func termsSorted(ts []Term) bool {
 	return true
 }
 
-// compareTerms totally orders canonical rows: by length, then termwise by
-// CompareTerm.
-func compareTerms(a, b []Term) int {
+// CompareRows totally orders canonical rows: by length, then termwise by
+// CompareTerm. It is THE row order of the canonical form, within each
+// section; delta.Apply keeps edited sections in it by binary search.
+func CompareRows(a, b []Term) int {
 	if len(a) != len(b) {
 		if len(a) < len(b) {
 			return -1

@@ -16,14 +16,17 @@ import (
 	"repro/internal/shard"
 )
 
-// heavySet builds n distinct problems heavy enough (seconds each) to wedge
-// a worker for longer than any deadline the overload scenario propagates,
-// so a deadline'd probe queued behind one provably expires while waiting.
-func heavySet(seedBase int64, n int) []mmlp.SolveRequest {
+// heavySet builds n distinct problems of agents+10i agents, heavy enough
+// to wedge a worker for longer than any deadline the overload scenario
+// propagates, so a deadline'd probe queued behind one provably expires
+// while waiting. Their solve time is linear in the agent count; the
+// queue-expiry phase sizes them to the host and checks the precondition
+// on every run.
+func heavySet(seedBase int64, n, agents int) []mmlp.SolveRequest {
 	reqs := make([]mmlp.SolveRequest, n)
 	for i := range reqs {
 		in := gen.Random(gen.RandomConfig{
-			Agents: 700 + 10*i, MaxDegI: 3, MaxDegK: 3,
+			Agents: agents + 10*i, MaxDegI: 3, MaxDegK: 3,
 			ExtraCons: 8, ExtraObjs: 4,
 		}, seedBase+int64(i))
 		reqs[i] = mmlp.SolveRequest{Instance: in, Engine: mmlp.EngineDistCompact, R: 5, BinIters: 8000}
@@ -300,30 +303,52 @@ func (h *harness) runOverload() error {
 	// only expire while it waits in the queue: the shard must answer 504
 	// without running the kernel, count a deadline_expired, and free the
 	// connection as soon as a worker observes the death.
+	//
+	// The phase rests on one precondition: the occupiers hold every worker
+	// until the probe's deadline has expired. So the occupiers are sized
+	// to the host and the kernel first: one solve at heavySet's base size
+	// is timed alone on the target, and the agent count is scaled until a
+	// solve would take twice the sleep plus the deadline. Each occupier's
+	// return time is recorded, so a run that still breaks the precondition
+	// fails by naming it rather than as a stray status.
+	const (
+		occupierSleep = 300 * time.Millisecond
+		probeDeadline = 250 * time.Millisecond
+		occupierHold  = 2 * (occupierSleep + probeDeadline)
+	)
 	target := h.shardAddrs[0]
-	heavy := heavySet(h.seed+950, h.workers)
+	agents := 700
+	t0 := time.Now()
+	code, body, _, err = h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &heavySet(h.seed+949, 1, agents)[0], nil)
+	if err != nil || code != http.StatusOK {
+		return fmt.Errorf("occupier sizing solve: status %d, err %v (%s)", code, err, body)
+	}
+	if took := time.Since(t0); took < occupierHold {
+		agents = int(float64(agents)*occupierHold.Seconds()/took.Seconds()) + 1
+	}
+	heavy := heavySet(h.seed+950, h.workers, agents)
 	var owg sync.WaitGroup
 	oerrs := make([]error, len(heavy))
+	returned := make([]time.Time, len(heavy))
 	for j := range heavy {
 		owg.Add(1)
 		go func(j int) {
 			defer owg.Done()
 			code, body, _, err := h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &heavy[j], nil)
+			returned[j] = time.Now()
 			if err != nil || code != http.StatusOK {
 				oerrs[j] = fmt.Errorf("occupier %d: status %d, err %v (%s)", j, code, err, body)
 			}
 		}(j)
 	}
-	time.Sleep(300 * time.Millisecond) // occupiers dequeued, workers wedged, queue empty
+	time.Sleep(occupierSleep) // occupiers dequeued, workers wedged, queue empty
 	expProbe := fastSet(h.seed+991, 1)[0]
 	start := time.Now()
-	code, body, _, err = h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &expProbe, map[string]string{obs.DeadlineHeader: "250"})
+	code, body, _, err = h.post(target, "/v1/solve", mmlp.ContentTypeJSON, &expProbe,
+		map[string]string{obs.DeadlineHeader: strconv.Itoa(int(probeDeadline.Milliseconds()))})
 	elapsed := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("deadline probe: %w", err)
-	}
-	if code != http.StatusGatewayTimeout {
-		return fmt.Errorf("deadline probe: status %d (%s), want 504 for a deadline expired in queue", code, body)
 	}
 	if elapsed > 30*time.Second {
 		return fmt.Errorf("deadline probe hung %v past its 250ms deadline", elapsed)
@@ -334,6 +359,19 @@ func (h *harness) runOverload() error {
 			return oerr
 		}
 	}
+	expiry := start.Add(probeDeadline)
+	margin := returned[0].Sub(expiry)
+	for j, at := range returned {
+		if at.Before(expiry) {
+			return fmt.Errorf("queue expiry precondition broken: occupier %d (%d agents) returned %v before the probe's %v deadline expired, so the probe could reach a free worker in time (status %d); the heavySet solves no longer outlast the %v sleep plus the deadline",
+				j, agents+10*j, expiry.Sub(at).Round(time.Millisecond), probeDeadline, code, occupierSleep)
+		}
+		margin = min(margin, at.Sub(expiry))
+	}
+	if code != http.StatusGatewayTimeout {
+		return fmt.Errorf("deadline probe: status %d (%s), want 504 for a deadline expired in queue (smallest occupier margin past the deadline %v)",
+			code, body, margin.Round(time.Millisecond))
+	}
 	raw, err := h.scrapeRaw(target)
 	if err != nil {
 		return err
@@ -341,8 +379,8 @@ func (h *harness) runOverload() error {
 	if raw.DeadlineExpired < 1 {
 		return fmt.Errorf("shard answered 504 but counts %d deadline_expired", raw.DeadlineExpired)
 	}
-	fmt.Printf("queue expiry: deadline'd probe behind wedged workers answered 504 in %v, deadline_expired=%d\n",
-		elapsed.Round(time.Millisecond), raw.DeadlineExpired)
+	fmt.Printf("queue expiry: deadline'd probe behind wedged workers answered 504 in %v, deadline_expired=%d, occupiers of %d+ agents, smallest occupier margin past the deadline %v\n",
+		elapsed.Round(time.Millisecond), raw.DeadlineExpired, agents, margin.Round(time.Millisecond))
 
 	// Refusing and expiring work must never have looked like shard death.
 	fleet, err := h.fleetStats()

@@ -6,9 +6,12 @@
 // The implementation mirrors the paper's three stages:
 //
 //  1. Per-agent upper bounds t_u: the optimum of the max-min LP on the
-//     alternating tree A_u (§5.1–§5.2), found by binary search over ω on
-//     the monotone recursions (5)–(7) — the "simple binary search" the
-//     paper prescribes for practice. Distinct occurrences of the same agent
+//     alternating tree A_u (§5.1–§5.2), as the "simple binary search" over
+//     ω on the monotone recursions (5)–(7) that the paper prescribes for
+//     practice finds it — the same bits, from 3–5 evaluations of the
+//     recursions instead of one per halving: Newton steps on their
+//     piecewise-linear excess bracket t_u, and the bisection is replayed
+//     against the bracket (tu.go). Distinct occurrences of the same agent
 //     at the same depth of A_u share their f± value, so the recursion is
 //     memoised on (agent, depth, sign) and runs in time proportional to the
 //     radius-Θ(R) neighbourhood rather than the unfolded tree.

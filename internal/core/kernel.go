@@ -56,6 +56,10 @@ func CombineOutput(gp, gm []float64, R int) float64 {
 // exhausted at float64 resolution. The iteration sequence — and hence the
 // returned bits — is a pure function of (hi, iters, feasible), which is
 // what makes centralised and distributed t_u computations agree exactly.
+// It is the one search loop of every t_u: the centralised kernel replays
+// it against a bracket of the largest feasible float, answering the
+// probes outside the bracket without evaluating them, and the anonymous
+// view protocol runs it plainly.
 func BinarySearch(hi float64, iters int, feasible func(omega float64) bool) float64 {
 	if feasible(hi) {
 		return hi
@@ -76,9 +80,10 @@ func BinarySearch(hi float64, iters int, feasible func(omega float64) bool) floa
 }
 
 // Evaluator exposes the per-root t_u computation (recursions (5)–(7) with
-// the binary search of §5.2) for callers outside the package; the dist
-// package uses it to run the identifier-based record protocol on exactly
-// the centralised kernel. The evaluator is not safe for concurrent use.
+// the binary search of §5.2, found by the threshold search of computeT)
+// for callers outside the package; the dist package uses it to run the
+// identifier-based record protocol on exactly the centralised kernel. The
+// evaluator is not safe for concurrent use.
 type Evaluator struct {
 	ev *evaluator
 }
@@ -117,7 +122,8 @@ func NewEvaluatorScoped(s *structured.Instance, r int, agents []int32) (*Evaluat
 
 // ComputeT returns t_u as computed by the centralised engine: the largest ω
 // feasible for root u within binIters bracket halvings (0 means the
-// default of 100).
+// default of 100) — the bits of BinarySearch over the recursions, from
+// the few evaluations of the threshold search.
 func (e *Evaluator) ComputeT(u int32, binIters int) float64 {
 	if binIters == 0 {
 		binIters = 100

@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mmlp"
 	"repro/internal/structured"
+	"repro/internal/transform"
 )
 
 // Record is what a base solve leaves in the result cache for later deltas:
@@ -54,24 +55,37 @@ type Record struct {
 	// ball-local tail needs the base's full trace. Rebuilding either means
 	// re-running the pipeline on the whole base — O(n) work per delta that
 	// would dwarf the small-edit pricing it enables. The first delta
-	// against this record builds both; every later one reuses them, and a
+	// against this record builds them; every later one reuses them, and a
 	// base nobody edits never pays for them.
-	once   sync.Once
-	sOld   *structured.Instance
-	trOld  *core.Trace
-	baseOK bool
+	once sync.Once
+	form *BaseForm
 }
 
-// Base returns the structured form of the base instance and the full
-// trace of its solve, building both with build on the first call and
-// memoising the result — including failure: a base whose pipeline leaves
-// the standard preprocess→structure shape can never be spliced against,
-// so rebuilding would not change the answer. Safe for concurrent use;
-// build runs at most once and must return memory the record may own (no
-// shared scratch arenas; the trace from core's Trace.Own).
-func (r *Record) Base(build func() (*structured.Instance, *core.Trace, bool)) (*structured.Instance, *core.Trace, bool) {
-	r.once.Do(func() { r.sOld, r.trOld, r.baseOK = build() })
-	return r.sOld, r.trOld, r.baseOK
+// BaseForm is what pricing deltas against a record derives from its base
+// once: the structured form and the full trace of the base solve, and,
+// when §4 handed the base on unchanged, its preprocessing record and
+// pipeline.
+type BaseForm struct {
+	S     *structured.Instance
+	Trace *core.Trace
+	// Pre and Pipe are In's own when In is itself in structured form, nil
+	// otherwise. Their back-maps then depend on the agent count alone, so
+	// they also map back every instance S.Reweighted accepts. Both are
+	// shared read-only: map back through Pipe.BackInto.
+	Pre  *transform.Preprocessed
+	Pipe *transform.Pipeline
+}
+
+// Base returns the record's BaseForm, building it with build on the first
+// call and memoising the result — including failure (nil): a base whose
+// pipeline leaves the standard preprocess→structure shape can never be
+// spliced against, so rebuilding would not change the answer. Safe for
+// concurrent use; build runs at most once and must return memory the
+// record may own (a private scratch arena; the trace from core's
+// Trace.Own).
+func (r *Record) Base(build func() *BaseForm) *BaseForm {
+	r.once.Do(func() { r.form = build() })
+	return r.form
 }
 
 // Bytes estimates the record's heap footprint for cache accounting. Every
@@ -98,9 +112,10 @@ func (r *Record) Bytes() int64 {
 }
 
 // Apply materialises the edited instance: base with every edit applied in
-// order, copy-on-write. The result gets its own two row-header slices but
-// shares every untouched row with base, so neither may be mutated — the
-// contract every canonical instance in the pipeline already keeps. base
+// order, copy-on-write. The result gets its own row headers for each
+// section an edit names and shares the other section and every untouched
+// row with base, so neither may be mutated — the contract every canonical
+// instance in the pipeline already keeps. base
 // must be in canonical form (mmlp.Canonical's output; every Record.In
 // is): Apply finds rows by binary search and inserts each written row at
 // its canonical position, so the result is canonical too and
@@ -117,10 +132,15 @@ func (r *Record) Bytes() int64 {
 func Apply(base *mmlp.Instance, edits []mmlp.RowEdit) (*mmlp.Instance, error) {
 	// Room for every edit to add a row, so no insertion copies the headers
 	// again.
-	out := &mmlp.Instance{
-		NumAgents: base.NumAgents,
-		Cons:      append(make([]mmlp.Constraint, 0, len(base.Cons)+len(edits)), base.Cons...),
-		Objs:      append(make([]mmlp.Objective, 0, len(base.Objs)+len(edits)), base.Objs...),
+	out := &mmlp.Instance{NumAgents: base.NumAgents, Cons: base.Cons, Objs: base.Objs}
+	names := func(cons bool) bool {
+		return slices.ContainsFunc(edits, func(e mmlp.RowEdit) bool { return (e.Kind == mmlp.EditConstraint) == cons })
+	}
+	if names(true) {
+		out.Cons = append(make([]mmlp.Constraint, 0, len(base.Cons)+len(edits)), base.Cons...)
+	}
+	if names(false) {
+		out.Objs = append(make([]mmlp.Objective, 0, len(base.Objs)+len(edits)), base.Objs...)
 	}
 	for j := range edits {
 		if err := applyOne(out, &edits[j]); err != nil {

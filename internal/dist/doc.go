@@ -13,7 +13,10 @@
 //   - SolveDistributed — anonymous view gathering (the port-numbering
 //     model of §1.2 and of arXiv:0710.1499, arXiv:0804.4815): in 4r+3
 //     rounds every node assembles the truncated unfolding of §3 rooted at
-//     itself, then runs the t_u binary search on it. View messages are
+//     itself, then runs the t_u binary search on it — plain bisection,
+//     one evaluation per halving, kept as the reference the centralised
+//     kernel's threshold search must match, so every dist-vs-central
+//     comparison also compares the two searches. View messages are
 //     trees, so Stats.Bytes grows exponentially with R;
 //     Stats.CompressedBytes re-counts them in the standard DAG encoding
 //     (equal subtrees stored once), and Stats.MaxMessageBytes grows with R

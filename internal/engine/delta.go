@@ -102,52 +102,62 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	return k, nil
 }
 
-// planSplice plans a delta against base: the dirty agent set — every
-// agent within the kernel's radius-(4r+3) reach of an edited row — and
-// the output ball — every agent within OutputRadius(r), whose s, g± and x
-// the tail re-derives — from one BFS on sc's plan scratch, plus the base's
-// full trace. ok is false when the edit cannot be spliced: no base, a
-// base that never ran the kernel, or structured forms that do not align.
-func planSplice(base *delta.Record, sNew *structured.Instance, copts core.Options, sc *Scratch) (dirty, ball []int, baseTr *core.Trace, ok bool) {
-	if base == nil || base.T == nil {
-		return nil, nil, nil, false
+// baseForm returns base's memoised BaseForm, building it on the first
+// delta: nil when the base never ran the kernel or its pipeline cannot be
+// aligned.
+func baseForm(base *delta.Record, copts core.Options) *delta.BaseForm {
+	if base.T == nil {
+		return nil
 	}
-	tp := time.Now()
 	// The base is transformed and its tail derived once per record, not
 	// per delta: the memoised forms are shared by every delta priced
 	// against it. The build uses a private arena (the worker's holds the
-	// edited side) whose memory the structured instance then owns; the
-	// trace is detached from it by Own. The base reached the kernel, so
-	// its pipeline must take the standard shape; anything else means the
-	// record cannot be aligned.
-	sOld, baseTr, ok := base.Base(func() (*structured.Instance, *core.Trace, bool) {
+	// edited side) whose memory the form then owns; the trace is detached
+	// from it by Own. The base reached the kernel, so its pipeline must
+	// take the standard shape; anything else means the record cannot be
+	// aligned.
+	return base.Base(func() *delta.BaseForm {
 		osc := NewScratch()
 		pp := transform.PreprocessScratch(base.In, &osc.pipe)
 		if pp.Outcome != transform.OK {
-			return nil, nil, false
+			return nil
 		}
 		pipe, err := transform.StructureScratch(pp.Out, &osc.pipe)
 		if err != nil {
-			return nil, nil, false
+			return nil
 		}
 		s, err := structured.FromMMLPScratch(pipe.Final(), &osc.str)
 		if err != nil || len(base.T) != s.N {
-			return nil, nil, false
+			return nil
 		}
 		tr, err := osc.core.Tail(s, copts, base.T, nil, nil)
 		if err != nil {
-			return nil, nil, false
+			return nil
 		}
-		return s, tr.Own(), true
+		f := &delta.BaseForm{S: s, Trace: tr.Own()}
+		if pipe.Final() == base.In {
+			f.Pre, f.Pipe = pp, pipe
+		}
+		return f
 	})
-	if !ok || sOld.N != sNew.N {
-		return nil, nil, nil, false
+}
+
+// planSplice plans a delta against its base's form: the dirty agent set —
+// every agent within the kernel's radius-(4r+3) reach of an edited row —
+// and the output ball — every agent within OutputRadius(r), whose s, g±
+// and x the tail re-derives — from one BFS on sc's plan scratch. ok is
+// false when the edit cannot be spliced: no form, or structured forms
+// that do not align.
+func planSplice(form *delta.BaseForm, sNew *structured.Instance, copts core.Options, sc *Scratch) (dirty, ball []int, ok bool) {
+	if form == nil || form.S.N != sNew.N {
+		return nil, nil, false
 	}
+	tp := time.Now()
 	r := copts.R - 2
-	dirty, ball, err := sc.plan.Plan(sOld, sNew, core.TRadius(r), core.OutputRadius(r))
+	dirty, ball, err := sc.plan.Plan(form.S, sNew, core.TRadius(r), core.OutputRadius(r))
 	if err != nil {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	sc.Trace.Add(obs.StageDeltaPlan, time.Since(tp))
-	return dirty, ball, baseTr, true
+	return dirty, ball, true
 }

@@ -150,6 +150,7 @@ type Scratch struct {
 	pipe  transform.Scratch
 	str   structured.Scratch
 	plan  delta.Scratch
+	back  [2][]float64 // Pipeline.BackInto's buffers
 
 	// Trace is the per-request stage-timing record, reset by every entry
 	// point and filled as the pipeline runs. A fixed array inside the
@@ -224,51 +225,76 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		return nil, nil, err
 	}
 
+	copts := core.Options{R: o.R, Workers: o.Workers, BinIters: o.BinIters}
+	if coreScratch {
+		copts.Workers = 1
+	}
+	var form *delta.BaseForm
+	if base != nil {
+		tf := time.Now()
+		form = baseForm(base, copts)
+		sc.Trace.Add(obs.StageDeltaPlan, time.Since(tf))
+	}
+
 	// Stage windows for the request trace: transform covers preprocessing
 	// through the structured-form conversion, kernel the engine proper,
 	// back-map the lift/strictify/utility tail. Early returns close the
 	// transform window so partial pipelines still attribute their cost.
 	tt := time.Now()
-	pp := transform.PreprocessScratch(in, &sc.pipe)
-	switch pp.Outcome {
-	case transform.ZeroOptimum:
-		sc.Trace.Add(obs.StageTransform, time.Since(tt))
-		return &Solution{Status: StatusZeroOptimum, X: pp.Lift(nil), Utility: 0, UpperBound: 0}, info, nil
-	case transform.UnboundedOptimum:
-		sc.Trace.Add(obs.StageTransform, time.Since(tt))
-		return &Solution{Status: StatusUnbounded}, info, nil
-	}
-	red := pp.Out
-
-	// Trivial cases: the optimal local algorithms of [17]. The dispatched
-	// baseline solve is the kernel of these requests.
-	if !o.DisableSpecialCases {
-		if red.DegreeI() <= 1 {
-			sc.Trace.Add(obs.StageTransform, time.Since(tt))
-			tk := time.Now()
-			x := in.Strictify(pp.Lift(baseline.SolveSingletonConstraints(red)))
-			sc.Trace.Add(obs.StageKernel, time.Since(tk))
-			return &Solution{Status: StatusOptimal, X: x, Utility: in.Utility(x), UpperBound: in.Utility(x)}, info, nil
-		}
-		if red.DegreeK() <= 1 {
-			sc.Trace.Add(obs.StageTransform, time.Since(tt))
-			tk := time.Now()
-			x := in.Strictify(pp.Lift(baseline.SolveSingletonObjectives(red)))
-			sc.Trace.Add(obs.StageKernel, time.Since(tk))
-			return &Solution{Status: StatusOptimal, X: x, Utility: in.Utility(x), UpperBound: in.Utility(x)}, info, nil
+	var pp *transform.Preprocessed
+	var pipe *transform.Pipeline
+	var s *structured.Instance
+	if form != nil && form.Pipe != nil {
+		// A base in structured form passes §4 unchanged, and so does an
+		// edit of its constraint coefficients alone: such an instance
+		// takes the base's preprocessing and back-maps, and its compact
+		// form is the base's with the edited rows patched in — no O(size)
+		// validation, preprocessing or conversion.
+		if s, _ = form.S.Reweighted(base.In, in, &sc.str); s != nil {
+			pp, pipe = form.Pre, form.Pipe
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
+	if s == nil {
+		pp = transform.PreprocessScratch(in, &sc.pipe)
+		switch pp.Outcome {
+		case transform.ZeroOptimum:
+			sc.Trace.Add(obs.StageTransform, time.Since(tt))
+			return &Solution{Status: StatusZeroOptimum, X: pp.Lift(nil), Utility: 0, UpperBound: 0}, info, nil
+		case transform.UnboundedOptimum:
+			sc.Trace.Add(obs.StageTransform, time.Since(tt))
+			return &Solution{Status: StatusUnbounded}, info, nil
+		}
+		red := pp.Out
 
-	pipe, err := transform.StructureScratch(red, &sc.pipe)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := structured.FromMMLPScratch(pipe.Final(), &sc.str)
-	if err != nil {
-		return nil, nil, err
+		// Trivial cases: the optimal local algorithms of [17]. The
+		// dispatched baseline solve is the kernel of these requests.
+		if !o.DisableSpecialCases {
+			if red.DegreeI() <= 1 {
+				sc.Trace.Add(obs.StageTransform, time.Since(tt))
+				tk := time.Now()
+				x := in.Strictify(pp.Lift(baseline.SolveSingletonConstraints(red)))
+				sc.Trace.Add(obs.StageKernel, time.Since(tk))
+				return &Solution{Status: StatusOptimal, X: x, Utility: in.Utility(x), UpperBound: in.Utility(x)}, info, nil
+			}
+			if red.DegreeK() <= 1 {
+				sc.Trace.Add(obs.StageTransform, time.Since(tt))
+				tk := time.Now()
+				x := in.Strictify(pp.Lift(baseline.SolveSingletonObjectives(red)))
+				sc.Trace.Add(obs.StageKernel, time.Since(tk))
+				return &Solution{Status: StatusOptimal, X: x, Utility: in.Utility(x), UpperBound: in.Utility(x)}, info, nil
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+
+		var err error
+		if pipe, err = transform.StructureScratch(red, &sc.pipe); err != nil {
+			return nil, nil, err
+		}
+		if s, err = structured.FromMMLPScratch(pipe.Final(), &sc.str); err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -278,18 +304,15 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	// A splice re-prices only the dirty agents, keeping every other t_u of
 	// the base record, and re-derives only the output ball, keeping the
 	// rest of the base's trace; a fresh solve evaluates every agent.
-	copts := core.Options{R: o.R, Workers: o.Workers, BinIters: o.BinIters}
-	if coreScratch {
-		copts.Workers = 1
-	}
 	var t, xs []float64
 	var ub float64
-	dirty, ball, baseTr, spliced := planSplice(base, s, copts, sc)
+	dirty, ball, spliced := planSplice(form, s, copts, sc)
 	kernelStage, tailStage, backStage := obs.StageKernel, obs.StageKernel, obs.StageBackMap
 	var baseT []float64
+	var baseTr *core.Trace
 	if spliced {
 		kernelStage, tailStage, backStage = obs.StageDeltaKernel, obs.StageDeltaSplice, obs.StageDeltaSplice
-		baseT = base.T
+		baseT, baseTr = base.T, form.Trace
 		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
 		if len(ball) == s.N {
 			ball = nil // the ball is everything: the full tail is cheaper
@@ -360,7 +383,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	}
 
 	tb := time.Now()
-	x := in.Strictify(pp.Lift(pipe.Back(xs)))
+	x := in.Strictify(pp.Lift(pipe.BackInto(xs, &sc.back)))
 	sol := &Solution{
 		Status:     StatusApproximate,
 		X:          x,

@@ -54,11 +54,11 @@ func (in *Instance) validateRow(kind string, row int, ts []Term, seen *map[int]i
 		}
 	}
 	for j, t := range ts {
-		if t.Agent < 0 || t.Agent >= in.NumAgents {
+		if uint(t.Agent) >= uint(in.NumAgents) {
 			return fmt.Errorf("%w: %s %d references agent %d outside [0,%d)",
 				ErrInvalid, kind, row, t.Agent, in.NumAgents)
 		}
-		if !(t.Coef > 0) || math.IsInf(t.Coef, 0) || math.IsNaN(t.Coef) {
+		if !(t.Coef > 0 && t.Coef <= math.MaxFloat64) {
 			return fmt.Errorf("%w: %s %d has non-positive or non-finite coefficient %v for agent %d",
 				ErrInvalid, kind, row, t.Coef, t.Agent)
 		}

@@ -16,6 +16,7 @@ package structured
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mmlp"
 	"repro/internal/reuse"
@@ -48,6 +49,11 @@ type Scratch struct {
 	objIdx  []int32
 	consIdx []int32
 	count   []int32
+
+	// rew is Reweighted's result: its coefficient and cap arrays are this
+	// scratch's, its agent, objective and incidence lists another's.
+	rew     Instance
+	changed []int32
 }
 
 // grow is the shared arena-resize primitive.
@@ -105,8 +111,11 @@ func FromMMLPScratch(in *mmlp.Instance, sc *Scratch) (*Instance, error) {
 			return nil, fmt.Errorf("structured: agent %d has no objective", v)
 		}
 	}
+	// One pass over the constraints fills the pairs, counts each agent's
+	// constraints and takes its cap min_{i∈Iv} 1/a_iv in constraint order.
 	s.ConsV = grow(&s.ConsV, len(in.Cons))
 	s.ConsA = grow(&s.ConsA, len(in.Cons))
+	s.Caps = grow(&s.Caps, in.NumAgents)
 	count := grow(&sc.count, in.NumAgents)
 	for v := range count {
 		count[v] = 0
@@ -118,6 +127,9 @@ func FromMMLPScratch(in *mmlp.Instance, sc *Scratch) (*Instance, error) {
 		for j, t := range c.Terms {
 			s.ConsV[i][j] = int32(t.Agent)
 			s.ConsA[i][j] = t.Coef
+			if count[t.Agent] == 0 || 1/t.Coef < s.Caps[t.Agent] {
+				s.Caps[t.Agent] = 1 / t.Coef
+			}
 			count[t.Agent]++
 		}
 	}
@@ -128,30 +140,87 @@ func FromMMLPScratch(in *mmlp.Instance, sc *Scratch) (*Instance, error) {
 	s.ConsOf = grow(&s.ConsOf, in.NumAgents)
 	pos = 0
 	for v := 0; v < in.NumAgents; v++ {
+		if count[v] == 0 {
+			return nil, fmt.Errorf("structured: agent %d has no constraints", v)
+		}
 		s.ConsOf[v] = consIdx[pos : pos : pos+int(count[v])]
 		pos += int(count[v])
 	}
-	for i, c := range in.Cons {
-		for _, t := range c.Terms {
-			s.ConsOf[t.Agent] = append(s.ConsOf[t.Agent], int32(i))
+	for i, pair := range s.ConsV {
+		for _, v := range pair {
+			s.ConsOf[v] = append(s.ConsOf[v], int32(i))
 		}
-	}
-	s.Caps = grow(&s.Caps, in.NumAgents)
-	for v := 0; v < s.N; v++ {
-		if len(s.ConsOf[v]) == 0 {
-			return nil, fmt.Errorf("structured: agent %d has no constraints", v)
-		}
-		cap := 0.0
-		for j, i := range s.ConsOf[v] {
-			a := s.CoefOf(int(i), int32(v))
-			if j == 0 || 1/a < cap {
-				cap = 1 / a
-			}
-		}
-		s.Caps[v] = cap
 	}
 	return s, nil
 }
+
+// Reweighted returns FromMMLP(in) given s = FromMMLP(base), for an
+// instance that differs from base in constraint coefficients alone: the
+// same agent count and objective rows, and at every constraint position
+// the same agent pair, with coefficients in (0, MaxFloat64]. Such an
+// instance is valid and in structured form, and its compact form is s
+// with the new coefficients and the caps of their agents re-taken in
+// constraint order. The result shares s's ObjOf, Objs, ConsV and ConsOf
+// (neither instance may mutate them) and owns only ConsA and Caps, in
+// sc's memory (nil sc allocates); it is valid until sc's next
+// Reweighted. ok is false for any other instance, whose compact form
+// FromMMLP must build. A section or row in shares with base (the
+// copy-on-write rows of an edit) is known equal without a comparison.
+func (s *Instance) Reweighted(base, in *mmlp.Instance, sc *Scratch) (r *Instance, ok bool) {
+	if in.NumAgents != s.N || len(in.Cons) != len(s.ConsV) || len(in.Objs) != len(s.Objs) {
+		return nil, false
+	}
+	if !shared(in.Objs, base.Objs) {
+		for k, o := range in.Objs {
+			if len(o.Terms) != len(s.Objs[k]) {
+				return nil, false
+			}
+			for j, t := range o.Terms {
+				if t.Agent != int(s.Objs[k][j]) || t.Coef != 1 {
+					return nil, false
+				}
+			}
+		}
+	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	r = &sc.rew
+	r.N, r.ObjOf, r.Objs, r.ConsV, r.ConsOf = s.N, s.ObjOf, s.Objs, s.ConsV, s.ConsOf
+	r.ConsA = append(r.ConsA[:0], s.ConsA...)
+	changed := sc.changed[:0]
+	for i, c := range in.Cons {
+		if shared(c.Terms, base.Cons[i].Terms) {
+			continue
+		}
+		if len(c.Terms) != 2 {
+			return nil, false
+		}
+		for j, t := range c.Terms {
+			if t.Agent != int(s.ConsV[i][j]) || !(t.Coef > 0 && t.Coef <= math.MaxFloat64) {
+				return nil, false
+			}
+			r.ConsA[i][j] = t.Coef
+		}
+		changed = append(changed, int32(i))
+	}
+	sc.changed = changed
+	r.Caps = append(r.Caps[:0], s.Caps...)
+	for _, i := range changed {
+		for _, v := range r.ConsV[i] {
+			for j, ci := range r.ConsOf[v] {
+				if c := 1 / r.CoefOf(int(ci), v); j == 0 || c < r.Caps[v] {
+					r.Caps[v] = c
+				}
+			}
+		}
+	}
+	return r, true
+}
+
+// shared reports whether a and b are one slice — the same length over the
+// same backing array — and so hold the same elements.
+func shared[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 
 // CoefOf returns a_iv for agent v in constraint i; v must be in the pair.
 func (s *Instance) CoefOf(i int, v int32) float64 {

@@ -2,7 +2,9 @@ package structured
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -256,5 +258,74 @@ func TestFromMMLPScratchWarmAllocFree(t *testing.T) {
 		}
 	}); avg > 0 {
 		t.Fatalf("warm FromMMLPScratch allocates %.1f objects", avg)
+	}
+}
+
+// TestReweighted: an instance that differs from a structured base in
+// constraint coefficients alone — a few rows reweighted, by factors up to
+// 10^±300 and down to subnormal — gets exactly FromMMLP's compact form
+// from the base's, which it leaves untouched; an invalid coefficient or
+// any difference in agents, rows or objective coefficients is refused.
+func TestReweighted(t *testing.T) {
+	necklace, _, _ := gen.LayeredNecklace(9)
+	for name, base := range map[string]*mmlp.Instance{
+		"tri-necklace":      gen.TriNecklace(12),
+		"layered-necklace":  necklace,
+		"layered-tree":      gen.LayeredTree(4),
+		"random-structured": gen.RandomStructured(gen.StructuredConfig{Objectives: 12, MaxDegK: 4, ExtraCons: 6}, 3),
+	} {
+		s, err := FromMMLP(base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		same := func(a, b *Instance) bool {
+			return a.N == b.N && reflect.DeepEqual(a.ObjOf, b.ObjOf) && reflect.DeepEqual(a.Objs, b.Objs) &&
+				reflect.DeepEqual(a.ConsV, b.ConsV) && reflect.DeepEqual(a.ConsA, b.ConsA) &&
+				reflect.DeepEqual(a.ConsOf, b.ConsOf) && reflect.DeepEqual(a.Caps, b.Caps)
+		}
+		sc := &Scratch{}
+		rng := rand.New(rand.NewSource(1))
+		for trial := range 40 {
+			// The same edit twice: as a deep copy, and copy-on-write —
+			// fresh rows where edited, the rest shared with base.
+			in := base.Clone()
+			cow := &mmlp.Instance{NumAgents: base.NumAgents, Cons: slices.Clone(base.Cons), Objs: base.Objs}
+			for range 1 + trial%4 {
+				i := rng.Intn(len(in.Cons))
+				for j := range in.Cons[i].Terms {
+					in.Cons[i].Terms[j].Coef *= [...]float64{0.5, 3, 1e300, 1e-300, 1e-320, 0}[rng.Intn(6)]
+				}
+				cow.Cons[i].Terms = slices.Clone(in.Cons[i].Terms)
+			}
+			valid := in.Validate() == nil
+			want, err := FromMMLP(in)
+			for form, in := range map[string]*mmlp.Instance{"copy": in, "copy-on-write": cow} {
+				got, ok := s.Reweighted(base, in, sc)
+				if ok != valid {
+					t.Fatalf("%s trial %d %s: Reweighted ok=%v for an instance with Validate ok=%v", name, trial, form, ok, valid)
+				}
+				if ok && (err != nil || !same(got, want)) {
+					t.Fatalf("%s trial %d %s: Reweighted differs from FromMMLP (err %v)", name, trial, form, err)
+				}
+			}
+		}
+		for what, edit := range map[string]func(*mmlp.Instance){
+			"agent moved":        func(in *mmlp.Instance) { in.Cons[0].Terms[0].Agent = in.Cons[1].Terms[1].Agent },
+			"objective weighted": func(in *mmlp.Instance) { in.Objs[0].Terms[0].Coef = 2 },
+			"row added":          func(in *mmlp.Instance) { in.AddConstraint(0, 1, 1, 1) },
+			"agent added":        func(in *mmlp.Instance) { in.NumAgents++ },
+			"infinite":           func(in *mmlp.Instance) { in.Cons[0].Terms[1].Coef = math.Inf(1) },
+			"NaN":                func(in *mmlp.Instance) { in.Cons[0].Terms[1].Coef = math.NaN() },
+			"negative":           func(in *mmlp.Instance) { in.Cons[0].Terms[1].Coef = -1 },
+		} {
+			in := base.Clone()
+			edit(in)
+			if _, ok := s.Reweighted(base, in, sc); ok {
+				t.Fatalf("%s: Reweighted accepted an instance with %s", name, what)
+			}
+		}
+		if want, _ := FromMMLP(base); !same(s, want) {
+			t.Fatalf("%s: Reweighted changed the base's compact form", name)
+		}
 	}
 }

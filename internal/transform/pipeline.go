@@ -51,8 +51,8 @@ type Pipeline struct {
 	// Steps lists the applied transformations in application order.
 	Steps []Step
 
-	// bufA, bufB are the ping-pong buffers of Back, retained across calls.
-	bufA, bufB []float64
+	// bufs are the ping-pong buffers of Back, retained across calls.
+	bufs [2][]float64
 }
 
 // Final returns the instance after the last step (Input when no steps ran).
@@ -67,11 +67,17 @@ func (p *Pipeline) Final() *mmlp.Instance {
 // applying the step back-maps in reverse order. The result aliases the
 // pipeline's reusable buffers (or x itself for an empty pipeline) and is
 // valid until the next Back call; callers that keep it must copy it.
-func (p *Pipeline) Back(x []float64) []float64 {
+func (p *Pipeline) Back(x []float64) []float64 { return p.BackInto(x, &p.bufs) }
+
+// BackInto is Back ping-ponging through bufs instead of the pipeline's own
+// buffers, so goroutines can share one pipeline read-only, each back-
+// mapping through its own bufs. The result aliases bufs (or x itself for
+// an empty pipeline).
+func (p *Pipeline) BackInto(x []float64, bufs *[2][]float64) []float64 {
 	for s := len(p.Steps) - 1; s >= 0; s-- {
-		p.bufA = p.Steps[s].Back.ApplyInto(x, p.bufA)
-		x = p.bufA
-		p.bufA, p.bufB = p.bufB, p.bufA
+		bufs[0] = p.Steps[s].Back.ApplyInto(x, bufs[0])
+		x = bufs[0]
+		bufs[0], bufs[1] = bufs[1], bufs[0]
 	}
 	return x
 }
@@ -88,6 +94,10 @@ func Structure(in *mmlp.Instance) (*Pipeline, error) {
 // back-map into sc's reusable arena (nil sc allocates a private one). The
 // returned pipeline aliases sc and is valid until its next use; warm
 // arenas make the whole §4 stage allocation-free.
+//
+// A step with nothing to rewrite hands its input on (see steps.go), so an
+// input already in structured form passes through uncopied: every
+// Step.Out is in itself, and the back-maps are still the steps' own.
 func StructureScratch(in *mmlp.Instance, sc *Scratch) (*Pipeline, error) {
 	if sc == nil {
 		sc = NewScratch()
@@ -100,15 +110,15 @@ func StructureScratch(in *mmlp.Instance, sc *Scratch) (*Pipeline, error) {
 	p.Steps = p.Steps[:0]
 	cur := in
 	var back BackMap
-	cur, back = augmentSingletonConstraints(cur, sc, &sc.outs[0])
+	cur, back = augmentSingletonConstraints(cur, sc, &sc.outs[0], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.2 augment singleton constraints", Out: cur, Back: back})
-	cur, back = reduceConstraintDegree(cur, sc, &sc.outs[1])
+	cur, back = reduceConstraintDegree(cur, sc, &sc.outs[1], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.3 reduce constraint degree", Out: cur, Back: back})
-	cur, back = splitAgentsPerObjective(cur, sc, &sc.outs[2])
+	cur, back = splitAgentsPerObjective(cur, sc, &sc.outs[2], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.4 one objective per agent", Out: cur, Back: back})
-	cur, back = augmentSingletonObjectives(cur, sc, &sc.outs[3])
+	cur, back = augmentSingletonObjectives(cur, sc, &sc.outs[3], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.5 augment singleton objectives", Out: cur, Back: back})
-	cur, back = normalizeCoefficients(cur, sc, &sc.outs[4])
+	cur, back = normalizeCoefficients(cur, sc, &sc.outs[4], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.6 normalise coefficients", Out: cur, Back: back})
 	if err := checkStructured(cur, sc); err != nil {
 		return nil, fmt.Errorf("transform: pipeline did not reach structured form: %w", err)

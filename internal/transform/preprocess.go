@@ -60,6 +60,7 @@ func Preprocess(in *mmlp.Instance) *Preprocessed {
 // PreprocessScratch is Preprocess building the reduced instance and the
 // lift bookkeeping into sc's reusable arena (nil sc allocates a private
 // one). The returned record aliases sc and is valid until its next use.
+// When there is nothing to remove, its Out is in itself.
 func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 	if sc == nil {
 		sc = NewScratch()
@@ -83,7 +84,9 @@ func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 	for v := range consCount {
 		consCount[v] = 0
 	}
+	emptyRow := false
 	for _, c := range in.Cons {
+		emptyRow = emptyRow || len(c.Terms) == 0
 		for _, t := range c.Terms {
 			consCount[t.Agent]++
 		}
@@ -136,6 +139,11 @@ func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 			newIndex[v] = -1
 		}
 	}
+	if kept == len(in.Objs) && na == in.NumAgents && !emptyRow {
+		// Nothing to remove: the reduced instance would be in, row for row.
+		pp.Out = in
+		return pp
+	}
 	a := &sc.pre
 	a.reset(na)
 	for _, c := range in.Cons {
@@ -167,9 +175,14 @@ func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 // their values, dropped agents are zero, and one unconstrained agent per
 // dropped objective is raised so that the dropped objective matches the
 // utility the reduced solution achieves. For ZeroOptimum the all-zero
-// vector is returned (x may be nil in that case). The result is freshly
-// allocated — it never aliases the arena the record was built in.
+// vector is returned (x may be nil in that case). When nothing was
+// removed the lift is the identity and x itself is returned; otherwise
+// the result is freshly allocated. It never aliases the arena the record
+// was built in.
 func (pp *Preprocessed) Lift(x []float64) []float64 {
+	if pp.Outcome == OK && len(pp.keepAgent) == pp.origAgents && len(pp.boost) == 0 {
+		return x
+	}
 	full := make([]float64, pp.origAgents)
 	if pp.Outcome != OK {
 		return full

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/mmlp"
 )
@@ -10,6 +11,14 @@ import (
 // their results are independently owned; StructureScratch runs the same
 // implementations against a caller-supplied Scratch so a warm worker
 // rebuilds the whole pipeline without allocating.
+//
+// With handOn set (StructureScratch sets it), a step with nothing to
+// rewrite returns its input itself, which the rewrite would rebuild row
+// for row; the exported functions always rewrite. Either way the step
+// returns the back-map it computes, by the same code, because even a
+// handed-on step's back-map is not the identity in float64: 2·x/2
+// overflows above MaxFloat64/2, and the maximum with 0 sends −0 and
+// negative x to +0.
 
 // AugmentSingletonConstraints implements §4.2: every constraint with a
 // single agent v is augmented with a six-node gadget (agents s, t, u;
@@ -21,10 +30,14 @@ import (
 // original agents.
 func AugmentSingletonConstraints(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	sc := NewScratch()
-	return augmentSingletonConstraints(in, sc, &sc.outs[0])
+	return augmentSingletonConstraints(in, sc, &sc.outs[0], false)
 }
 
-func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.Instance, BackMap) {
+func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+	back := BackMap{kind: backTruncate, n: in.NumAgents}
+	if handOn && !slices.ContainsFunc(in.Cons, func(c mmlp.Constraint) bool { return len(c.Terms) == 1 }) {
+		return in, back
+	}
 	caps := capsInto(in, &sc.caps)
 	sc.inc.build(in)
 	origAgents := in.NumAgents
@@ -77,7 +90,7 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena) (
 		a.objs.endRow()
 	}
 	a.inst.NumAgents = next
-	return a.finish(), BackMap{kind: backTruncate, n: origAgents}
+	return a.finish(), back
 }
 
 // ReduceConstraintDegree implements §4.3: every constraint with |Vi| > 2 is
@@ -87,24 +100,35 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena) (
 // the only step that costs approximation ratio: a factor ΔI/2.
 func ReduceConstraintDegree(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	sc := NewScratch()
-	return reduceConstraintDegree(in, sc, &sc.outs[1])
+	return reduceConstraintDegree(in, sc, &sc.outs[1], false)
 }
 
-func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.Instance, BackMap) {
-	a.reset(in.NumAgents)
+func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
 	divisor := grow(&sc.divisor, in.NumAgents)
 	for v := range divisor {
 		divisor[v] = 2
 	}
-	for _, o := range in.Objs {
-		a.objs.copyRow(o.Terms)
-	}
+	wide := false
 	for _, c := range in.Cons {
+		if len(c.Terms) <= 2 {
+			continue
+		}
+		wide = true
 		for _, t := range c.Terms {
 			if d := float64(len(c.Terms)); d > divisor[t.Agent] {
 				divisor[t.Agent] = d
 			}
 		}
+	}
+	back := BackMap{kind: backScaleHalf, n: in.NumAgents, scale: divisor}
+	if handOn && !wide {
+		return in, back
+	}
+	a.reset(in.NumAgents)
+	for _, o := range in.Objs {
+		a.objs.copyRow(o.Terms)
+	}
+	for _, c := range in.Cons {
 		if len(c.Terms) <= 2 {
 			a.cons.copyRow(c.Terms)
 			continue
@@ -117,7 +141,7 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp
 			}
 		}
 	}
-	return a.finish(), BackMap{kind: backScaleHalf, n: in.NumAgents, scale: divisor}
+	return a.finish(), back
 }
 
 // SplitAgentsPerObjective implements §4.4: each agent v with |Kv| = q is
@@ -130,42 +154,56 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp
 // The step requires |Vi| ≤ 2 (guaranteed by ReduceConstraintDegree).
 func SplitAgentsPerObjective(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	sc := NewScratch()
-	return splitAgentsPerObjective(in, sc, &sc.outs[2])
+	return splitAgentsPerObjective(in, sc, &sc.outs[2], false)
 }
 
-func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.Instance, BackMap) {
-	sc.inc.build(in)
+func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
 	n := in.NumAgents
-	// Copies are dedicated to v's objectives in ObjsOf order, so the copy
-	// of v for the objective at position p is copyStart[v]+p — an index
-	// computation where the allocating era kept per-agent maps.
+	// |Kv|, counted off the objective rows.
+	kv := grow(&sc.countA, n)
+	for v := range kv {
+		kv[v] = 0
+	}
+	for _, o := range in.Objs {
+		for _, t := range o.Terms {
+			kv[t.Agent]++
+		}
+	}
+	// Copies are dedicated to v's objectives in increasing k, so the copy
+	// of v for its p-th objective is copyStart[v]+p — an index computation
+	// where the allocating era kept per-agent maps.
 	copyStart := grow(&sc.idxA, n+1)
 	parent := sc.parentSplit[:0]
-	total := 0
+	total, split := 0, false
 	for v := 0; v < n; v++ {
 		copyStart[v] = int32(total)
-		for range sc.inc.objsOf(v) {
+		split = split || kv[v] != 1
+		for range kv[v] {
 			parent = append(parent, int32(v))
 			total++
 		}
 	}
 	copyStart[n] = int32(total)
 	sc.parentSplit = parent
+	back := BackMap{kind: backMax, n: n, parent: parent}
+	if handOn && !split {
+		return in, back
+	}
 	a.reset(total)
 	for _, c := range in.Cons {
 		switch len(c.Terms) {
 		case 1:
 			t := c.Terms[0]
-			for p := range sc.inc.objsOf(t.Agent) {
-				a.cons.add(int(copyStart[t.Agent])+p, t.Coef)
+			for p := range kv[t.Agent] {
+				a.cons.add(int(copyStart[t.Agent]+p), t.Coef)
 				a.cons.endRow()
 			}
 		case 2:
 			ta, tb := c.Terms[0], c.Terms[1]
-			for pa := range sc.inc.objsOf(ta.Agent) {
-				for pb := range sc.inc.objsOf(tb.Agent) {
-					a.cons.add(int(copyStart[ta.Agent])+pa, ta.Coef)
-					a.cons.add(int(copyStart[tb.Agent])+pb, tb.Coef)
+			for pa := range kv[ta.Agent] {
+				for pb := range kv[tb.Agent] {
+					a.cons.add(int(copyStart[ta.Agent]+pa), ta.Coef)
+					a.cons.add(int(copyStart[tb.Agent]+pb), tb.Coef)
 					a.cons.endRow()
 				}
 			}
@@ -173,9 +211,9 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena) (*mml
 			panic("transform: SplitAgentsPerObjective requires |Vi| ≤ 2; run ReduceConstraintDegree first")
 		}
 	}
-	// cursor[v] is the next unconsumed position in ObjsOf(v); objectives
-	// are visited in increasing k, the order ObjsOf lists them in.
-	cursor := grow(&sc.countA, n)
+	// cursor[v] is the next unconsumed copy of v; objectives are visited
+	// in increasing k, the order the copies were dedicated in.
+	cursor := kv
 	for v := range cursor {
 		cursor[v] = 0
 	}
@@ -186,7 +224,7 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena) (*mml
 		}
 		a.objs.endRow()
 	}
-	return a.finish(), BackMap{kind: backMax, n: n, parent: parent}
+	return a.finish(), back
 }
 
 // emitState is the explicit recursion state of §4.5's constraint
@@ -238,38 +276,46 @@ func (e *emitState) emit(idx int) {
 // The step requires |Kv| = 1 (guaranteed by SplitAgentsPerObjective).
 func AugmentSingletonObjectives(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	sc := NewScratch()
-	return augmentSingletonObjectives(in, sc, &sc.outs[3])
+	return augmentSingletonObjectives(in, sc, &sc.outs[3], false)
 }
 
-func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.Instance, BackMap) {
-	sc.inc.build(in)
+func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
 	n := in.NumAgents
 	// splitT[v] is the t-copy of a split agent (its u-copy is splitT[v]+1),
 	// -1 otherwise; newIndex[v] is the output index of an unsplit agent.
+	// An agent splits when it is the one agent of an objective, which the
+	// first pass marks with 0.
 	splitT := grow(&sc.idxB, n)
 	newIndex := grow(&sc.idxA, n)
+	for v := range splitT {
+		splitT[v] = -1
+	}
+	single := false
+	for _, o := range in.Objs {
+		if len(o.Terms) == 1 {
+			splitT[o.Terms[0].Agent] = 0
+			single = true
+		}
+	}
 	parent := sc.parentAug[:0]
 	out := 0
 	for v := 0; v < n; v++ {
-		needsSplit := false
-		for _, k := range sc.inc.objsOf(v) {
-			if len(in.Objs[k].Terms) == 1 {
-				needsSplit = true
-			}
-		}
-		if needsSplit {
+		if splitT[v] >= 0 {
 			splitT[v] = int32(out)
 			newIndex[v] = -1
 			parent = append(parent, int32(v), int32(v))
 			out += 2
 		} else {
-			splitT[v] = -1
 			newIndex[v] = int32(out)
 			parent = append(parent, int32(v))
 			out++
 		}
 	}
 	sc.parentAug = parent
+	back := BackMap{kind: backMax, n: n, parent: parent}
+	if handOn && !single {
+		return in, back
+	}
 	a.reset(out)
 	// Constraints: rows containing a split agent are duplicated per copy
 	// (independently for each split member, so a row with two split agents
@@ -301,7 +347,7 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena) (*
 		}
 		a.objs.endRow()
 	}
-	return a.finish(), BackMap{kind: backMax, n: n, parent: parent}
+	return a.finish(), back
 }
 
 // NormalizeCoefficients implements §4.6: with |Kv| = 1, each agent's
@@ -311,18 +357,24 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena) (*
 // γ_v. Optima coincide.
 func NormalizeCoefficients(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	sc := NewScratch()
-	return normalizeCoefficients(in, sc, &sc.outs[4])
+	return normalizeCoefficients(in, sc, &sc.outs[4], false)
 }
 
-func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.Instance, BackMap) {
+func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
 	gamma := grow(&sc.gamma, in.NumAgents)
 	for v := range gamma {
 		gamma[v] = 1
 	}
+	unit := true
 	for _, o := range in.Objs {
 		for _, t := range o.Terms {
 			gamma[t.Agent] = t.Coef
+			unit = unit && t.Coef == 1
 		}
+	}
+	back := BackMap{kind: backDivide, n: in.NumAgents, scale: gamma}
+	if handOn && unit {
+		return in, back
 	}
 	a.reset(in.NumAgents)
 	for _, c := range in.Cons {
@@ -337,5 +389,5 @@ func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *instArena) (*mmlp.
 		}
 		a.objs.endRow()
 	}
-	return a.finish(), BackMap{kind: backDivide, n: in.NumAgents, scale: gamma}
+	return a.finish(), back
 }

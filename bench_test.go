@@ -233,8 +233,9 @@ func BenchmarkE10Ablations(b *testing.B) {
 }
 
 // BenchmarkE11IncrementalUpdate times a one-coefficient dynamic update —
-// delta.Plan's dirty ball, RecomputeT, DeriveFromT — against the full
-// re-solve it replaces.
+// the spliced delta's sequence on reused scratches: delta.Scratch.Plan,
+// the single-worker dirty t-stage and the ball-local tail — against the
+// full re-solve it replaces.
 func BenchmarkE11IncrementalUpdate(b *testing.B) {
 	in := gen.TriNecklace(200)
 	s1, err := structured.FromMMLP(in)
@@ -251,18 +252,22 @@ func BenchmarkE11IncrementalUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	base := old.Own()
 	b.Run("incremental", func(b *testing.B) {
+		var ps delta.Scratch
+		var sc core.Scratch
+		r := base.SmallR
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dirty, err := delta.Plan(s1, s2, core.TRadius(old.SmallR))
+			dirty, ball, err := ps.Plan(s1, s2, core.TRadius(r), core.OutputRadius(r))
 			if err != nil {
 				b.Fatal(err)
 			}
-			t, err := core.RecomputeT(s2, old.T, dirty, core.Options{R: 3})
+			t, err := sc.TStage(nil, s2, core.Options{R: 3, Workers: 1}, dirty, base.T)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.DeriveFromT(s2, t, core.Options{R: 3}); err != nil {
+			if _, err := sc.Tail(s2, core.Options{R: 3}, t, ball, base); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -48,7 +48,7 @@ func TestSolveEndpointCanon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload := engine.EncodeCanon(in, engine.Options{Engine: engine.Distributed, R: 3})
+	payload := engine.EncodeCanon(in, engine.Options{Engine: mmlp.EngineDistributed, R: 3})
 	cw := rawPost(h, "/v1/solve", mmlp.ContentTypeCanon, "", payload)
 	if cw.Code != http.StatusOK {
 		t.Fatalf("canon solve: %d %s", cw.Code, cw.Body)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mmlpserve [-addr :8080] [-workers N] [-queue N] [-max-body 8388608] [-job-timeout 0]
-//	          [-cache-bytes 67108864] [-cache-shards N] [-slow-log 250ms] [-debug-addr :6060]
+//	          [-cache-bytes 67108864] [-slow-log 250ms] [-debug-addr :6060]
 //	          [-shed] [-fault-spec RULES]
 //
 // The solver is deterministic, so results are cached under the canonical
@@ -81,7 +81,6 @@ type serveConfig struct {
 	maxBody       int64
 	jobTimeout    time.Duration
 	cacheBytes    int64
-	cacheShards   int
 	shutdownGrace time.Duration
 	slowLog       time.Duration
 	debugAddr     string
@@ -90,13 +89,12 @@ type serveConfig struct {
 }
 
 // parseFlags parses and vets the command line; main exits 2 on an error,
-// matching the mmlpbench -scale / mmlpdist -protocol convention. -workers,
-// -queue and -cache-shards size real resources, so an explicitly passed
-// value must be positive: omitting the flag selects the auto default
-// (GOMAXPROCS workers, 2×workers queue slots, the cache's shard default),
-// while an explicit 0 or negative is rejected rather than silently
-// reinterpreted. -cache-bytes 0 stays meaningful (it disables caching);
-// only negative budgets are rejected.
+// matching the mmlpbench -scale / mmlpdist -protocol convention. -workers
+// and -queue size real resources, so an explicitly passed value must be
+// positive: omitting the flag selects the auto default (GOMAXPROCS
+// workers, 2×workers queue slots), while an explicit 0 or negative is
+// rejected rather than silently reinterpreted. -cache-bytes 0 stays
+// meaningful (it disables caching); only negative budgets are rejected.
 func parseFlags(args []string) (*serveConfig, error) {
 	fs := flag.NewFlagSet("mmlpserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -105,7 +103,6 @@ func parseFlags(args []string) (*serveConfig, error) {
 	maxBody := fs.Int64("max-body", 8<<20, "largest accepted request body in bytes")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job solve deadline (0 = none)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "result-cache byte budget (0 disables caching)")
-	cacheShards := fs.Int("cache-shards", 0, "result-cache shard count, rounded up to a power of two (omit for the default)")
 	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second, "graceful shutdown window")
 	slowLog := fs.Duration("slow-log", -1, "log the per-stage breakdown of solves at or above this latency (0 logs every solve; negative disables)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
@@ -123,7 +120,7 @@ func parseFlags(args []string) (*serveConfig, error) {
 	// the latter must be positive.
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	for name, v := range map[string]int{"workers": *workers, "queue": *queue, "cache-shards": *cacheShards} {
+	for name, v := range map[string]int{"workers": *workers, "queue": *queue} {
 		if explicit[name] && v <= 0 {
 			return nil, fmt.Errorf("-%s must be positive, got %d (omit the flag for the default)", name, v)
 		}
@@ -142,7 +139,7 @@ func parseFlags(args []string) (*serveConfig, error) {
 	}
 	return &serveConfig{
 		addr: *addr, workers: *workers, queue: *queue, maxBody: *maxBody,
-		jobTimeout: *jobTimeout, cacheBytes: *cacheBytes, cacheShards: *cacheShards,
+		jobTimeout: *jobTimeout, cacheBytes: *cacheBytes,
 		shutdownGrace: *shutdownGrace, slowLog: *slowLog, debugAddr: *debugAddr,
 		shed: *shed, fault: injector,
 	}, nil
@@ -160,7 +157,7 @@ func main() {
 
 	pool := batch.NewPool(batch.Options{
 		Workers: cfg.workers, Queue: cfg.queue, JobTimeout: cfg.jobTimeout,
-		CacheBytes: cfg.cacheBytes, CacheShards: cfg.cacheShards,
+		CacheBytes: cfg.cacheBytes,
 	})
 	h := newServer(pool, cfg.maxBody)
 	if cfg.slowLog >= 0 {

@@ -234,7 +234,7 @@ func TestHealthAndStats(t *testing.T) {
 // with the later ones tagged "cached", and /statsz reports live
 // hit/miss/coalesced counters that add up to the request count.
 func TestStatszCacheUnderConcurrentLoad(t *testing.T) {
-	h := testServerOpts(t, 1<<20, batch.Options{Workers: 4, Queue: 8, CacheBytes: 1 << 20, CacheShards: 4})
+	h := testServerOpts(t, 1<<20, batch.Options{Workers: 4, Queue: 8, CacheBytes: 1 << 20})
 	in := gen.Random(gen.RandomConfig{Agents: 14, MaxDegI: 3, MaxDegK: 3, ExtraCons: 4, ExtraObjs: 2}, 21)
 	body := solveBody(t, in, `,"r":3,"disable_special_cases":true`)
 	want, err := maxminlp.SolveLocal(in, maxminlp.LocalOptions{R: 3, DisableSpecialCases: true})
@@ -412,14 +412,12 @@ func TestParseFlags(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", nil, true},
-		{"all set", []string{"-workers", "4", "-queue", "8", "-cache-shards", "2", "-cache-bytes", "1024"}, true},
+		{"all set", []string{"-workers", "4", "-queue", "8", "-cache-bytes", "1024"}, true},
 		{"cache off", []string{"-cache-bytes", "0"}, true},
 		{"explicit zero workers", []string{"-workers", "0"}, false},
 		{"negative workers", []string{"-workers", "-1"}, false},
 		{"explicit zero queue", []string{"-queue", "0"}, false},
 		{"negative queue", []string{"-queue", "-3"}, false},
-		{"explicit zero cache-shards", []string{"-cache-shards", "0"}, false},
-		{"negative cache-shards", []string{"-cache-shards", "-2"}, false},
 		{"negative cache-bytes", []string{"-cache-bytes", "-1"}, false},
 		{"zero max-body", []string{"-max-body", "0"}, false},
 		{"negative job-timeout", []string{"-job-timeout", "-1s"}, false},

@@ -5,9 +5,11 @@
 // no matter how large the network is.
 //
 // This example perturbs one constraint of a large cycle instance and
-// compares a full re-solve against an incremental one: delta.Plan finds the
-// agents within the kernel's radius-(4r+3) reach of the change, RecomputeT
-// re-prices exactly those, and DeriveFromT re-runs the cheap stages. The
+// compares a full re-solve against an incremental one, the sequence a
+// spliced delta runs in the serving engine: delta.Scratch.Plan finds the
+// agents within the kernel's radius-(4r+3) reach of the change and the
+// output ball around it, Scratch.TStage re-prices exactly those agents,
+// and Scratch.Tail re-derives the cheap stages on the ball alone. The
 // outputs are bit-identical, the recomputed region is constant, and agents
 // on the far side of the cycle keep their exact old values.
 package main
@@ -52,16 +54,19 @@ func main() {
 	}
 	fullTime := time.Since(start)
 
+	base := old.Own() // the solved trace, indexed as the base of a splice
+	var ps delta.Scratch
+	var sc core.Scratch
 	start = time.Now()
-	dirty, err := delta.Plan(s1, s2, core.TRadius(R-2))
+	dirty, ball, err := ps.Plan(s1, s2, core.TRadius(R-2), core.OutputRadius(R-2))
 	if err != nil {
 		log.Fatal(err)
 	}
-	t, err := core.RecomputeT(s2, old.T, dirty, core.Options{R: R})
+	t, err := sc.TStage(nil, s2, core.Options{R: R, Workers: 1}, dirty, base.T)
 	if err != nil {
 		log.Fatal(err)
 	}
-	inc, err := core.DeriveFromT(s2, t, core.Options{R: R})
+	inc, err := sc.Tail(s2, core.Options{R: R}, t, ball, base)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 )
 
 // JobFromRequest converts a validated wire request into a solver job.
-// mmlp.Engine values coincide numerically with engine.Kind (the canon key
-// hashes the shared integer), so ParseEngine's result converts directly.
 func JobFromRequest(req *mmlp.SolveRequest) (Job, error) {
 	if err := req.Validate(); err != nil {
 		return Job{}, err
@@ -24,7 +22,7 @@ func JobFromRequest(req *mmlp.SolveRequest) (Job, error) {
 	return Job{
 		In: req.Instance,
 		Opts: engine.Options{
-			Engine:              engine.Kind(eng),
+			Engine:              eng,
 			R:                   req.R,
 			BinIters:            req.BinIters,
 			DisableSpecialCases: req.DisableSpecialCases,

@@ -75,9 +75,6 @@ type Options struct {
 	// the pipeline once. Cached results are bit-identical to fresh ones.
 	// Zero disables caching.
 	CacheBytes int64
-	// CacheShards is the cache shard count, rounded up to a power of two
-	// (0 = the cache default). Ignored when CacheBytes is zero.
-	CacheShards int
 }
 
 // newCache builds the configured result cache, nil when disabled.
@@ -85,7 +82,7 @@ func (o Options) newCache() *engine.Cache {
 	if o.CacheBytes <= 0 {
 		return nil
 	}
-	return engine.NewCache(engine.CacheOptions{MaxBytes: o.CacheBytes, Shards: o.CacheShards})
+	return engine.NewCache(engine.CacheOptions{MaxBytes: o.CacheBytes})
 }
 
 // normalizedWorkers resolves the pool size.

@@ -25,8 +25,8 @@ func conformanceJobs(t *testing.T) []batch.Job {
 	}
 	neck := gen.TriNecklace(6)
 	jobs = append(jobs,
-		batch.Job{In: neck, Opts: engine.Options{Engine: engine.Distributed, R: 3}},
-		batch.Job{In: neck, Opts: engine.Options{Engine: engine.DistributedCompact, R: 3}},
+		batch.Job{In: neck, Opts: engine.Options{Engine: mmlp.EngineDistributed, R: 3}},
+		batch.Job{In: neck, Opts: engine.Options{Engine: mmlp.EngineDistributedCompact, R: 3}},
 		// Trivial shape: exercises the ΔK=1 special-case dispatch.
 		batch.Job{In: gen.Random(gen.RandomConfig{Agents: 6, MaxDegI: 2, MaxDegK: 1}, 9), Opts: engine.Options{R: 3}},
 	)
@@ -74,9 +74,9 @@ func sequential(t *testing.T, j batch.Job) *maxminlp.Solution {
 	opts := maxminlp.LocalOptions{
 		R: j.Opts.R, BinIters: j.Opts.BinIters,
 		DisableSpecialCases: j.Opts.DisableSpecialCases,
-		CompactProtocol:     j.Opts.Engine == engine.DistributedCompact,
+		CompactProtocol:     j.Opts.Engine == mmlp.EngineDistributedCompact,
 	}
-	if j.Opts.Engine == engine.Central {
+	if j.Opts.Engine == mmlp.EngineCentral {
 		sol, err := maxminlp.SolveLocal(j.In, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func TestPoolCacheConcurrent(t *testing.T) {
 	job := batch.Job{In: in, Opts: engine.Options{R: 3, DisableSpecialCases: true}}
 	want := sequential(t, job)
 
-	p := batch.NewPool(batch.Options{Workers: 4, CacheBytes: 1 << 20, CacheShards: 4})
+	p := batch.NewPool(batch.Options{Workers: 4, CacheBytes: 1 << 20})
 	defer p.Close()
 	var wg sync.WaitGroup
 	results := make([]batch.Result, requests)
@@ -323,7 +323,7 @@ func TestJobFromRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Opts.Engine != engine.DistributedCompact || job.Opts.R != 4 {
+	if job.Opts.Engine != mmlp.EngineDistributedCompact || job.Opts.R != 4 {
 		t.Fatalf("job opts = %+v", job.Opts)
 	}
 	if _, err := batch.JobFromRequest(&mmlp.SolveRequest{Instance: in, Engine: "simplex"}); !errors.Is(err, mmlp.ErrInvalid) {

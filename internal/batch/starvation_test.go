@@ -37,7 +37,7 @@ func TestCoalescedDuplicateDoesNotStarveWorkers(t *testing.T) {
 	// message-passing run) against trivially small fast jobs.
 	slow := batch.Job{
 		In:   gen.Random(gen.RandomConfig{Agents: 400, MaxDegI: 3, MaxDegK: 3, ExtraCons: 8, ExtraObjs: 4}, 5),
-		Opts: engine.Options{Engine: engine.DistributedCompact, R: 5, BinIters: 4000},
+		Opts: engine.Options{Engine: mmlp.EngineDistributedCompact, R: 5, BinIters: 4000},
 	}
 	p := batch.NewPool(batch.Options{Workers: 2, Queue: 32, CacheBytes: 8 << 20})
 	defer p.Close()
@@ -121,7 +121,7 @@ func TestCoalescedDuplicateDoesNotStarveWorkers(t *testing.T) {
 func TestSubscribedTaskRetriesAfterLeaderFailure(t *testing.T) {
 	slow := batch.Job{
 		In:   gen.Random(gen.RandomConfig{Agents: 400, MaxDegI: 3, MaxDegK: 3, ExtraCons: 8, ExtraObjs: 4}, 5),
-		Opts: engine.Options{Engine: engine.DistributedCompact, R: 5, BinIters: 4000},
+		Opts: engine.Options{Engine: mmlp.EngineDistributedCompact, R: 5, BinIters: 4000},
 	}
 	p := batch.NewPool(batch.Options{Workers: 2, Queue: 8, CacheBytes: 8 << 20})
 	defer p.Close()

@@ -4,12 +4,12 @@
 // map lookup, and K concurrent solves of the same key run the computation
 // once while the other K−1 callers wait for the shared result.
 //
-// The key space is split across N shards (N rounded up to a power of two)
-// selected by the key's leading bytes, so the batch pool's workers contend
-// on N mutexes instead of one. Each shard owns an equal slice of the byte
-// budget and evicts its own least-recently-used entries when inserts push
-// it over; hits, misses, evictions and coalesced waiters are counted
-// globally with atomics.
+// The key space is split across DefaultShards shards selected by the key's
+// leading bytes, so the batch pool's workers contend on that many mutexes
+// instead of one. Each shard owns an equal slice of the byte budget and
+// evicts its own least-recently-used entries when inserts push it over;
+// hits, misses, evictions and coalesced waiters are counted globally with
+// atomics.
 package cache
 
 import (
@@ -37,9 +37,6 @@ type Options struct {
 	// (0 = DefaultMaxBytes). Entries are charged their caller-declared
 	// cost; an entry larger than a whole shard's budget is not stored.
 	MaxBytes int64
-	// Shards is the shard count, rounded up to a power of two
-	// (0 = DefaultShards).
-	Shards int
 }
 
 // entry is one cached value with its LRU bookkeeping.
@@ -80,17 +77,14 @@ type Cache struct {
 	maxBytes                                   int64
 }
 
-// New builds a cache; the zero-valued Options give the defaults.
-func New(o Options) *Cache {
+// New builds a cache of DefaultShards shards; the zero-valued Options give
+// the defaults.
+func New(o Options) *Cache { return newSharded(o, DefaultShards) }
+
+// newSharded is New with n shards, a power of two.
+func newSharded(o Options, n int) *Cache {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
-	}
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
-	n := 1
-	for n < o.Shards {
-		n <<= 1
 	}
 	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), maxBytes: o.MaxBytes}
 	per := o.MaxBytes / int64(n)

@@ -24,7 +24,7 @@ func key(i int) canon.Key {
 }
 
 func TestGetPut(t *testing.T) {
-	c := cache.New(cache.Options{MaxBytes: 1 << 20, Shards: 4})
+	c := cache.NewSharded(cache.Options{MaxBytes: 1 << 20}, 4)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -47,7 +47,7 @@ func TestGetPut(t *testing.T) {
 // entry survives over a colder one).
 func TestEviction(t *testing.T) {
 	// One shard so all keys share one budget and recency list.
-	c := cache.New(cache.Options{MaxBytes: 100, Shards: 1})
+	c := cache.NewSharded(cache.Options{MaxBytes: 100}, 1)
 	for i := 0; i < 5; i++ {
 		c.Put(key(i), i, 25) // 4 fit
 	}
@@ -70,7 +70,7 @@ func TestEviction(t *testing.T) {
 
 // TestOversizeEntry: a value larger than a whole shard is not stored.
 func TestOversizeEntry(t *testing.T) {
-	c := cache.New(cache.Options{MaxBytes: 64, Shards: 2}) // 32 per shard
+	c := cache.NewSharded(cache.Options{MaxBytes: 64}, 2) // 32 per shard
 	c.Put(key(1), "big", 1000)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("oversize entry was stored")
@@ -243,7 +243,7 @@ func TestDoWaiterCancellation(t *testing.T) {
 // under -race in CI): values must always be consistent with their key and
 // the byte budget must hold afterwards.
 func TestConcurrentDo(t *testing.T) {
-	c := cache.New(cache.Options{MaxBytes: 512, Shards: 4})
+	c := cache.NewSharded(cache.Options{MaxBytes: 512}, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

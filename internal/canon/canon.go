@@ -72,7 +72,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // per-agent computations are independent and the binary search is a pure
 // function of its inputs, so results are bit-identical across parallelism.
 type Options struct {
-	// Engine is the execution engine (the integer value of engine.Kind).
+	// Engine is the execution engine (the integer value of mmlp.Engine).
 	Engine int
 	// R is the shifting parameter (0 is normalized to the default 3).
 	R int

@@ -59,11 +59,6 @@ var (
 	ErrTrailing = errors.New("canon: trailing bytes")
 )
 
-// MaxEngine is the largest engine value accepted on the wire. It must
-// equal the last engine.Kind constant; engine's tests assert agreement
-// (canon cannot import engine — the dependency runs the other way).
-const MaxEngine = 2
-
 // bytesPerTerm is the fixed wire width of one term: the sign-flipped
 // agent pattern and the coefficient bits, 8 bytes each.
 const bytesPerTerm = 16
@@ -143,8 +138,8 @@ func DecodeOptions(payload []byte) (Options, []byte, error) {
 	if err != nil {
 		return Options{}, nil, err
 	}
-	if eng > MaxEngine {
-		return Options{}, nil, fmt.Errorf("%w: engine %d (max %d)", ErrRange, eng, MaxEngine)
+	if eng > uint64(mmlp.EngineDistributedCompact) {
+		return Options{}, nil, fmt.Errorf("%w: engine %d (max %d)", ErrRange, eng, mmlp.EngineDistributedCompact)
 	}
 	o.Engine = int(eng)
 	rv, err := r.uvarint()
@@ -577,10 +572,15 @@ func decodeResult(r *reader) (mmlp.BatchItem, error) {
 			if err != nil {
 				return it, err
 			}
-			if v > math.MaxInt32 {
+			if v > math.MaxInt {
 				return it, fmt.Errorf("%w: traffic counter %d", ErrRange, v)
 			}
 			vals[j] = int(v)
+		}
+		if vals == [3]int{} {
+			// AppendResult writes the traffic block only when a counter is
+			// non-zero; an all-zero block is a second spelling.
+			return it, fmt.Errorf("%w: all-zero traffic block", ErrNotCanonical)
 		}
 		it.Rounds, it.Messages, it.Bytes = vals[0], vals[1], vals[2]
 	}

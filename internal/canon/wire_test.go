@@ -324,6 +324,49 @@ func TestResultFrame(t *testing.T) {
 	}
 }
 
+// TestResultTrafficBlock: a record carries its traffic block only when a
+// counter is non-zero, so an all-zero block is a second spelling and is
+// rejected; every counter AppendResult writes for a non-negative int, up
+// to math.MaxInt, round-trips, and one past it is out of range.
+func TestResultTrafficBlock(t *testing.T) {
+	items := []mmlp.BatchItem{
+		{Index: 0, SolveResponse: mmlp.SolveResponse{Status: "approximate", Rounds: 428, Messages: 1 << 20, Bytes: 4e9}},
+		{Index: 1, SolveResponse: mmlp.SolveResponse{Status: "approximate", Rounds: 1, Messages: math.MaxInt, Bytes: math.MaxInt}},
+	}
+	frame := canon.AppendResultsHeader(nil)
+	for i := range items {
+		frame = canon.AppendResult(frame, &items[i])
+	}
+	got, err := canon.DecodeResults(frame)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, items) {
+		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, items)
+	}
+
+	record := func(counters ...uint64) []byte {
+		return cat([]byte(canon.ResultsMagic), []byte{0x04}, uv(0, 0), make([]byte, 24), uv(counters...))
+	}
+	zeros := "mmlp-canon-results/v1\n\n0\x00" + strings.Repeat("0", 24) + "\x00\x040\x00" + strings.Repeat("0", 24) + "\x00\x00\x00"
+	cases := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"zero-traffic", record(0, 0, 0), canon.ErrNotCanonical},
+		{"zero-traffic-second-record", []byte(zeros), canon.ErrNotCanonical},
+		{"counter-past-maxint", record(1, 1, math.MaxInt+1), canon.ErrRange},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := canon.DecodeResults(tc.frame); !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestSniff: the router's classification helpers read only the prefix.
 func TestSniff(t *testing.T) {
 	if !canon.SniffSolve(canon.EncodeSolve(randomInstance(1), canon.Options{})) {

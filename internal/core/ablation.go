@@ -39,7 +39,7 @@ const (
 // SolveAblated runs the algorithm with the given pieces disabled and
 // returns the trace. With the zero Ablation it equals Solve.
 func SolveAblated(s *structured.Instance, opt Options, ab Ablation) (*Trace, error) {
-	return run(nil, s, opt, &Scratch{}, ab)
+	return run(s, opt, &Scratch{}, ab)
 }
 
 // singleRoleOutputInto evaluates (20) for one fixed role guess into x:

@@ -26,7 +26,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"slices"
 
@@ -116,26 +115,17 @@ func (tr *Trace) Own() *Trace {
 // full trace. The solution Trace.X is feasible (Lemma 11) and satisfies
 // ω(X) ≥ opt / (2(1−1/ΔK)(1+1/(R−1))) (Lemma 12 with §6.3).
 func Solve(s *structured.Instance, opt Options) (*Trace, error) {
-	return SolveCtx(nil, s, opt)
-}
-
-// SolveCtx is Solve with cooperative cancellation threaded through the t_u
-// stage — the dominant cost of a run. Workers check ctx between per-agent
-// computations, so a deadline expiring mid-solve stops the run within one
-// t_u evaluation instead of after the whole stage; SolveCtx then returns
-// ctx's error. A nil ctx skips every check (identical to Solve).
-func SolveCtx(ctx context.Context, s *structured.Instance, opt Options) (*Trace, error) {
-	return run(ctx, s, opt, &Scratch{}, Ablation{})
+	return run(s, opt, &Scratch{}, Ablation{})
 }
 
 // run is the whole §5 pipeline every solve entry point composes: the
 // t-stage over every agent, then the tail.
-func run(ctx context.Context, s *structured.Instance, opt Options, sc *Scratch, ab Ablation) (*Trace, error) {
+func run(s *structured.Instance, opt Options, sc *Scratch, ab Ablation) (*Trace, error) {
 	opt, err := opt.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	t, err := sc.TStage(ctx, s, opt, nil, nil)
+	t, err := sc.TStage(nil, s, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}

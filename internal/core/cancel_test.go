@@ -11,8 +11,8 @@ import (
 )
 
 // TestSolveCtxAlreadyCancelled: a context that is dead on arrival stops
-// the solve in the t_u loop before any real work, for both the parallel
-// and the scratch paths.
+// the t-stage in the t_u loop before any real work, for both the parallel
+// and the scratch-evaluator paths.
 func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	in := gen.RandomStructured(gen.StructuredConfig{Objectives: 30, MaxDegK: 3, ExtraCons: 15}, 1)
 	s, err := structured.FromMMLP(in)
@@ -22,11 +22,11 @@ func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := core.SolveCtx(ctx, s, core.Options{R: 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveCtx err = %v, want context.Canceled", err)
+	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3}, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parallel TStage err = %v, want context.Canceled", err)
 	}
-	if _, err := core.SolveScratchCtx(ctx, s, core.Options{R: 3}, &core.Scratch{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveScratchCtx err = %v, want context.Canceled", err)
+	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3, Workers: 1}, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("scratch TStage err = %v, want context.Canceled", err)
 	}
 }
 
@@ -42,7 +42,12 @@ func TestSolveCtxLiveContextMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.SolveCtx(context.Background(), s, core.Options{R: 3})
+	sc := new(core.Scratch)
+	tv, err := sc.TStage(context.Background(), s, core.Options{R: 3}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sc.Tail(s, core.Options{R: 3}, tv, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

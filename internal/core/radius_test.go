@@ -30,16 +30,16 @@ func TestSpliceHalvesRejectMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{R: 3}
-	if _, err := RecomputeT(s, make([]float64, s.N-1), nil, opt); err == nil {
-		t.Fatal("RecomputeT accepted a base t-vector of the wrong length")
+	if _, err := new(Scratch).TStage(nil, s, opt, nil, make([]float64, s.N-1)); err == nil {
+		t.Fatal("TStage accepted a base t-vector of the wrong length")
 	}
-	if _, err := RecomputeT(s, make([]float64, s.N), []int{s.N}, opt); err == nil {
-		t.Fatal("RecomputeT accepted an out-of-range dirty agent")
+	if _, err := new(Scratch).TStage(nil, s, opt, []int{s.N}, make([]float64, s.N)); err == nil {
+		t.Fatal("TStage accepted an out-of-range dirty agent")
 	}
-	if _, err := RecomputeT(s, make([]float64, s.N), nil, Options{R: 1}); err == nil {
-		t.Fatal("RecomputeT accepted R = 1")
+	if _, err := new(Scratch).TStage(nil, s, Options{R: 1}, nil, make([]float64, s.N)); err == nil {
+		t.Fatal("TStage accepted R = 1")
 	}
-	if _, err := DeriveFromT(s, make([]float64, s.N+1), opt); err == nil {
-		t.Fatal("DeriveFromT accepted a t-vector of the wrong length")
+	if _, err := new(Scratch).Tail(s, opt, make([]float64, s.N+1), nil, nil); err == nil {
+		t.Fatal("Tail accepted a t-vector of the wrong length")
 	}
 }

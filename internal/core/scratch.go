@@ -59,16 +59,8 @@ func growMatrix(rows *[][]float64, backing *[]float64, r, n int) [][]float64 {
 // aliases sc and is valid only until the next SolveScratch call on the
 // same scratch; callers that keep a field beyond that must copy it.
 func SolveScratch(s *structured.Instance, opt Options, sc *Scratch) (*Trace, error) {
-	return SolveScratchCtx(nil, s, opt, sc)
-}
-
-// SolveScratchCtx is SolveScratch with cooperative cancellation: the t_u
-// loop — the dominant cost — checks ctx between per-agent computations and
-// returns ctx's error as soon as a cancellation is seen. A nil ctx skips
-// every check.
-func SolveScratchCtx(ctx context.Context, s *structured.Instance, opt Options, sc *Scratch) (*Trace, error) {
 	opt.Workers = 1
-	return run(ctx, s, opt, sc, Ablation{})
+	return run(s, opt, sc, Ablation{})
 }
 
 // TStage is the kernel stage of §5, the one loop every solve path runs:

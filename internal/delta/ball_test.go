@@ -122,7 +122,7 @@ func TestBallTailMatchesFullTail(t *testing.T) {
 						t.Fatal(err)
 					}
 					dirty, ball = slices.Clone(dirty), slices.Clone(ball)
-					tv, err := core.RecomputeT(sNew, base.T, dirty, opt)
+					tv, err := new(core.Scratch).TStage(nil, sNew, opt, dirty, base.T)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -308,7 +308,7 @@ func TestPlanAgentCountMismatch(t *testing.T) {
 	}
 }
 
-// fullT computes the kernel t-vector cold: RecomputeT with every agent
+// fullT computes the kernel t-vector cold: the t-stage with every agent
 // dirty evaluates computeT for all of them, which is exactly what a full
 // solve does.
 func fullT(t *testing.T, s *structured.Instance, opt core.Options) []float64 {
@@ -317,7 +317,7 @@ func fullT(t *testing.T, s *structured.Instance, opt core.Options) []float64 {
 	for v := range all {
 		all[v] = v
 	}
-	tv, err := core.RecomputeT(s, make([]float64, s.N), all, opt)
+	tv, err := new(core.Scratch).TStage(nil, s, opt, all, make([]float64, s.N))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestPlanRadiusRegression(t *testing.T) {
 		t.Fatalf("one-hop-short plan %v contains agent 0; the distance-3 construction is broken", short)
 	}
 
-	spliceExact, err := core.RecomputeT(sNew, tOld, exact, opt)
+	spliceExact, err := new(core.Scratch).TStage(nil, sNew, opt, exact, tOld)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestPlanRadiusRegression(t *testing.T) {
 			t.Fatalf("exact splice diverges at agent %d: %v vs cold %v", v, spliceExact[v], tNew[v])
 		}
 	}
-	spliceShort, err := core.RecomputeT(sNew, tOld, short, opt)
+	spliceShort, err := new(core.Scratch).TStage(nil, sNew, opt, short, tOld)
 	if err != nil {
 		t.Fatal(err)
 	}

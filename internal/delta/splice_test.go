@@ -21,19 +21,20 @@ func perturbedNecklace(t *testing.T, m, k0 int) (*structured.Instance, *structur
 }
 
 // splice re-solves sNew incrementally from old, the trace of sOld: Plan
-// finds the dirty ball, RecomputeT re-prices it, DeriveFromT re-runs the
-// tail. It returns the trace and the dirty set.
+// finds the dirty ball, the t-stage re-prices it and the tail re-runs on
+// the merged t-vector. It returns the trace and the dirty set.
 func splice(t *testing.T, sOld, sNew *structured.Instance, old *core.Trace, opt core.Options) (*core.Trace, []int) {
 	t.Helper()
 	dirty, err := delta.Plan(sOld, sNew, core.TRadius(opt.R-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := core.RecomputeT(sNew, old.T, dirty, opt)
+	sc := new(core.Scratch)
+	tv, err := sc.TStage(nil, sNew, opt, dirty, old.T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := core.DeriveFromT(sNew, tv, opt)
+	tr, err := sc.Tail(sNew, opt, tv, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // RoundStats is the traffic of one synchronous round.
 type RoundStats struct {
 	// Messages and Bytes total the round's traffic; MaxBytes is its
-	// largest single message.
+	// largest single message. Byte counts saturate at math.MaxInt.
 	Messages, Bytes, MaxBytes int
 	// CompressedBytes re-counts view messages at their DAG-compressed
 	// size (equal to Bytes in rounds without view messages).
@@ -18,7 +18,8 @@ type RoundStats struct {
 
 // Stats aggregates the traffic of a protocol run.
 type Stats struct {
-	// Messages and Bytes total the traffic of all rounds.
+	// Messages and Bytes total the traffic of all rounds; Bytes saturates
+	// at math.MaxInt.
 	Messages, Bytes int
 	// MaxMessageBytes is the largest single message of the run, dominated
 	// by the view-gathering phase: it grows with R but not with the

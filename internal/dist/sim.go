@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -143,7 +144,7 @@ func (e *engine) deliver(round int) {
 			e.out[v][p] = message{}
 			wire, packed := e.sizeOf(m)
 			rs.Messages++
-			rs.Bytes += wire
+			rs.Bytes = satAdd(rs.Bytes, wire)
 			if wire > rs.MaxBytes {
 				rs.MaxBytes = wire
 			}
@@ -174,11 +175,21 @@ func (e *engine) totals() Stats {
 	st := Stats{PerRound: e.perRound}
 	for _, rs := range e.perRound {
 		st.Messages += rs.Messages
-		st.Bytes += rs.Bytes
+		st.Bytes = satAdd(st.Bytes, rs.Bytes)
 		st.CompressedBytes += rs.CompressedBytes
 		if rs.MaxBytes > st.MaxMessageBytes {
 			st.MaxMessageBytes = rs.MaxBytes
 		}
 	}
 	return st
+}
+
+// satAdd is a + b for non-negative byte counts, saturating at math.MaxInt:
+// a tree-encoded view doubles in size with every round, so on a small
+// necklace the plain tree bytes pass any int near R = 33.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }

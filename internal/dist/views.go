@@ -41,7 +41,7 @@ type viewNode struct {
 	fromPort int
 	coefs    [2]float64 // constraint nodes: a_iv per port
 	children []int32
-	tree     int // encoded size of the full tree, in bytes
+	tree     int // encoded size of the full tree, in bytes, saturating at math.MaxInt
 }
 
 // viewHdrBytes is the per-node encoding overhead: kind (1), degree (2),
@@ -94,7 +94,7 @@ func (vs *viewStore) intern(kind bipartite.Kind, deg, fromPort int, coefs [2]flo
 	nd := viewNode{kind: kind, deg: deg, fromPort: fromPort, coefs: coefs, children: append([]int32(nil), children...)}
 	nd.tree = nd.hdrBytes()
 	for _, c := range children {
-		nd.tree += vs.nodes[c].tree
+		nd.tree = satAdd(nd.tree, vs.nodes[c].tree)
 	}
 	id := int32(len(vs.nodes))
 	vs.nodes = append(vs.nodes, nd)

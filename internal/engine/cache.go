@@ -21,9 +21,6 @@ import (
 type CacheOptions struct {
 	// MaxBytes is the total byte budget (0 = cache.DefaultMaxBytes).
 	MaxBytes int64
-	// Shards is the shard count, rounded up to a power of two
-	// (0 = cache.DefaultShards).
-	Shards int
 }
 
 // Cache memoises complete solve results keyed by the canonical
@@ -35,7 +32,7 @@ type Cache struct {
 
 // NewCache builds a result cache.
 func NewCache(o CacheOptions) *Cache {
-	return &Cache{c: cache.New(cache.Options{MaxBytes: o.MaxBytes, Shards: o.Shards})}
+	return &Cache{c: cache.New(cache.Options{MaxBytes: o.MaxBytes})}
 }
 
 // Stats snapshots the cache counters (zero-valued for a nil cache).

@@ -27,8 +27,8 @@ func conformanceCases() map[string]struct {
 	}{
 		"central":      {gen.Random(gen.RandomConfig{Agents: 18, MaxDegI: 3, MaxDegK: 3, ExtraCons: 5, ExtraObjs: 2}, 1), engine.Options{R: 3, DisableSpecialCases: true}},
 		"central-r4":   {gen.Random(gen.RandomConfig{Agents: 14, MaxDegI: 3, MaxDegK: 3, ExtraCons: 4, ExtraObjs: 2}, 2), engine.Options{R: 4, DisableSpecialCases: true}},
-		"dist":         {gen.TriNecklace(4), engine.Options{Engine: engine.Distributed, R: 3}},
-		"dist-compact": {gen.TriNecklace(4), engine.Options{Engine: engine.DistributedCompact, R: 3}},
+		"dist":         {gen.TriNecklace(4), engine.Options{Engine: mmlp.EngineDistributed, R: 3}},
+		"dist-compact": {gen.TriNecklace(4), engine.Options{Engine: mmlp.EngineDistributedCompact, R: 3}},
 		"trivial-dk1":  {gen.Random(gen.RandomConfig{Agents: 6, MaxDegI: 2, MaxDegK: 1}, 3), engine.Options{R: 3}},
 		"zero-optimum": {zero, engine.Options{R: 3}},
 	}

@@ -35,7 +35,7 @@ func canonOptions(o Options) canon.Options {
 // zero, which scratch-based solving ignores anyway.
 func OptionsFromCanon(co canon.Options) Options {
 	return Options{
-		Engine:              Kind(co.Engine),
+		Engine:              mmlp.Engine(co.Engine),
 		R:                   co.R,
 		BinIters:            co.BinIters,
 		DisableSpecialCases: co.DisableSpecialCases,

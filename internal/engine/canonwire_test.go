@@ -7,19 +7,10 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/mmlp"
 )
-
-// TestCanonEngineRangeAgrees pins the cross-package constant: the wire
-// decoder's engine bound must cover exactly the engine kinds that exist.
-func TestCanonEngineRangeAgrees(t *testing.T) {
-	if canon.MaxEngine != int(engine.DistributedCompact) {
-		t.Fatalf("canon.MaxEngine = %d, last engine kind = %d", canon.MaxEngine, int(engine.DistributedCompact))
-	}
-}
 
 func wireInstance(seed int64) *mmlp.Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -65,7 +56,7 @@ func mustEqualResults(t *testing.T, tag string, s1, s2 *engine.Solution, d1, d2 
 // bit-identical results to the JSON path solving the original.
 func TestSolveCanonBytesBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	for _, kind := range []engine.Kind{engine.Central, engine.Distributed, engine.DistributedCompact} {
+	for _, kind := range []mmlp.Engine{mmlp.EngineCentral, mmlp.EngineDistributed, mmlp.EngineDistributedCompact} {
 		for seed := int64(1); seed <= 6; seed++ {
 			in := wireInstance(seed)
 			o := engine.Options{Engine: kind, R: 3}
@@ -92,7 +83,7 @@ func TestSolveCanonBytesBitIdentity(t *testing.T) {
 func TestSolveCanonBytesCrossEncodingCache(t *testing.T) {
 	ctx := context.Background()
 	in := wireInstance(3)
-	o := engine.Options{Engine: engine.Distributed, R: 3}
+	o := engine.Options{Engine: mmlp.EngineDistributed, R: 3}
 	payload := engine.EncodeCanon(shuffled(in, 99), o)
 
 	// JSON first, canon second.

@@ -98,7 +98,7 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	k.key = canon.Hash(k.in, base.Opts)
 	tr.Add(obs.StageHash, time.Since(th))
 	k.out = &DeltaOutcome{Key: k.key}
-	k.store = k.opts.Engine == Central
+	k.store = k.opts.Engine == mmlp.EngineCentral
 	return k, nil
 }
 

@@ -59,8 +59,8 @@ func TestSolveDeltaConformance(t *testing.T) {
 	}{
 		"central":      {gen.Random(gen.RandomConfig{Agents: 18, MaxDegI: 3, MaxDegK: 3, ExtraCons: 5, ExtraObjs: 2}, 1), engine.Options{R: 3, DisableSpecialCases: true}, true},
 		"central-r4":   {gen.Random(gen.RandomConfig{Agents: 14, MaxDegI: 3, MaxDegK: 3, ExtraCons: 4, ExtraObjs: 2}, 2), engine.Options{R: 4, DisableSpecialCases: true}, true},
-		"dist":         {gen.TriNecklace(4), engine.Options{Engine: engine.Distributed, R: 3}, false},
-		"dist-compact": {gen.TriNecklace(4), engine.Options{Engine: engine.DistributedCompact, R: 3}, false},
+		"dist":         {gen.TriNecklace(4), engine.Options{Engine: mmlp.EngineDistributed, R: 3}, false},
+		"dist-compact": {gen.TriNecklace(4), engine.Options{Engine: mmlp.EngineDistributedCompact, R: 3}, false},
 	}
 	for name, c := range cases {
 		ca := engine.NewCache(engine.CacheOptions{})

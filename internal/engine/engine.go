@@ -28,39 +28,10 @@ import (
 	"repro/internal/transform"
 )
 
-// Kind selects the execution engine for the structured solve.
-type Kind int
-
-// Engines.
-const (
-	// Central is the fast centralised engine (core.Solve).
-	Central Kind = iota
-	// Distributed is the honest synchronous message-passing protocol with
-	// anonymous view gathering (dist.SolveDistributed).
-	Distributed
-	// DistributedCompact is the identifier-based record-gossip protocol
-	// with polynomial message sizes (dist.SolveDistributedCompact).
-	DistributedCompact
-)
-
-// String names the engine kind; the names are the wire identifiers of the
-// serving layer (mmlp.EngineLocal etc.).
-func (k Kind) String() string {
-	switch k {
-	case Central:
-		return mmlp.EngineLocal
-	case Distributed:
-		return mmlp.EngineDist
-	case DistributedCompact:
-		return mmlp.EngineDistCompact
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Options configures one solve.
 type Options struct {
 	// Engine selects the execution engine.
-	Engine Kind
+	Engine mmlp.Engine
 	// R is the shifting parameter (≥ 2, 0 means the default 3).
 	R int
 	// Workers bounds the parallelism of the centralised engine
@@ -212,7 +183,7 @@ func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch
 // incremental).
 func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec, base *delta.Record, out *DeltaOutcome) (*Solution, *DistInfo, error) {
 	var info *DistInfo
-	if o.Engine != Central {
+	if o.Engine != mmlp.EngineCentral {
 		info = &DistInfo{}
 	}
 	if o.R == 0 {
@@ -320,7 +291,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	}
 	tk := time.Now()
 	switch {
-	case spliced || o.Engine == Central:
+	case spliced || o.Engine == mmlp.EngineCentral:
 		tv, err := sc.core.TStage(ctx, s, copts, dirty, baseT)
 		if err != nil {
 			return nil, nil, err
@@ -338,9 +309,9 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		}
 		sc.Trace.Add(tailStage, time.Since(ts))
 		t, xs, ub = tr.T, tr.X, tr.UpperBound
-	case o.Engine == Distributed || o.Engine == DistributedCompact:
+	case o.Engine == mmlp.EngineDistributed || o.Engine == mmlp.EngineDistributedCompact:
 		solver := dist.SolveDistributed
-		if o.Engine == DistributedCompact {
+		if o.Engine == mmlp.EngineDistributedCompact {
 			solver = dist.SolveDistributedCompact
 		}
 		res, err := solver(s, copts)

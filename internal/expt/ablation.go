@@ -76,10 +76,11 @@ func E10Ablation(scale Scale) (*Table, error) {
 }
 
 // E11Dynamic measures the constant-time-update property of §1.3: after a
-// single coefficient change on a large cycle, the incremental update
-// (delta.Plan's hop-exact dirty ball, then RecomputeT and DeriveFromT)
-// recomputes a constant number of t-values and finishes much faster than a
-// full solve, with bit-identical output.
+// single coefficient change on a large cycle, the incremental update — the
+// sequence a spliced delta runs in the engine: one delta.Scratch.Plan BFS,
+// the dirty t-stage and the ball-local tail — recomputes a constant number
+// of t-values and finishes much faster than a full solve, with
+// bit-identical output.
 func E11Dynamic(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
@@ -92,6 +93,8 @@ func E11Dynamic(scale Scale) (*Table, error) {
 		sizes = []int{100, 200}
 	}
 	opt := core.Options{R: 3}
+	var ps delta.Scratch
+	var sc core.Scratch
 	for _, m := range sizes {
 		in := gen.TriNecklace(m)
 		s1, err := structured.FromMMLP(in)
@@ -108,14 +111,20 @@ func E11Dynamic(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		base := old.Own()
 		start := time.Now()
 		full, err := core.Solve(s2, opt)
 		if err != nil {
 			return nil, err
 		}
 		fullMS := float64(time.Since(start).Microseconds()) / 1000
+		// The timed update runs on scratches already sized for the
+		// instance, as a serving worker's are in steady state.
+		if _, _, err := incrementalUpdate(s1, s2, base, opt, &ps, &sc); err != nil {
+			return nil, err
+		}
 		start = time.Now()
-		inc, dirty, err := incrementalUpdate(s1, s2, old, opt)
+		inc, dirty, err := incrementalUpdate(s1, s2, base, opt, &ps, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -135,19 +144,22 @@ func E11Dynamic(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// incrementalUpdate re-solves sNew from old, the trace of sOld: only the
-// agents delta.Plan marks dirty get a fresh t_u, and the tail re-runs on
-// the merged t-vector. It returns the trace and the number of t-values
-// recomputed.
-func incrementalUpdate(sOld, sNew *structured.Instance, old *core.Trace, opt core.Options) (*core.Trace, int, error) {
-	dirty, err := delta.Plan(sOld, sNew, core.TRadius(old.SmallR))
+// incrementalUpdate re-solves sNew from base, the owned trace (Trace.Own)
+// of sOld, on the caller's scratches: ps's Plan yields the dirty t-set and
+// the output ball, the single-worker t-stage re-prices the dirty agents,
+// and the tail re-derives the ball. It returns the trace, which aliases sc,
+// and the number of t-values recomputed.
+func incrementalUpdate(sOld, sNew *structured.Instance, base *core.Trace, opt core.Options, ps *delta.Scratch, sc *core.Scratch) (*core.Trace, int, error) {
+	r := base.SmallR
+	dirty, ball, err := ps.Plan(sOld, sNew, core.TRadius(r), core.OutputRadius(r))
 	if err != nil {
 		return nil, 0, err
 	}
-	tv, err := core.RecomputeT(sNew, old.T, dirty, opt)
+	opt.Workers = 1
+	tv, err := sc.TStage(nil, sNew, opt, dirty, base.T)
 	if err != nil {
 		return nil, 0, err
 	}
-	tr, err := core.DeriveFromT(sNew, tv, opt)
+	tr, err := sc.Tail(sNew, opt, tv, ball, base)
 	return tr, len(dirty), err
 }

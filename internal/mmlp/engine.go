@@ -1,9 +1,6 @@
 package mmlp
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Engine is the typed form of a wire engine name. Its numeric values are
 // stable — they are what the canon key encoder hashes — so they must never
@@ -43,10 +40,6 @@ func ParseEngine(name string) (Engine, error) {
 	return 0, fmt.Errorf("%w %q (want %q, %q or %q)",
 		ErrUnknownEngine, name, EngineLocal, EngineDist, EngineDistCompact)
 }
-
-// IsUnknownEngine reports whether err came from ParseEngine rejecting a
-// name.
-func IsUnknownEngine(err error) bool { return errors.Is(err, ErrUnknownEngine) }
 
 // String returns the wire name of the engine.
 func (e Engine) String() string {

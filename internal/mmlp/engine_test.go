@@ -26,7 +26,7 @@ func TestParseEngine(t *testing.T) {
 func TestParseEngineUnknown(t *testing.T) {
 	for _, name := range []string{"LOCAL", "central", "dist-compact ", "simplex"} {
 		_, err := ParseEngine(name)
-		if !IsUnknownEngine(err) {
+		if !errors.Is(err, ErrUnknownEngine) {
 			t.Fatalf("ParseEngine(%q): err = %v, want ErrUnknownEngine", name, err)
 		}
 		if !errors.Is(err, ErrInvalid) {

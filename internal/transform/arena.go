@@ -87,72 +87,6 @@ func (a *instArena) finish() *mmlp.Instance {
 	return &a.inst
 }
 
-// incidence is a compact CSR encoding of mmlp.Incidence rebuilt per step
-// into reusable arrays: row indices of agent v occupy idx[off[v]:off[v+1]],
-// in increasing row order — the same order the allocating Incidence lists.
-type incidence struct {
-	consOff, consIdx []int32
-	objsOff, objsIdx []int32
-}
-
-func (ic *incidence) build(in *mmlp.Instance) {
-	n := in.NumAgents
-
-	off := grow(&ic.consOff, n+1)
-	for v := range off {
-		off[v] = 0
-	}
-	for _, c := range in.Cons {
-		for _, t := range c.Terms {
-			off[t.Agent+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	idx := grow(&ic.consIdx, int(off[n]))
-	for i, c := range in.Cons {
-		for _, t := range c.Terms {
-			idx[off[t.Agent]] = int32(i)
-			off[t.Agent]++
-		}
-	}
-	// The fill advanced off[v] to the end of v's range; shift right to
-	// restore starts (copy is overlap-safe).
-	copy(off[1:], off[:n])
-	off[0] = 0
-
-	off = grow(&ic.objsOff, n+1)
-	for v := range off {
-		off[v] = 0
-	}
-	for _, o := range in.Objs {
-		for _, t := range o.Terms {
-			off[t.Agent+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	idx = grow(&ic.objsIdx, int(off[n]))
-	for k, o := range in.Objs {
-		for _, t := range o.Terms {
-			idx[off[t.Agent]] = int32(k)
-			off[t.Agent]++
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-}
-
-func (ic *incidence) consOf(v int) []int32 {
-	return ic.consIdx[ic.consOff[v]:ic.consOff[v+1]]
-}
-
-func (ic *incidence) objsOf(v int) []int32 {
-	return ic.objsIdx[ic.objsOff[v]:ic.objsOff[v+1]]
-}
-
 // capsInto is Instance.Caps into a reusable buffer.
 func capsInto(in *mmlp.Instance, buf *[]float64) []float64 {
 	caps := grow(buf, in.NumAgents)
@@ -178,7 +112,7 @@ type gadget struct {
 
 // Scratch is the reusable per-worker arena of the §4 pipeline: the
 // intermediate instances of Preprocess and the five Structure steps, the
-// incidence/counter tables the steps consult, and the divisor/parent/γ
+// index/counter tables the steps consult, and the divisor/parent/γ
 // arrays backing the data-driven BackMaps. The zero value is ready; see
 // NewScratch. Not safe for concurrent use.
 //
@@ -189,7 +123,6 @@ type gadget struct {
 // does: solutions are lifted into fresh memory before they escape).
 type Scratch struct {
 	// Shared per-step work tables, freely reused between phases.
-	inc     incidence
 	caps    []float64
 	countA  []int32
 	countB  []int32

@@ -39,7 +39,17 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, h
 		return in, back
 	}
 	caps := capsInto(in, &sc.caps)
-	sc.inc.build(in)
+	// firstObj[v] is the first objective adjacent to v: the last write of
+	// a descending pass over the objectives.
+	firstObj := grow(&sc.idxA, in.NumAgents)
+	for v := range firstObj {
+		firstObj[v] = -1
+	}
+	for k := len(in.Objs) - 1; k >= 0; k-- {
+		for _, t := range in.Objs[k].Terms {
+			firstObj[t.Agent] = int32(k)
+		}
+	}
 	origAgents := in.NumAgents
 	a.reset(origAgents)
 	gadgets := sc.gadgets[:0]
@@ -55,9 +65,8 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, h
 			continue
 		}
 		// M = 2 Σ_{w∈Vk} c_kw cap_w for the first objective k adjacent to v.
-		k := sc.inc.objsOf(v)[0]
 		m := 0.0
-		for _, t := range in.Objs[k].Terms {
+		for _, t := range in.Objs[firstObj[v]].Terms {
 			m += t.Coef * caps[t.Agent]
 		}
 		m *= 2

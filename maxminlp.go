@@ -115,7 +115,7 @@ type LocalOptions struct {
 }
 
 // engineOptions converts the public options for the given engine kind.
-func (o LocalOptions) engineOptions(kind engine.Kind) engine.Options {
+func (o LocalOptions) engineOptions(kind mmlp.Engine) engine.Options {
 	return engine.Options{
 		Engine:              kind,
 		R:                   o.R,
@@ -127,11 +127,11 @@ func (o LocalOptions) engineOptions(kind engine.Kind) engine.Options {
 }
 
 // distKind picks the message-passing engine selected by the options.
-func (o LocalOptions) distKind() engine.Kind {
+func (o LocalOptions) distKind() mmlp.Engine {
 	if o.CompactProtocol {
-		return engine.DistributedCompact
+		return mmlp.EngineDistributedCompact
 	}
-	return engine.Distributed
+	return mmlp.EngineDistributed
 }
 
 // ErrInvalid wraps instance validation failures.
@@ -147,7 +147,7 @@ type DistInfo = engine.DistInfo
 // the back-mappings lift it to the input instance. The result is feasible
 // and within factor max(2,ΔI)·(1−1/max(2,ΔK))·(1+1/(R−1)) of the optimum.
 func SolveLocal(in *Instance, opts LocalOptions) (*Solution, error) {
-	sol, _, err := engine.Solve(context.Background(), in, opts.engineOptions(engine.Central))
+	sol, _, err := engine.Solve(context.Background(), in, opts.engineOptions(mmlp.EngineCentral))
 	return sol, err
 }
 
@@ -205,10 +205,6 @@ type BatchOptions struct {
 	// cache thereafter, bit-identically to a fresh solve. The cache lives
 	// for this SolveBatch call; BatchStats.Cache reports its activity.
 	CacheBytes int64
-	// CacheShards splits the cache across this many lock domains, rounded
-	// up to a power of two (0 = the cache default of 16). Ignored when
-	// CacheBytes is zero.
-	CacheShards int
 }
 
 // BatchStats aggregates throughput and latency over a batch or a serving
@@ -230,7 +226,7 @@ type CacheStats = mmlp.CacheStatsRaw
 func SolveBatch(ctx context.Context, jobs []BatchJob, o BatchOptions) ([]BatchResult, *BatchStats, error) {
 	bjobs := make([]batch.Job, len(jobs))
 	for i, j := range jobs {
-		kind := engine.Central
+		kind := mmlp.EngineCentral
 		if j.Distributed {
 			kind = j.Opts.distKind()
 		}
@@ -238,7 +234,7 @@ func SolveBatch(ctx context.Context, jobs []BatchJob, o BatchOptions) ([]BatchRe
 	}
 	res, stats, err := batch.Solve(ctx, bjobs, batch.Options{
 		Workers: o.Workers, JobTimeout: o.JobTimeout,
-		CacheBytes: o.CacheBytes, CacheShards: o.CacheShards,
+		CacheBytes: o.CacheBytes,
 	})
 	out := make([]BatchResult, len(res))
 	for i, r := range res {

@@ -70,3 +70,19 @@ func TestCapabilitiesDeltaFollowsCache(t *testing.T) {
 		}
 	}
 }
+
+// TestRingRejectsTrailingData: a ring update is one strict JSON value, so
+// a body with data after it is malformed JSON, not an update.
+func TestRingRejectsTrailingData(t *testing.T) {
+	h := cachedServer(t)
+	update := `{"members":["127.0.0.1:1"],"self":"127.0.0.1:1"}`
+	if w := post(h, "/admin/ring", update); w.Code != http.StatusOK {
+		t.Fatalf("update: status %d (%s)", w.Code, w.Body)
+	}
+	w := post(h, "/admin/ring", update+`garbage`)
+	var er mmlp.ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest ||
+		!strings.HasPrefix(er.Error.Message, "malformed JSON: ") {
+		t.Fatalf("trailing data: status %d body %s, want 400 malformed JSON", w.Code, w.Body)
+	}
+}

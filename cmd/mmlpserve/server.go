@@ -282,8 +282,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // Pruning is idempotent, so re-delivered updates are harmless.
 func (s *server) handleRing(w http.ResponseWriter, r *http.Request) {
 	var upd mmlp.ShardRingUpdate
-	if code, err := httperr.DecodeJSON(w, r, s.maxBody, &upd); err != nil {
-		httperr.Write(w, code, httperr.CodeForStatus(code), err)
+	if _, status, err := httperr.ReadJSON(w, r, s.maxBody, &upd); err != nil {
+		httperr.Write(w, status, httperr.CodeForStatus(status), err)
 		return
 	}
 	if len(upd.Members) == 0 {

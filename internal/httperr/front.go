@@ -23,13 +23,18 @@ import (
 // application/x-mmlp-canon the body is the canon wire payload: it must
 // pass the magic sniff and is otherwise kept as is — keyed by its hash,
 // decoded only on a cache miss. Any other type is a JSON
-// mmlp.SolveRequest, whose envelope is validated here. On failure status
-// is the answer's: 413 for an oversized body, 400 otherwise.
+// mmlp.SolveRequest read by mmlp.UnmarshalSolveRequest — json.Unmarshal's
+// value and error, json.Marshal's spelling decoded without reflection —
+// whose envelope is validated here. On failure status is the answer's: 413
+// for an oversized body, 400 otherwise.
 func DecodeSolve(w http.ResponseWriter, r *http.Request, limit int64) (job batch.Job, body []byte, status int, err error) {
 	if MediaType(r) != mmlp.ContentTypeCanon {
-		var req mmlp.SolveRequest
-		if body, status, err = ReadJSON(w, r, limit, &req); err != nil {
+		if body, status, err = ReadBody(w, r, limit); err != nil {
 			return job, nil, status, err
+		}
+		var req mmlp.SolveRequest
+		if err = mmlp.UnmarshalSolveRequest(body, &req); err != nil {
+			return job, nil, http.StatusBadRequest, fmt.Errorf("malformed JSON: %w", err)
 		}
 		if job, err = batch.JobFromRequest(&req); err != nil {
 			return job, nil, http.StatusBadRequest, err
@@ -63,8 +68,8 @@ func DecodeDelta(w http.ResponseWriter, r *http.Request, limit int64) (job batch
 // 400, before a single job runs. Under Content-Type
 // application/x-mmlp-canon-batch the body is a canon batch frame, split at
 // frame boundaries only (each payload's magic is checked, none is
-// decoded); any other type is a JSON mmlp.BatchRequest read in one
-// streamed decode.
+// decoded); any other type is a JSON mmlp.BatchRequest read by ReadJSON,
+// so trailing data after it is malformed JSON.
 func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (jobs []batch.Job, status int, err error) {
 	if MediaType(r) == mmlp.ContentTypeCanonBatch {
 		frame, status, err := ReadBody(w, r, limit)
@@ -81,7 +86,7 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (jobs []ba
 		}
 	} else {
 		var req mmlp.BatchRequest
-		if status, err := DecodeJSON(w, r, limit, &req); err != nil {
+		if _, status, err := ReadJSON(w, r, limit, &req); err != nil {
 			return nil, status, err
 		}
 		jobs = make([]batch.Job, len(req.Jobs))

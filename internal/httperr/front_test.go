@@ -148,6 +148,7 @@ func TestDecodeBatchRejections(t *testing.T) {
 		{"bad job", "", []byte(`{"jobs":[` + solveJSON + `,{"instance":{"num_agents":0},"r":1}]}`), http.StatusBadRequest, "job 1: "},
 		{"junk frame", mmlp.ContentTypeCanonBatch, []byte("junk"), http.StatusBadRequest, "malformed batch frame: "},
 		{"malformed json", "", []byte(`{"jobs":`), http.StatusBadRequest, "malformed JSON: "},
+		{"trailing data", "", []byte(`{"jobs":[` + solveJSON + `]}{"jobs":[]}`), http.StatusBadRequest, "malformed JSON: "},
 		{"oversized", "", []byte(`{"jobs":[` + strings.Repeat(solveJSON+",", 8) + solveJSON + `]}`), http.StatusRequestEntityTooLarge, "request body exceeds"},
 	}
 	for _, c := range cases {

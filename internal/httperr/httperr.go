@@ -26,13 +26,16 @@ import (
 // ReadBody reads r's body whole, capped at limit bytes. On failure it
 // returns the status to answer with: 413 for an oversized body, 400 for
 // any other read error. The buffer doubles as it fills, so a large body
-// costs about twice its size in allocations, as under the streaming JSON
-// decoder; io.ReadAll's finer growth steps cost several times it.
+// costs about twice its size in allocations; io.ReadAll's finer growth
+// steps cost several times it.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
 	var b bytes.Buffer
 	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		status, err := bodyError(err, "read body")
-		return nil, status, err
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
 	}
 	return b.Bytes(), 0, nil
 }
@@ -49,26 +52,6 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, dst any) ([]b
 		return nil, http.StatusBadRequest, fmt.Errorf("malformed JSON: %w", err)
 	}
 	return body, 0, nil
-}
-
-// DecodeJSON streams r's body, capped at limit bytes, into dst. On failure
-// it returns the status to answer with: 413 for an oversized body, 400 for
-// malformed JSON.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, dst any) (int, error) {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(dst); err != nil {
-		return bodyError(err, "malformed JSON")
-	}
-	return 0, nil
-}
-
-// bodyError maps a failed body read: a body past the http.MaxBytesReader
-// cap is 413, anything else 400, described by what.
-func bodyError(err error, what string) (int, error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-	}
-	return http.StatusBadRequest, fmt.Errorf("%s: %w", what, err)
 }
 
 // MediaType extracts the request's media type; parameters (charset etc.)

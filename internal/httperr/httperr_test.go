@@ -143,13 +143,13 @@ func TestBodyLimits(t *testing.T) {
 		}
 
 		var dst map[string]any
-		status, err = DecodeJSON(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(c.body)), limit, &dst)
+		_, status, err = ReadJSON(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(c.body)), limit, &dst)
 		if status != c.status || (err == nil) != (c.msg == "") || (err != nil && err.Error() != c.msg) {
-			t.Fatalf("DecodeJSON %s: (%d, %v), want (%d, %q)", c.name, status, err, c.status, c.msg)
+			t.Fatalf("ReadJSON %s: (%d, %v), want (%d, %q)", c.name, status, err, c.status, c.msg)
 		}
 	}
 	var dst map[string]any
-	status, err := DecodeJSON(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{nope`)), limit, &dst)
+	_, status, err := ReadJSON(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{nope`)), limit, &dst)
 	if status != http.StatusBadRequest || err == nil || !strings.HasPrefix(err.Error(), "malformed JSON: ") {
 		t.Fatalf("malformed JSON: (%d, %v), want 400 malformed JSON", status, err)
 	}

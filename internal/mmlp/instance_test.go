@@ -287,6 +287,9 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	if _, err := Decode(bytes.NewBufferString(`not json`)); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
+	if _, err := Decode(bytes.NewBufferString(`{"num_agents":1,"constraints":[{"terms":[{"agent":0,"coef":1}]}]} trailing garbage`)); err == nil {
+		t.Fatal("trailing data after the instance decoded without error")
+	}
 }
 
 func TestFileRoundTrip(t *testing.T) {

@@ -17,11 +17,15 @@ func (in *Instance) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a JSON-encoded instance and validates it.
+// Decode reads a JSON-encoded instance and validates it. Anything after
+// the instance's value but whitespace is malformed JSON.
 func Decode(r io.Reader) (*Instance, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("mmlp: decode: %w", err)
+	}
 	var in Instance
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("mmlp: decode: %w", err)
 	}
 	if err := in.Validate(); err != nil {

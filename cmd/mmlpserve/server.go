@@ -54,8 +54,8 @@ type server struct {
 func newServer(pool *batch.Pool, maxBody int64) *server {
 	s := &server{pool: pool, maxBody: maxBody, logger: slog.Default()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleJob(httperr.DecodeSolve, renderSolve))
-	mux.HandleFunc("POST /v1/delta", s.handleJob(httperr.DecodeDelta, renderDelta))
+	mux.HandleFunc("POST /v1/solve", s.handleJob(httperr.DecodeSolve, writeSolve))
+	mux.HandleFunc("POST /v1/delta", s.handleJob(httperr.DecodeDelta, writeDelta))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -120,7 +120,7 @@ func errStatus(err error) (int, string) {
 }
 
 // handleJob serves one synchronous job; /v1/solve and /v1/delta differ
-// only in decode and render. A solve is JSON by default, or under
+// only in decode and write. A solve is JSON by default, or under
 // Content-Type application/x-mmlp-canon the canon wire payload — keyed by
 // its hash, decoded only on a cache miss. A delta re-solves a cached base
 // with an edit set applied: the dirty agents — those within the kernel's
@@ -130,10 +130,13 @@ func errStatus(err error) (int, string) {
 // 404/base_unknown, and the client (or the router's caller) falls back to
 // a full solve, which also seeds the base for the next delta. Both kinds
 // share the pool's workers, queue and admission ledger, so shedding and
-// deadline propagation behave alike. The response is JSON either way.
+// deadline propagation behave alike. The response is JSON either way,
+// written by the schema encoder (httperr.WriteAnswer): a delta's reply
+// copies every x entry its edit left unchanged from its base's encoded
+// bytes, so it costs its ball, not the instance.
 func (s *server) handleJob(
 	decode func(http.ResponseWriter, *http.Request, int64) (batch.Job, []byte, int, error),
-	render func(res batch.Result, trace map[string]float64) any,
+	write func(w http.ResponseWriter, res batch.Result, trace map[string]float64),
 ) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		job, _, status, err := decode(w, r, s.maxBody)
@@ -166,9 +169,8 @@ func (s *server) handleJob(
 		if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
 			trace = res.Trace.MSMap()
 		}
-		resp := render(res, trace)
 		encStart := time.Now()
-		httperr.WriteJSON(w, resp)
+		write(w, res, trace)
 		enc := time.Since(encStart)
 		s.pool.ObserveStage(obs.StageEncode, enc)
 		if s.slowLogOn && res.Latency >= s.slowLog {
@@ -177,17 +179,17 @@ func (s *server) handleJob(
 	}
 }
 
-// renderSolve and renderDelta are handleJob's response renderers.
-func renderSolve(res batch.Result, trace map[string]float64) any {
+// writeSolve and writeDelta are handleJob's response writers.
+func writeSolve(w http.ResponseWriter, res batch.Result, trace map[string]float64) {
 	resp := batch.ResponseFromResult(res)
 	resp.Trace = trace
-	return resp
+	httperr.WriteAnswer(w, &resp, nil)
 }
 
-func renderDelta(res batch.Result, trace map[string]float64) any {
+func writeDelta(w http.ResponseWriter, res batch.Result, trace map[string]float64) {
 	resp := batch.DeltaResponseFromResult(res)
 	resp.Trace = trace
-	return resp
+	httperr.WriteAnswer(w, &resp, res.Delta.BaseX)
 }
 
 // handleCapabilities advertises what this process serves — endpoints,

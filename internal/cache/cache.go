@@ -133,6 +133,12 @@ func (sh *shard) put(key canon.Key, val any, bytes int64) int64 {
 		sh.entries[key] = sh.lru.PushFront(&entry{key: key, val: val, bytes: bytes})
 		sh.bytes += bytes
 	}
+	return sh.evict()
+}
+
+// evict removes entries from the cold end until the shard is back under
+// budget and returns how many it removed. Caller holds sh.mu.
+func (sh *shard) evict() int64 {
 	var evicted int64
 	for sh.bytes > sh.maxBytes {
 		el := sh.lru.Back()
@@ -143,6 +149,25 @@ func (sh *shard) put(key canon.Key, val any, bytes int64) int64 {
 		evicted++
 	}
 	return evicted
+}
+
+// Charge adds bytes to the declared cost of key's entry while it still
+// holds val (compared with ==) — memory the value built after it was
+// stored, such as a memo — and evicts from the cold end until the shard
+// is back under budget, the entry itself included. An entry evicted or
+// replaced since is left alone and never brought back: its value is no
+// longer the cache's, and that memory goes with its last user.
+func (c *Cache) Charge(key canon.Key, val any, bytes int64) {
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	var evicted int64
+	if el, ok := sh.entries[key]; ok && el.Value.(*entry).val == val {
+		el.Value.(*entry).bytes += bytes
+		sh.bytes += bytes
+		evicted = sh.evict()
+	}
+	sh.mu.Unlock()
+	c.evictions.Add(evicted)
 }
 
 // Get reports the cached value for key, counting a hit or a miss.

@@ -59,6 +59,10 @@ type Record struct {
 	// base nobody edits never pays for them.
 	once sync.Once
 	form *BaseForm
+	// xOnce guards the memo of the base answer's encoded x, which every
+	// delta's reply copies its unchanged entries from.
+	xOnce sync.Once
+	x     *mmlp.EncodedX
 }
 
 // BaseForm is what pricing deltas against a record derives from its base
@@ -86,6 +90,45 @@ type BaseForm struct {
 func (r *Record) Base(build func() *BaseForm) *BaseForm {
 	r.once.Do(func() { r.form = build() })
 	return r.form
+}
+
+// EncodedX returns the memo of the base answer's encoded x, building it
+// with build on the first call and memoising the result, nil included.
+// Safe for concurrent use; build runs at most once.
+func (r *Record) EncodedX(build func() *mmlp.EncodedX) *mmlp.EncodedX {
+	r.xOnce.Do(func() { r.x = build() })
+	return r.x
+}
+
+// Bytes estimates the form's heap footprint for cache accounting, from its
+// slice lengths as Record.Bytes counts a record: the compact instance, the
+// trace's per-agent arrays and, when Pre and Pipe pass In through, the
+// lift's agent map.
+func (f *BaseForm) Bytes() int64 {
+	if f == nil {
+		return 0
+	}
+	n := int64(256) // structs + slice headers
+	if s := f.S; s != nil {
+		cons := int64(len(s.ConsV))
+		n += int64(s.N)*(4+8+24) + 24*int64(len(s.Objs)) + 24*cons
+		for _, vs := range s.Objs {
+			n += 4 * int64(len(vs))
+		}
+		for _, is := range s.ConsOf {
+			n += 4 * int64(len(is))
+		}
+		if f.Pre != nil {
+			n += 8 * int64(s.N)
+		}
+	}
+	if tr := f.Trace; tr != nil {
+		n += 8*int64(len(tr.T)+len(tr.S)+len(tr.X)) + 4*int64(len(tr.T)) // byT
+		for d := range tr.GPlus {
+			n += 24 + 8*int64(len(tr.GPlus[d])+len(tr.GMinus[d]))
+		}
+	}
+	return n
 }
 
 // Bytes estimates the record's heap footprint for cache accounting. Every

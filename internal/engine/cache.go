@@ -219,12 +219,13 @@ func solve(ctx context.Context, req Request, sc *Scratch, ca *Cache, deliver fun
 	if deliver == nil {
 		v, hit, err = ca.c.Do(ctx, k.key, compute)
 	} else {
+		out := k.out // the subscription outlives this call; k stays on the stack
 		v, hit, done, err = ca.c.DoDetached(k.key, compute, func(val any, err error) {
 			if err != nil {
 				deliver(Reply{}, err)
 				return
 			}
-			deliver(val.(*cachedResult).reply(k.out, true), nil)
+			deliver(val.(*cachedResult).reply(out, true), nil)
 		})
 	}
 	if !done {
@@ -251,8 +252,8 @@ type keyed struct {
 	// request leaves them to the miss, which decodes the payload.
 	in   *mmlp.Instance
 	opts Options
-	// base and out are a delta's base record and its accounting.
-	base *delta.Record
+	// base and out are a delta's base and its accounting.
+	base deltaBase
 	out  *DeltaOutcome
 	// owned marks an in that belongs to this request alone — a delta's
 	// edited instance, fresh row headers over its base's immutable rows —
@@ -342,6 +343,13 @@ func (r Request) miss(ctx context.Context, k keyed, sc *Scratch, capture bool) (
 		}
 		rec = &delta.Record{In: in, Opts: canonOptions(k.opts)}
 	}
-	sol, info, err := solveCanonical(ctx, k.in, k.opts, sc, coreScratch, rec, k.base, k.out)
+	var base *deltaBase
+	if r.Delta != nil {
+		base = &k.base
+	}
+	sol, info, err := solveCanonical(ctx, k.in, k.opts, sc, coreScratch, rec, base, k.out)
+	if err == nil {
+		err = sol.finite()
+	}
 	return cachedResult{sol: sol, info: info, rec: rec}, err
 }

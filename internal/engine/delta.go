@@ -48,6 +48,12 @@ type DeltaOutcome struct {
 	// ball covered every agent), and on the fallback paths that re-solve
 	// cold (base record without a t-vector, or a structural mismatch).
 	Spliced bool
+	// BaseX is the base answer's x, encoded once per stored base result
+	// for the reply encoder to copy every unchanged entry from
+	// (mmlp.AppendAnswer's base). Every delta reply carries it, whether
+	// priced, a cache hit or coalesced; nil when the base's x is outside
+	// the encoder's grammar.
+	BaseX *mmlp.EncodedX
 }
 
 // SolveDelta solves base-plus-edits against the result cache. The returned
@@ -81,31 +87,57 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	if !ok {
 		return keyed{}, ErrBaseUnknown
 	}
-	base := v.(*cachedResult).rec
-	if base == nil || base.In == nil {
+	b := deltaBase{res: v.(*cachedResult), ca: ca, key: d.Base}
+	rec := b.res.rec
+	if rec == nil || rec.In == nil {
 		return keyed{}, ErrBaseUnknown
 	}
-	edited, err := delta.Apply(base.In, d.Edits)
+	edited, err := delta.Apply(rec.In, d.Edits)
 	if err != nil {
 		return keyed{}, err
 	}
+	baseX := b.encodedX()
 	tr.Add(obs.StageDeltaPlan, time.Since(tp))
 	tc := time.Now()
-	k := keyed{in: edited.CanonicalInto(cs), opts: OptionsFromCanon(base.Opts), base: base}
+	k := keyed{in: edited.CanonicalInto(cs), opts: OptionsFromCanon(rec.Opts), base: b}
 	k.owned = k.in == edited
 	tr.Add(obs.StageCanonicalize, time.Since(tc))
 	th := time.Now()
-	k.key = canon.Hash(k.in, base.Opts)
+	k.key = canon.Hash(k.in, rec.Opts)
 	tr.Add(obs.StageHash, time.Since(th))
-	k.out = &DeltaOutcome{Key: k.key}
+	k.out = &DeltaOutcome{Key: k.key, BaseX: baseX}
 	k.store = k.opts.Engine == mmlp.EngineCentral
 	return k, nil
 }
 
-// baseForm returns base's memoised BaseForm, building it on the first
-// delta: nil when the base never ran the kernel or its pipeline cannot be
-// aligned.
-func baseForm(base *delta.Record, copts core.Options) *delta.BaseForm {
+// deltaBase is the stored result a delta prices against, with the cache
+// entry that holds it: the memos its record builds for the first delta
+// are charged to that entry.
+type deltaBase struct {
+	res *cachedResult
+	ca  *Cache
+	key canon.Key
+}
+
+// charge adds n bytes to the base's cache entry while the entry still
+// holds this result.
+func (b *deltaBase) charge(n int64) { b.ca.c.Charge(b.key, b.res, n) }
+
+// encodedX returns the base answer's memoised encoded x, building it on
+// the first delta.
+func (b *deltaBase) encodedX() *mmlp.EncodedX {
+	return b.res.rec.EncodedX(func() *mmlp.EncodedX {
+		m := mmlp.EncodeX(b.res.sol.X)
+		b.charge(m.Bytes())
+		return m
+	})
+}
+
+// form returns the base record's memoised BaseForm, building it on the
+// first delta that needs it: nil when the base never ran the kernel or its
+// pipeline cannot be aligned.
+func (b *deltaBase) form(copts core.Options) *delta.BaseForm {
+	base := b.res.rec
 	if base.T == nil {
 		return nil
 	}
@@ -138,6 +170,7 @@ func baseForm(base *delta.Record, copts core.Options) *delta.BaseForm {
 		if pipe.Final() == base.In {
 			f.Pre, f.Pipe = pp, pipe
 		}
+		b.charge(f.Bytes())
 		return f
 	})
 }

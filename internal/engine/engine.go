@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/baseline"
@@ -92,6 +93,34 @@ type Solution struct {
 	// algorithm derives it from the per-agent tree optima t_v (Lemma 2);
 	// exact solvers set it to the optimum.
 	UpperBound float64
+}
+
+// ErrOverflow reports an instance that passes validation but whose answer
+// does not fit in float64: coefficients far apart in scale (5e-324
+// against 1, or 1e-300 against 1e300) push the optimum past
+// math.MaxFloat64 and leave x, the utility or the upper bound NaN or
+// infinite. It wraps mmlp.ErrInvalid, so the serving layer answers it 400
+// invalid_argument on every route.
+var ErrOverflow = fmt.Errorf("%w: its answer overflows float64", mmlp.ErrInvalid)
+
+// finite checks that every number of the answer is finite, naming the
+// first that is not. The pipeline runs it once per answer, before the
+// cache can store it.
+func (s *Solution) finite() error {
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	var name string
+	var v float64
+	switch i := slices.IndexFunc(s.X, bad); {
+	case bad(s.Utility):
+		name, v = "utility", s.Utility
+	case bad(s.UpperBound):
+		name, v = "upper bound", s.UpperBound
+	case i >= 0:
+		name, v = fmt.Sprintf("x[%d]", i), s.X[i]
+	default:
+		return nil
+	}
+	return fmt.Errorf("maxminlp: %w (%s %v); scale the coefficients toward 1", ErrOverflow, name, v)
 }
 
 // DistInfo reports the traffic of a distributed run.
@@ -174,14 +203,14 @@ func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch
 // stored result carries (a private copy; the trivial and preprocess
 // shortcuts leave rec.T nil — they have no kernel to splice from).
 //
-// base, when non-nil, is the record of the solve a delta edits: whenever
+// base, when non-nil, is the stored solve a delta edits: whenever
 // the base ran the kernel and the structured forms align, the centralised
 // t-stage runs over the dirty agents only, seeded with the base's
 // t-vector, the tail re-derives only the edit's output ball from the
 // base's trace, and out receives the accounting. Every other shape runs
 // the full kernel and tail, which is always bit-identical (just not
 // incremental).
-func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec, base *delta.Record, out *DeltaOutcome) (*Solution, *DistInfo, error) {
+func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec *delta.Record, base *deltaBase, out *DeltaOutcome) (*Solution, *DistInfo, error) {
 	var info *DistInfo
 	if o.Engine != mmlp.EngineCentral {
 		info = &DistInfo{}
@@ -201,9 +230,10 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		copts.Workers = 1
 	}
 	var form *delta.BaseForm
+	var baseRec *delta.Record
 	if base != nil {
 		tf := time.Now()
-		form = baseForm(base, copts)
+		baseRec, form = base.res.rec, base.form(copts)
 		sc.Trace.Add(obs.StageDeltaPlan, time.Since(tf))
 	}
 
@@ -221,7 +251,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		// takes the base's preprocessing and back-maps, and its compact
 		// form is the base's with the edited rows patched in — no O(size)
 		// validation, preprocessing or conversion.
-		if s, _ = form.S.Reweighted(base.In, in, &sc.str); s != nil {
+		if s, _ = form.S.Reweighted(baseRec.In, in, &sc.str); s != nil {
 			pp, pipe = form.Pre, form.Pipe
 		}
 	}
@@ -283,7 +313,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 	var baseTr *core.Trace
 	if spliced {
 		kernelStage, tailStage, backStage = obs.StageDeltaKernel, obs.StageDeltaSplice, obs.StageDeltaSplice
-		baseT, baseTr = base.T, form.Trace
+		baseT, baseTr = baseRec.T, form.Trace
 		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
 		if len(ball) == s.N {
 			ball = nil // the ball is everything: the full tail is cheaper

@@ -3,7 +3,6 @@ package httperr
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -172,7 +171,9 @@ func Trace(h http.Handler, mint bool) http.Handler {
 // header negotiates — the binary result frame when it names
 // application/x-mmlp-canon-results, NDJSON otherwise; either request
 // encoding may pick either — and returns the function that writes and
-// flushes one record. The caller serializes calls.
+// flushes one record. An NDJSON line is mmlp.AppendAnswer's, and a record
+// JSON cannot carry becomes an error line for its job. The caller
+// serializes calls.
 func BatchWriter(w http.ResponseWriter, r *http.Request) func(mmlp.BatchItem) {
 	flusher, _ := w.(http.Flusher)
 	var write func(*mmlp.BatchItem)
@@ -186,8 +187,17 @@ func BatchWriter(w http.ResponseWriter, r *http.Request) func(mmlp.BatchItem) {
 		}
 	} else {
 		w.Header().Set("Content-Type", mmlp.ContentTypeNDJSON)
-		enc := json.NewEncoder(w)
-		write = func(item *mmlp.BatchItem) { enc.Encode(item) }
+		var buf []byte
+		write = func(item *mmlp.BatchItem) {
+			var err error
+			if buf, err = mmlp.AppendAnswer(buf[:0], item, nil); err != nil {
+				// The job still gets its one line: the error in place of
+				// an answer no JSON can carry.
+				bad := mmlp.BatchItem{Index: item.Index, Error: fmt.Sprintf("encode result: %v", err)}
+				buf, _ = mmlp.AppendAnswer(buf[:0], &bad, nil)
+			}
+			w.Write(buf)
+		}
 	}
 	return func(item mmlp.BatchItem) {
 		write(&item)

@@ -19,6 +19,7 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/mmlp"
 )
@@ -77,10 +78,36 @@ func Write(w http.ResponseWriter, status int, code string, err error) {
 	})
 }
 
-// WriteJSON emits one 200 JSON response.
+// WriteJSON emits one 200 JSON response, the bytes json.Encoder writes
+// for v; a v it cannot encode answers 500 internal instead.
 func WriteJSON(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		Write(w, http.StatusInternalServerError, mmlp.ErrCodeInternal, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", mmlp.ContentTypeJSON)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(b, '\n'))
+}
+
+// answerBufs recycles the buffers answers are encoded into, so a reply
+// costs no allocation once the pool is warm.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteAnswer emits one 200 JSON answer through mmlp.AppendAnswer, base
+// being the memo a delta's reply splices from (nil for a solve). An
+// answer it cannot encode answers 500 internal instead.
+func WriteAnswer[T mmlp.Answer](w http.ResponseWriter, v *T, base *mmlp.EncodedX) {
+	p := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(p)
+	b, err := mmlp.AppendAnswer((*p)[:0], v, base)
+	*p = b
+	if err != nil {
+		Write(w, http.StatusInternalServerError, mmlp.ErrCodeInternal, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", mmlp.ContentTypeJSON)
+	w.Write(b)
 }
 
 // CodeForStatus maps an HTTP status onto its default machine code — for

@@ -6,6 +6,7 @@ package maxminlp_test
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,10 +316,15 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // BenchmarkCachedThroughput measures the result cache on the E1 workload:
 // "cold" is the full pipeline a miss pays, "hit" is the cached path that
 // replaces it on repeat solves (acceptance: allocation-light and ≥10×
-// faster than cold), and "pool-hot" is a worker pool serving one hot key —
-// the slowly-changing-topology serving scenario the cache exists for.
+// faster than cold), "pool-hot" is a worker pool serving one hot key —
+// the slowly-changing-topology serving scenario the cache exists for — and
+// "pool-mix" is one shard's cache traffic under the fleet's e1-hot
+// workload: 64 warm canon keys from parallel submitters through a 2-worker
+// pool. Run pool-mix at -cpu 2 with -mutexprofile to see the wait on the
+// cache's lock.
 func BenchmarkCachedThroughput(b *testing.B) {
-	in := gen.Random(gen.RandomConfig{Agents: 24, MaxDegI: 3, MaxDegK: 3, ExtraCons: 6, ExtraObjs: 3}, 1)
+	cfg := gen.RandomConfig{Agents: 24, MaxDegI: 3, MaxDegK: 3, ExtraCons: 6, ExtraObjs: 3}
+	in := gen.Random(cfg, 1)
 	opts := engine.Options{R: 3, DisableSpecialCases: true}
 	ctx := context.Background()
 
@@ -360,6 +366,30 @@ func BenchmarkCachedThroughput(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	})
+	b.Run("pool-mix", func(b *testing.B) {
+		p := batch.NewPool(batch.Options{Workers: 2, CacheBytes: 64 << 20})
+		defer p.Close()
+		jobs := make([]batch.Job, 64)
+		for i := range jobs {
+			jobs[i] = batch.JobFromCanon(engine.EncodeCanon(gen.Random(cfg, int64(i+1)), opts))
+			if r := p.Do(ctx, jobs[i]); r.Err != nil { // warm the key
+				b.Fatal(r.Err)
+			}
+		}
+		var start atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(start.Add(17)); pb.Next(); i++ {
+				r := p.Do(ctx, jobs[i%len(jobs)])
+				if r.Err != nil || !r.Cached {
+					b.Errorf("want a cache hit, got err %v", r.Err)
+					return
+				}
+			}
+		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	})
 }

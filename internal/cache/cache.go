@@ -1,41 +1,34 @@
-// Package cache is a sharded, byte-budgeted LRU with singleflight
-// semantics, keyed by canon.Key. It fronts the solve pipeline in the batch
-// and serving layers: repeat solves of a slowly-changing topology become a
-// map lookup, and K concurrent solves of the same key run the computation
-// once while the other K−1 callers wait for the shared result.
+// Package cache is a byte-budgeted LRU with singleflight semantics, keyed
+// by canon.Key. It fronts the solve pipeline in the batch and serving
+// layers: repeat solves of a slowly-changing topology become a map lookup,
+// and K concurrent solves of the same key run the computation once while
+// the other K−1 callers wait for the shared result.
 //
-// The key space is split across DefaultShards shards selected by the key's
-// leading bytes, so the batch pool's workers contend on that many mutexes
-// instead of one. Each shard owns an equal slice of the byte budget and
-// evicts its own least-recently-used entries when inserts push it over;
-// hits, misses, evictions and coalesced waiters are counted globally with
-// atomics.
+// One mutex guards one entry map, one LRU list and one byte budget, so an
+// entry may be as large as the whole budget and eviction always takes the
+// least recently used entry of the cache. The same lock guards the
+// counters of hits, misses, evictions, coalesced waiters and pruned
+// entries.
 package cache
 
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/mmlp"
 )
 
-// Default sizing: a 64 MiB budget holds tens of thousands of typical solve
-// results, and 16 shards keep mutex contention negligible at the pool
-// concurrencies the serving layer runs (≤ a few dozen workers).
-const (
-	DefaultMaxBytes = 64 << 20
-	DefaultShards   = 16
-)
+// DefaultMaxBytes is the default budget: it holds tens of thousands of
+// typical solve results.
+const DefaultMaxBytes = 64 << 20
 
 // Options sizes a Cache.
 type Options struct {
-	// MaxBytes is the total byte budget across all shards
-	// (0 = DefaultMaxBytes). Entries are charged their caller-declared
-	// cost; an entry larger than a whole shard's budget is not stored.
+	// MaxBytes is the byte budget (0 = DefaultMaxBytes). Entries are
+	// charged their caller-declared cost; an entry larger than the whole
+	// budget is not stored.
 	MaxBytes int64
 }
 
@@ -52,131 +45,102 @@ type flight struct {
 	done chan struct{} // closed when val/err are final
 	val  any
 	err  error
-	// subs are DoDetached subscribers; appended under the shard lock while
+	// subs are DoDetached subscribers; appended under the cache lock while
 	// the flight is registered, collected by the leader when it settles.
 	subs []func(val any, err error)
 }
 
-// shard is one lock domain: a map, an LRU list (front = most recent) and a
-// slice of the byte budget.
-type shard struct {
+// Cache is safe for concurrent use.
+type Cache struct {
 	mu       sync.Mutex
 	entries  map[canon.Key]*list.Element // of *entry
 	flights  map[canon.Key]*flight
-	lru      list.List
+	lru      list.List // front = most recently used
 	bytes    int64
 	maxBytes int64
+
+	hits, misses, coalesced, evictions, pruned int64
 }
 
-// Cache is safe for concurrent use.
-type Cache struct {
-	shards []shard
-	mask   uint32
-
-	hits, misses, coalesced, evictions, pruned atomic.Int64
-	maxBytes                                   int64
-}
-
-// New builds a cache of DefaultShards shards; the zero-valued Options give
-// the defaults.
-func New(o Options) *Cache { return newSharded(o, DefaultShards) }
-
-// newSharded is New with n shards, a power of two.
-func newSharded(o Options, n int) *Cache {
+// New builds a cache; the zero-valued Options give the defaults.
+func New(o Options) *Cache {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
 	}
-	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), maxBytes: o.MaxBytes}
-	per := o.MaxBytes / int64(n)
-	if per < 1 {
-		per = 1
+	return &Cache{
+		entries:  make(map[canon.Key]*list.Element),
+		flights:  make(map[canon.Key]*flight),
+		maxBytes: o.MaxBytes,
 	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[canon.Key]*list.Element)
-		c.shards[i].flights = make(map[canon.Key]*flight)
-		c.shards[i].maxBytes = per
-	}
-	return c
-}
-
-// shardOf selects the lock domain from the key's leading bytes; SHA-256
-// keys are uniform, so shards fill evenly.
-func (c *Cache) shardOf(key canon.Key) *shard {
-	return &c.shards[binary.BigEndian.Uint32(key[:4])&c.mask]
 }
 
 // get returns the stored value and refreshes its recency. Caller holds
-// sh.mu.
-func (sh *shard) get(key canon.Key) (any, bool) {
-	el, ok := sh.entries[key]
+// c.mu.
+func (c *Cache) get(key canon.Key) (any, bool) {
+	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	return el.Value.(*entry).val, true
 }
 
-// put inserts or replaces an entry and evicts from the cold end until the
-// shard is back under budget. Values larger than the whole shard are not
-// stored — they would evict everything and then still not fit. Caller
-// holds sh.mu; returns the number of evictions.
-func (sh *shard) put(key canon.Key, val any, bytes int64) int64 {
-	if bytes > sh.maxBytes {
-		return 0
+// put inserts an entry for an absent key and evicts from the cold end
+// until the cache is back under budget. Values larger than the whole
+// budget are not stored — they would evict everything and then still not
+// fit. Caller holds c.mu.
+func (c *Cache) put(key canon.Key, val any, bytes int64) {
+	if bytes > c.maxBytes {
+		return
 	}
-	if el, ok := sh.entries[key]; ok {
-		e := el.Value.(*entry)
-		sh.bytes += bytes - e.bytes
-		e.val, e.bytes = val, bytes
-		sh.lru.MoveToFront(el)
-	} else {
-		sh.entries[key] = sh.lru.PushFront(&entry{key: key, val: val, bytes: bytes})
-		sh.bytes += bytes
-	}
-	return sh.evict()
+	c.entries[key] = c.lru.PushFront(&entry{key: key, val: val, bytes: bytes})
+	c.bytes += bytes
+	c.evict()
 }
 
-// evict removes entries from the cold end until the shard is back under
-// budget and returns how many it removed. Caller holds sh.mu.
-func (sh *shard) evict() int64 {
-	var evicted int64
-	for sh.bytes > sh.maxBytes {
-		el := sh.lru.Back()
-		e := el.Value.(*entry)
-		sh.lru.Remove(el)
-		delete(sh.entries, e.key)
-		sh.bytes -= e.bytes
-		evicted++
+// evict removes entries from the cold end until the cache is back under
+// budget, counting each. Caller holds c.mu.
+func (c *Cache) evict() {
+	for c.bytes > c.maxBytes {
+		c.remove(c.lru.Back())
+		c.evictions++
 	}
-	return evicted
+}
+
+// remove drops one stored entry. Caller holds c.mu.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= e.bytes
 }
 
 // Charge adds bytes to the declared cost of key's entry while it still
 // holds val (compared with ==) — memory the value built after it was
-// stored, such as a memo — and evicts from the cold end until the shard
-// is back under budget, the entry itself included. An entry evicted or
-// replaced since is left alone and never brought back: its value is no
-// longer the cache's, and that memory goes with its last user.
+// stored, such as a memo — and evicts from the cold end until the cache
+// is back under budget, the entry itself included. An entry evicted since,
+// or stored again with another value, is left alone and never brought
+// back: its value is no longer the cache's, and that memory goes with its
+// last user.
 func (c *Cache) Charge(key canon.Key, val any, bytes int64) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	var evicted int64
-	if el, ok := sh.entries[key]; ok && el.Value.(*entry).val == val {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok && el.Value.(*entry).val == val {
 		el.Value.(*entry).bytes += bytes
-		sh.bytes += bytes
-		evicted = sh.evict()
+		c.bytes += bytes
+		c.evict()
 	}
-	sh.mu.Unlock()
-	c.evictions.Add(evicted)
 }
 
 // Get reports the cached value for key, counting a hit or a miss.
 func (c *Cache) Get(key canon.Key) (any, bool) {
-	val, ok := c.Load(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	val, ok := c.get(key)
 	if ok {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return val, ok
 }
@@ -186,19 +150,9 @@ func (c *Cache) Get(key canon.Key) (any, bool) {
 // for reads that are not lookups of the caller's own request — a delta
 // fetching the base record it prices against.
 func (c *Cache) Load(key canon.Key) (any, bool) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.get(key)
-}
-
-// Put stores val under key at the declared byte cost.
-func (c *Cache) Put(key canon.Key, val any, bytes int64) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	evicted := sh.put(key, val, bytes)
-	sh.mu.Unlock()
-	c.evictions.Add(evicted)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.get(key)
 }
 
 // Do returns the value for key, computing it with compute on a miss.
@@ -257,31 +211,30 @@ func (c *Cache) DoDetached(key canon.Key, compute func() (any, int64, error), de
 // leaves the waiting to the caller. count credits the attachment to
 // Coalesced, so a Do that retries after a leader failure counts once.
 func (c *Cache) do(key canon.Key, compute func() (any, int64, error), deliver func(val any, err error), count bool) (val any, hit bool, f *flight, err error) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if val, ok := sh.get(key); ok {
-		sh.mu.Unlock()
-		c.hits.Add(1)
+	c.mu.Lock()
+	if val, ok := c.get(key); ok {
+		c.hits++
+		c.mu.Unlock()
 		return val, true, nil, nil
 	}
-	if f, ok := sh.flights[key]; ok {
+	if f, ok := c.flights[key]; ok {
 		if deliver != nil {
 			f.subs = append(f.subs, deliver)
 		}
-		sh.mu.Unlock()
 		if count {
-			c.coalesced.Add(1)
+			c.coalesced++
 		}
+		c.mu.Unlock()
 		return nil, false, f, nil
 	}
 	f = &flight{done: make(chan struct{})}
-	sh.flights[key] = f
-	sh.mu.Unlock()
-	c.misses.Add(1)
+	c.flights[key] = f
+	c.misses++
+	c.mu.Unlock()
 
 	var bytes int64
 	f.val, bytes, f.err = compute()
-	c.settle(sh, key, f, bytes)
+	c.settle(key, f, bytes)
 	return f.val, false, nil, f.err
 }
 
@@ -289,18 +242,17 @@ func (c *Cache) do(key canon.Key, compute func() (any, int64, error), deliver fu
 // success) and the flight unregistered in one critical section, so no new
 // waiter or subscriber can attach afterwards; then the waiters are released
 // and the subscribers delivered, on the leader's goroutine. Delivery order
-// is subscription order.
-func (c *Cache) settle(sh *shard, key canon.Key, f *flight, bytes int64) {
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	var evicted int64
+// is subscription order. A flight is registered only while its key holds
+// no entry, and only a flight stores one, so the key is still absent here.
+func (c *Cache) settle(key canon.Key, f *flight, bytes int64) {
+	c.mu.Lock()
+	delete(c.flights, key)
 	if f.err == nil {
-		evicted = sh.put(key, f.val, bytes)
+		c.put(key, f.val, bytes)
 	}
 	subs := f.subs
 	f.subs = nil
-	sh.mu.Unlock()
-	c.evictions.Add(evicted)
+	c.mu.Unlock()
 	close(f.done)
 	for _, deliver := range subs {
 		deliver(f.val, f.err)
@@ -311,49 +263,51 @@ func (c *Cache) settle(sh *shard, key canon.Key, f *flight, bytes int64) {
 // number removed. The serving layer calls it after a ring cutover so a
 // shard drops the partitions it no longer owns — keeping the fleet-wide
 // "every key cached exactly once" invariant — without disturbing entries it
-// still owns. In-flight computations are not affected; their results are
-// stored as usual and, if now unwanted, removed by the next Prune.
+// still owns. keep runs without the lock held, on a snapshot of the stored
+// keys; a key evicted meanwhile is not counted. In-flight computations are
+// not affected; their results are stored as usual and, if now unwanted,
+// removed by the next Prune.
 func (c *Cache) Prune(keep func(canon.Key) bool) int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
-			if !keep(e.key) {
-				sh.lru.Remove(el)
-				delete(sh.entries, e.key)
-				sh.bytes -= e.bytes
-				total++
-			}
-			el = next
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	keys := make([]canon.Key, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
 	}
-	c.pruned.Add(int64(total))
+	c.mu.Unlock()
+
+	drop := keys[:0]
+	for _, k := range keys {
+		if !keep(k) {
+			drop = append(drop, k)
+		}
+	}
+
+	total := 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range drop {
+		if el, ok := c.entries[k]; ok {
+			c.remove(el)
+			total++
+		}
+	}
+	c.pruned += int64(total)
 	return total
 }
 
 // Stats snapshots the counters and contents (mmlp.CacheStatsRaw documents
-// what each counts). The counters are read with atomics and the per-shard
-// contents under each shard's lock, so the snapshot is cheap but only
-// loosely consistent under concurrent traffic.
+// what each counts) in one critical section.
 func (c *Cache) Stats() mmlp.CacheStatsRaw {
-	st := mmlp.CacheStatsRaw{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
-		Pruned:    c.pruned.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return mmlp.CacheStatsRaw{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
+		Pruned:    c.pruned,
+		Entries:   int64(len(c.entries)),
+		Bytes:     c.bytes,
 		MaxBytes:  c.maxBytes,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += int64(len(sh.entries))
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return st
 }

@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,36 +24,46 @@ func key(i int) canon.Key {
 	return k
 }
 
-func TestGetPut(t *testing.T) {
-	c := cache.NewSharded(cache.Options{MaxBytes: 1 << 20}, 4)
-	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	c.Put(key(1), "a", 10)
-	if v, ok := c.Get(key(1)); !ok || v != "a" {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-	c.Put(key(1), "b", 12) // replace in place
-	if v, _ := c.Get(key(1)); v != "b" {
-		t.Fatalf("after replace Get = %v", v)
-	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 12 {
-		t.Fatalf("stats = %+v", st)
+// store puts val under an absent key through Do, the only way an entry is
+// stored.
+func store(t *testing.T, c *cache.Cache, k canon.Key, val any, bytes int64) {
+	t.Helper()
+	if _, hit, err := c.Do(context.Background(), k, func() (any, int64, error) {
+		return val, bytes, nil
+	}); err != nil || hit {
+		t.Fatalf("store: hit %v, err %v", hit, err)
 	}
 }
 
-// TestEviction fills a single shard past its budget and checks the byte
+func TestGetPut(t *testing.T) {
+	c := cache.New(cache.Options{MaxBytes: 1 << 20})
+	if _, ok := c.Get(key(1)); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("empty Get: stats = %+v, want 0 hits, 1 miss", st)
+	}
+	store(t, c, key(1), "a", 10)
+	before := c.Stats()
+	if v, ok := c.Get(key(1)); !ok || v != "a" {
+		t.Fatalf("Get = %v, %v", v, ok)
+	}
+	st := c.Stats()
+	if st.Hits-before.Hits != 1 || st.Misses != before.Misses || st.Entries != 1 || st.Bytes != 10 {
+		t.Fatalf("stats = %+v before Get %+v", st, before)
+	}
+}
+
+// TestEviction fills the cache past its budget and checks the byte
 // accounting, the eviction counter and the LRU order (a recently touched
 // entry survives over a colder one).
 func TestEviction(t *testing.T) {
-	// One shard so all keys share one budget and recency list.
-	c := cache.NewSharded(cache.Options{MaxBytes: 100}, 1)
+	c := cache.New(cache.Options{MaxBytes: 100})
 	for i := 0; i < 5; i++ {
-		c.Put(key(i), i, 25) // 4 fit
+		store(t, c, key(i), i, 25) // 4 fit
 	}
 	c.Get(key(1)) // refresh 1 so it is the warmest of the survivors
-	c.Put(key(5), 5, 25)
+	store(t, c, key(5), 5, 25)
 	if _, ok := c.Get(key(2)); ok {
 		t.Fatal("coldest entry survived eviction")
 	}
@@ -68,15 +79,66 @@ func TestEviction(t *testing.T) {
 	}
 }
 
-// TestOversizeEntry: a value larger than a whole shard is not stored.
+// TestOversizeEntry: a value larger than the whole budget is not stored.
 func TestOversizeEntry(t *testing.T) {
-	c := cache.NewSharded(cache.Options{MaxBytes: 64}, 2) // 32 per shard
-	c.Put(key(1), "big", 1000)
+	c := cache.New(cache.Options{MaxBytes: 64})
+	store(t, c, key(1), "big", 1000)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("oversize entry was stored")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestLargeEntryStored: an entry of any size up to the whole budget is
+// stored.
+func TestLargeEntryStored(t *testing.T) {
+	c := cache.New(cache.Options{MaxBytes: 1600})
+	store(t, c, key(1), "large", 1000)
+	if v, ok := c.Load(key(1)); !ok || v != "large" {
+		t.Fatalf("entry of 1000 of 1600 bytes: Load = %v, %v", v, ok)
+	}
+	store(t, c, key(2), "whole", 1600)
+	if v, ok := c.Load(key(2)); !ok || v != "whole" {
+		t.Fatalf("entry the size of the budget: Load = %v, %v", v, ok)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 1600 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want the whole-budget entry alone after 1 eviction", st)
+	}
+}
+
+// spread derives a key whose leading bytes are a SHA-256 digest of i, as a
+// real canon.Key's are.
+func spread(i int) canon.Key {
+	return canon.Key(sha256.Sum256([]byte{byte(i >> 8), byte(i)}))
+}
+
+// TestEvictionIsGlobalLRU: eviction takes the least recently used key of
+// the whole cache, whatever the keys' hashes.
+func TestEvictionIsGlobalLRU(t *testing.T) {
+	const n, cost = 16, 10
+	c := cache.New(cache.Options{MaxBytes: n * cost})
+	for i := 0; i < n; i++ {
+		store(t, c, spread(i), i, cost)
+	}
+	const coldest = 7
+	for i := 0; i < n; i++ {
+		if i != coldest {
+			c.Load(spread(i))
+		}
+	}
+	store(t, c, spread(n), n, cost)
+	if _, ok := c.Load(spread(coldest)); ok {
+		t.Fatal("the least recently used key survived")
+	}
+	for i := 0; i <= n; i++ {
+		if _, ok := c.Load(spread(i)); !ok && i != coldest {
+			t.Fatalf("key %d was evicted in place of the least recently used", i)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != n || st.Bytes != n*cost {
+		t.Fatalf("stats = %+v, want one eviction and a full budget", st)
 	}
 }
 
@@ -243,7 +305,7 @@ func TestDoWaiterCancellation(t *testing.T) {
 // under -race in CI): values must always be consistent with their key and
 // the byte budget must hold afterwards.
 func TestConcurrentDo(t *testing.T) {
-	c := cache.NewSharded(cache.Options{MaxBytes: 512}, 4)
+	c := cache.New(cache.Options{MaxBytes: 512})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -284,11 +346,15 @@ func TestLoadIsNotALookup(t *testing.T) {
 	if _, ok := c.Load(k); ok {
 		t.Fatal("Load found a value in an empty cache")
 	}
-	c.Put(k, "v", 8)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Coalesced != 0 {
+		t.Fatalf("Load of an absent key moved the lookup counters: %+v", st)
+	}
+	store(t, c, k, "v", 8)
+	before := c.Stats()
 	if v, ok := c.Load(k); !ok || v != "v" {
 		t.Fatalf("Load = (%v, %v), want (v, true)", v, ok)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Coalesced != 0 {
-		t.Fatalf("Load moved the lookup counters: %+v", st)
+	if st := c.Stats(); st.Hits != before.Hits || st.Misses != before.Misses || st.Coalesced != before.Coalesced {
+		t.Fatalf("Load moved the lookup counters: %+v, before %+v", st, before)
 	}
 }

@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/canon"
 )
 
 // TestCharge: Charge adds to a live entry's cost and evicts to budget,
 // but never brings back an evicted entry or charges a replaced value.
 func TestCharge(t *testing.T) {
-	c := cache.NewSharded(cache.Options{MaxBytes: 100}, 1)
+	c := cache.New(cache.Options{MaxBytes: 100})
 	a, b := new(int), new(int)
-	c.Put(key(1), a, 30)
-	c.Put(key(2), b, 30)
+	store(t, c, key(1), a, 30)
+	store(t, c, key(2), b, 30)
 	c.Charge(key(1), a, 20)
 	if st := c.Stats(); st.Bytes != 80 || st.Entries != 2 || st.Evictions != 0 {
 		t.Fatalf("after charging a live entry: %+v", st)
@@ -30,7 +31,8 @@ func TestCharge(t *testing.T) {
 	// An evicted entry stays evicted, and a key now holding another value
 	// is not charged for the old one.
 	c.Charge(key(1), a, 10)
-	c.Put(key(2), new(int), 30)
+	c.Prune(func(k canon.Key) bool { return k != key(2) })
+	store(t, c, key(2), new(int), 30)
 	c.Charge(key(2), b, 10)
 	if st := c.Stats(); st.Bytes != 30 || st.Entries != 1 {
 		t.Fatalf("stale charges moved the cache: %+v", st)

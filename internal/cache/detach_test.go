@@ -125,7 +125,7 @@ func TestDoDetachedLeaderFailure(t *testing.T) {
 func TestPrune(t *testing.T) {
 	c := cache.New(cache.Options{})
 	for i := 0; i < 20; i++ {
-		c.Put(key(i), i, 100)
+		store(t, c, key(i), i, 100)
 	}
 	keepEven := func(k canon.Key) bool { return k[2]%2 == 0 }
 	if n := c.Prune(keepEven); n != 10 {

@@ -123,12 +123,12 @@ func (r *reader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeOptions decodes the solve magic and the options header from the
+// decodeOptions decodes the solve magic and the options header from the
 // front of payload, returning the remainder (the instance section). The
 // options on the wire must already be normalized — the encoder writes
 // them that way, and accepting R=0 alongside R=3 would alias two byte
 // strings to one configuration.
-func DecodeOptions(payload []byte) (Options, []byte, error) {
+func decodeOptions(payload []byte) (Options, []byte, error) {
 	if !SniffSolve(payload) {
 		return Options{}, nil, fmt.Errorf("%w: want %q", ErrMagic, SolveMagic)
 	}
@@ -171,7 +171,7 @@ func DecodeOptions(payload []byte) (Options, []byte, error) {
 	return o, payload[r.off:], nil
 }
 
-// DecodeScratch is the reusable working memory of DecodeInstance: row
+// DecodeScratch is the reusable working memory of DecodeSolve: row
 // headers and one flat term arena, mirroring mmlp.CanonScratch so warm
 // decoding of similarly-shaped payloads does not allocate. The zero value
 // is ready. Not safe for concurrent use.
@@ -180,8 +180,8 @@ type DecodeScratch struct {
 	terms []mmlp.Term
 }
 
-// DecodeInstance decodes the instance section from the front of p (the
-// remainder returned by DecodeOptions) into sc's arena, returning the
+// decodeInstance decodes the instance section from the front of p (the
+// remainder returned by decodeOptions) into sc's arena, returning the
 // instance and any bytes that follow it. A nil sc falls back to fresh
 // memory; with a non-nil sc the instance aliases sc and is valid only
 // until sc's next use — treat it as read-only either way.
@@ -194,7 +194,7 @@ type DecodeScratch struct {
 // fixed-width encoding). An accepted instance is therefore already in
 // the exact canonical form mmlp.Canonical produces, and the solve
 // pipeline can skip re-canonicalization entirely.
-func DecodeInstance(p []byte, sc *DecodeScratch) (*mmlp.Instance, []byte, error) {
+func decodeInstance(p []byte, sc *DecodeScratch) (*mmlp.Instance, []byte, error) {
 	if sc == nil {
 		sc = &DecodeScratch{}
 	}
@@ -340,11 +340,11 @@ func decodeRow(r *reader, numAgents int, buf []mmlp.Term) (row []mmlp.Term, raw 
 // instance, and nothing after. It is the exact inverse of AppendSolve on
 // the set of payloads it accepts.
 func DecodeSolve(payload []byte, sc *DecodeScratch) (*mmlp.Instance, Options, error) {
-	o, rest, err := DecodeOptions(payload)
+	o, rest, err := decodeOptions(payload)
 	if err != nil {
 		return nil, Options{}, err
 	}
-	in, rest, err := DecodeInstance(rest, sc)
+	in, rest, err := decodeInstance(rest, sc)
 	if err != nil {
 		return nil, Options{}, err
 	}

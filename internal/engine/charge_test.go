@@ -86,3 +86,49 @@ func TestDeltaMemosChargedToBase(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaBaseSurvivesItsMemos: a base serves consecutive spliced deltas
+// and stays cached after each, although its first delta charges the
+// base's form and encoded x to its entry and every delta stores its own
+// result beside it. A 3,000-agent base runs under an 8 MiB budget and a
+// 30,000-agent one under the default budget.
+func TestDeltaBaseSurvivesItsMemos(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{R: 4, DisableSpecialCases: true}
+	for _, tc := range []struct {
+		name string
+		n    int
+		o    CacheOptions
+	}{
+		{"necklace-1000/8MiB", 1000, CacheOptions{MaxBytes: 8 << 20}},
+		{"necklace-10000/default", 10000, CacheOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := gen.TriNecklace(tc.n)
+			ca := NewCache(tc.o)
+			sc := NewScratch()
+			if _, _, _, err := SolveCached(ctx, in, opts, sc, ca); err != nil {
+				t.Fatal(err)
+			}
+			baseKey := SolveKey(in, opts)
+			row := in.Canonical().Cons[0].Terms
+			for _, factor := range []float64{2, 3, 4} {
+				scaled := make([]mmlp.Term, len(row))
+				for j, tm := range row {
+					scaled[j] = mmlp.Term{Agent: tm.Agent, Coef: factor * tm.Coef}
+				}
+				edits := []mmlp.RowEdit{{Op: mmlp.EditReweight, Kind: mmlp.EditConstraint, Match: row, Terms: scaled}}
+				_, out, _, err := SolveDelta(ctx, baseKey, edits, sc, ca)
+				if err != nil {
+					t.Fatalf("delta ×%v: %v (cache %+v)", factor, err, ca.Stats())
+				}
+				if !out.Spliced {
+					t.Fatalf("delta ×%v: outcome %+v, want a spliced delta", factor, out)
+				}
+				if _, ok := ca.c.Load(baseKey); !ok {
+					t.Fatalf("delta ×%v evicted its base (cache %+v)", factor, ca.Stats())
+				}
+			}
+		})
+	}
+}

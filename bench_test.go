@@ -1,6 +1,7 @@
-// Benchmarks: one per experiment of DESIGN.md §4. Each benchmark times the
-// computational kernel of its experiment; the full sweep tables themselves
-// are regenerated by cmd/mmlpbench (see EXPERIMENTS.md).
+// Benchmarks: one per experiment of internal/expt, plus the serving layers
+// (batch pool, result cache, delta) and the exact reference. Each
+// experiment benchmark times the computational kernel of its experiment;
+// the full sweep tables themselves are printed by cmd/mmlpbench.
 package maxminlp_test
 
 import (

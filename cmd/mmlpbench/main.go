@@ -1,11 +1,12 @@
-// Command mmlpbench regenerates the experiment tables of EXPERIMENTS.md.
+// Command mmlpbench runs the experiments of internal/expt and prints their
+// tables.
 //
 // Usage:
 //
-//	mmlpbench [-e all|e1|e2|e3|e4|e5|e6|e8|e9] [-scale quick|full] [-md]
+//	mmlpbench [-e all|e1|e2|e3|e4|e5|e6|e8|e9|e10|e11] [-scale quick|full] [-md]
 //
-// With -md the tables are emitted as GitHub-flavoured markdown (the format
-// EXPERIMENTS.md embeds); the default is aligned text.
+// With -md the tables are emitted as GitHub-flavoured markdown; the
+// default is aligned text.
 package main
 
 import (

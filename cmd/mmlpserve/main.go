@@ -50,9 +50,9 @@
 // minted by the router from the client deadline) becomes a context
 // deadline, so work that can no longer make it back in time is abandoned
 // — a job whose deadline passes while still queued is answered 504
-// without touching the solver. With -shed, /v1/solve stops queueing
-// behind a full queue and answers 429 with a Retry-After derived from
-// the live queue-wait median instead. -fault-spec RULES enables the
+// without touching the solver. With -shed, /v1/solve and /v1/delta stop
+// queueing behind a full queue and answer 429 with a Retry-After derived
+// from the live queue-wait median instead. -fault-spec RULES enables the
 // deterministic chaos layer (internal/fault) for testing: latency,
 // error, blackhole, slow-body and truncation faults by path and rate;
 // off by default and zero-cost when off.
@@ -106,7 +106,7 @@ func parseFlags(args []string) (*serveConfig, error) {
 	shutdownGrace := fs.Duration("shutdown-grace", 10*time.Second, "graceful shutdown window")
 	slowLog := fs.Duration("slow-log", -1, "log the per-stage breakdown of solves at or above this latency (0 logs every solve; negative disables)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
-	shed := fs.Bool("shed", false, "shed /v1/solve on a full queue (429 + Retry-After) instead of applying backpressure")
+	shed := fs.Bool("shed", false, "shed /v1/solve and /v1/delta on a full queue (429 + Retry-After) instead of applying backpressure")
 	faultSpec := fs.String("fault-spec", "", "fault-injection rules for chaos testing (e.g. 'path=/v1/ latency=800ms'; empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

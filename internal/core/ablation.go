@@ -42,14 +42,12 @@ func SolveAblated(s *structured.Instance, opt Options, ab Ablation) (*Trace, err
 	return run(s, opt, &Scratch{}, ab)
 }
 
-// singleRoleOutputInto evaluates (20) for one fixed role guess into x:
+// singleRoleAt evaluates (20) for agent v under one fixed role guess:
 // x_v = (1/R) Σ_d g_{v,d} for the chosen sign.
-func singleRoleOutputInto(g [][]float64, R int, x []float64) {
-	for v := range x {
-		sum := 0.0
-		for d := range g {
-			sum += g[d][v]
-		}
-		x[v] = sum / float64(R)
+func singleRoleAt(g [][]float64, R, v int) float64 {
+	sum := 0.0
+	for d := range g {
+		sum += g[d][v]
 	}
+	return sum / float64(R)
 }

@@ -20,12 +20,15 @@
 //  3. The g± recursions (12)–(14) and the output (18).
 //
 // All stages are local: stage 1 reads a radius-(4r+3) view, stage 2 adds
-// 4r+2 rounds, stage 3 adds ≈4r+2 more. internal/dist executes the same
-// computation as an explicit message-passing protocol.
+// 4r+2 rounds, stage 3 adds ≈4r+2 more. So each stage is one loop over a
+// work list on a reusable Scratch (Scratch.TStage, Scratch.Tail): a cold
+// solve runs it over every agent, and an incremental update (§1.3) over
+// the agents an edit can reach, keeping every other value of the base
+// solve. internal/dist executes the same computation as an explicit
+// message-passing protocol.
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -42,7 +45,8 @@ type Options struct {
 	// which drives the bracket to float64 exhaustion.
 	BinIters int
 	// Workers is the parallelism for the t_u computations; 0 means
-	// GOMAXPROCS.
+	// GOMAXPROCS. Each worker evaluates one contiguous chunk of the agents
+	// on its own evaluator of the Scratch.
 	Workers int
 }
 
@@ -87,27 +91,22 @@ type Trace struct {
 	// certificate usable when the instance is too large for an LP solve.
 	UpperBound float64
 
-	// byT lists the agents by ascending T. Only Own sets it: it is the
-	// index a ball-local Tail reads the upper bound outside its ball from.
-	byT []int32
+	// owned marks a copy from Own, the only trace a ball-local Tail
+	// accepts as its base.
+	owned bool
 }
 
 // Own returns a copy of tr that owns every array — a trace from a Scratch
-// aliases the scratch — indexed for use as the base of a ball-local Tail.
-// The copy is read-only from then on, so any number of concurrent Tails
-// may share it.
+// aliases the scratch — for use as the base of a ball-local Tail. The copy
+// is read-only from then on, so any number of concurrent Tails may share
+// it.
 func (tr *Trace) Own() *Trace {
-	c := &Trace{R: tr.R, SmallR: tr.SmallR, UpperBound: tr.UpperBound,
+	c := &Trace{R: tr.R, SmallR: tr.SmallR, UpperBound: tr.UpperBound, owned: true,
 		T: slices.Clone(tr.T), S: slices.Clone(tr.S), X: slices.Clone(tr.X)}
 	for d := range tr.GPlus {
 		c.GPlus = append(c.GPlus, slices.Clone(tr.GPlus[d]))
 		c.GMinus = append(c.GMinus, slices.Clone(tr.GMinus[d]))
 	}
-	c.byT = make([]int32, len(c.T))
-	for v := range c.byT {
-		c.byT[v] = int32(v)
-	}
-	slices.SortFunc(c.byT, func(a, b int32) int { return cmp.Compare(c.T[a], c.T[b]) })
 	return c
 }
 
@@ -129,21 +128,7 @@ func run(s *structured.Instance, opt Options, sc *Scratch, ab Ablation) (*Trace,
 	if err != nil {
 		return nil, err
 	}
-	return sc.tail(s, opt, t, ab), nil
-}
-
-// computeGInto evaluates the recursions (12)–(14) for all agents and
-// d = 0…r, in dependency order g+_0, g−_0, g+_1, …, g−_r, writing into
-// caller-provided matrices with r+1 rows of length s.N each.
-func computeGInto(s *structured.Instance, sv []float64, r int, gp, gm [][]float64) {
-	for d := 0; d <= r; d++ {
-		for v := 0; v < s.N; v++ {
-			gp[d][v] = gPlusAt(s, gm, d, v)
-		}
-		for v := 0; v < s.N; v++ {
-			gm[d][v] = gMinusAt(s, sv, gp, d, v)
-		}
-	}
+	return sc.tail(s, opt, t, nil, nil, ab), nil
 }
 
 // gPlusAt evaluates g+_{v,d}: (12) at d = 0, (14) above it.
@@ -170,36 +155,13 @@ func gMinusAt(s *structured.Instance, sv []float64, gp [][]float64, d, v int) fl
 	return HingePos(sv[v] - sum)
 }
 
-// outputInto evaluates (18) into x, with gps/gms as per-agent column
-// scratch of length len(gp).
-func outputInto(gp, gm [][]float64, R int, x, gps, gms []float64) {
-	for v := range x {
-		x[v] = outputAt(gp, gm, R, v, gps, gms)
-	}
-}
-
-// outputAt evaluates (18) for agent v.
+// outputAt evaluates (18) for agent v, with gps/gms as column scratch of
+// length len(gp).
 func outputAt(gp, gm [][]float64, R, v int, gps, gms []float64) float64 {
 	for d := range gp {
 		gps[d], gms[d] = gp[d][v], gm[d][v]
 	}
 	return CombineOutput(gps, gms, R)
-}
-
-// smoothInto computes s_v = min over agents within distance 4r+2 of v, via
-// 2r+1 rounds of distance-2 min-diffusion: agents at even distances are
-// linked through shared constraints (partners) and shared objectives
-// (peers), and every shortest agent-to-agent path passes an agent at each
-// even position. cur must hold a copy of t on entry, next is overwritten;
-// the returned slice is one of the two buffers.
-func smoothInto(s *structured.Instance, r int, cur, next []float64) []float64 {
-	for round := 0; round < 2*r+1; round++ {
-		for v := 0; v < s.N; v++ {
-			next[v] = minAround(s, cur, v)
-		}
-		cur, next = next, cur
-	}
-	return cur
 }
 
 // minAround is one diffusion step at v: the minimum of cur over v, its

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSolveCtxAlreadyCancelled: a context that is dead on arrival stops
-// the t-stage in the t_u loop before any real work, for both the parallel
-// and the scratch-evaluator paths.
+// the t-stage in the t_u loop before any real work, for both the
+// two-worker fan-out and the one-worker path.
 func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	in := gen.RandomStructured(gen.StructuredConfig{Objectives: 30, MaxDegK: 3, ExtraCons: 15}, 1)
 	s, err := structured.FromMMLP(in)
@@ -22,7 +22,7 @@ func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3}, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3, Workers: 2}, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel TStage err = %v, want context.Canceled", err)
 	}
 	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3, Workers: 1}, nil, nil); !errors.Is(err, context.Canceled) {

@@ -3,30 +3,31 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/par"
 	"repro/internal/reuse"
 	"repro/internal/structured"
 )
 
-// Scratch is the reusable working memory of one solver worker: the
-// evaluator memo tables of stage 1 and the float buffers of stages 2–3.
-// Buffers grow on demand and are retained between solves, so a worker that
-// solves a steady stream of similarly-sized instances stops allocating in
-// the kernel after warm-up. A Scratch is not safe for concurrent use; the
-// zero value is ready.
+// Scratch is the reusable working memory of one solver: an evaluator's
+// memo tables per t-stage worker and the float buffers of the tail.
+// Buffers grow on demand and are retained between solves, so a scratch
+// that solves a steady stream of similarly-sized instances stops
+// allocating in the kernel after warm-up, at any worker count. A Scratch
+// is not safe for concurrent use; the zero value is ready.
 type Scratch struct {
-	ev         evaluator
-	t          []float64
-	sA, sB, sC []float64
-	gp, gm     [][]float64
-	gpB, gmB   []float64
-	x          []float64
-	gps, gms   []float64
+	evs      []evaluator
+	t        []float64
+	sA, sB   []float64
+	gp, gm   [][]float64
+	gpB, gmB []float64
+	x        []float64
+	cols     []float64
 
-	// The ball-local tail's reach BFS: visit stamps (an entry equal to
+	// The tail's work region (see reach): visit stamps (an entry equal to
 	// epoch was reached by the current BFS; the epoch only grows, so stale
 	// entries never need clearing), the agents reached in BFS order and
 	// the per-step prefix ends.
@@ -71,10 +72,11 @@ func SolveScratch(s *structured.Instance, opt Options, sc *Scratch) (*Trace, err
 // came from an instance that agrees with s on the radius-TRadius(r)
 // neighbourhood of every agent not in dirty (see delta.Plan).
 //
-// One worker (opt.Workers == 1) evaluates on sc's reusable evaluator; more
-// fan out over per-chunk evaluators. Every worker checks ctx before each
-// agent, and a shared stop flag spreads a detected cancellation to the
-// others; a nil ctx skips the checks.
+// The work list is split into at most opt.Workers contiguous chunks (0
+// means GOMAXPROCS), each evaluated on its own evaluator of sc: one chunk
+// runs on the caller's goroutine, more run on one goroutine each. Every
+// worker checks ctx before each agent, and a shared stop flag spreads a
+// detected cancellation to the others; a nil ctx skips the checks.
 func (sc *Scratch) TStage(ctx context.Context, s *structured.Instance, opt Options, dirty []int, baseT []float64) ([]float64, error) {
 	opt, err := opt.Normalized()
 	if err != nil {
@@ -95,15 +97,18 @@ func (sc *Scratch) TStage(ctx context.Context, s *structured.Instance, opt Optio
 	if dirty != nil {
 		n = len(dirty)
 	}
-	if opt.Workers == 1 {
+	workers := opt.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := (n + workers - 1) / workers
+	if chunk >= n {
 		var stop atomic.Bool
-		sc.ev.reset(s, r)
-		tChunk(ctx, &stop, &sc.ev, t, dirty, 0, n, opt.BinIters)
+		ev := &sc.evaluators(1)[0]
+		ev.reset(s, r)
+		tChunk(ctx, &stop, ev, t, dirty, 0, n, opt.BinIters)
 	} else {
-		var stop atomic.Bool
-		par.ForEachChunk(n, opt.Workers, func(lo, hi int) {
-			tChunk(ctx, &stop, newEvaluator(s, r), t, dirty, lo, hi, opt.BinIters)
-		})
+		sc.fanOut(ctx, s, r, t, dirty, n, chunk, opt.BinIters)
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -111,6 +116,33 @@ func (sc *Scratch) TStage(ctx context.Context, s *structured.Instance, opt Optio
 		}
 	}
 	return t, nil
+}
+
+// fanOut runs the chunks [lo, lo+chunk) of TStage's n-agent work list on
+// one goroutine and one of sc's evaluators each. It is a function of its
+// own so that the one-chunk path captures nothing: variables a goroutine
+// captures move to the heap.
+func (sc *Scratch) fanOut(ctx context.Context, s *structured.Instance, r int, t []float64, dirty []int, n, chunk, binIters int) {
+	evs := sc.evaluators((n + chunk - 1) / chunk)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := range evs {
+		wg.Add(1)
+		go func(ev *evaluator, lo, hi int) {
+			defer wg.Done()
+			ev.reset(s, r)
+			tChunk(ctx, &stop, ev, t, dirty, lo, hi, binIters)
+		}(&evs[c], c*chunk, min((c+1)*chunk, n))
+	}
+	wg.Wait()
+}
+
+// evaluators returns sc's first k evaluators, adding fresh ones as needed.
+func (sc *Scratch) evaluators(k int) []evaluator {
+	if len(sc.evs) < k {
+		sc.evs = append(sc.evs, make([]evaluator, k-len(sc.evs))...)
+	}
+	return sc.evs[:k]
 }
 
 // tChunk evaluates t_u for positions [lo, hi) of the work list: dirty, or
@@ -147,7 +179,8 @@ func tChunk(ctx context.Context, stop *atomic.Bool, ev *evaluator, t []float64, 
 // still bit-identical to a full tail whenever base is the trace of an
 // instance that agrees with s on the radius-OutputRadius(r) neighbourhood
 // of every agent not in ball, and t agrees with base.T outside ball (see
-// delta.Scratch.Plan).
+// delta.Scratch.Plan). A ball of every agent is a nil one: nothing is
+// copied.
 func (sc *Scratch) Tail(s *structured.Instance, opt Options, t []float64, ball []int, base *Trace) (*Trace, error) {
 	opt, err := opt.Normalized()
 	if err != nil {
@@ -156,145 +189,132 @@ func (sc *Scratch) Tail(s *structured.Instance, opt Options, t []float64, ball [
 	if len(t) != s.N {
 		return nil, fmt.Errorf("core: t-vector has %d entries, instance has %d agents", len(t), s.N)
 	}
-	if ball == nil {
-		return sc.tail(s, opt, t, Ablation{}), nil
-	}
-	if base == nil || base.byT == nil || len(base.T) != s.N || base.R != opt.R {
-		return nil, fmt.Errorf("core: a ball-local tail needs a base trace from Own over %d agents at R=%d", s.N, opt.R)
-	}
-	for j, v := range ball {
-		if v < 0 || v >= s.N || j > 0 && v <= ball[j-1] {
-			return nil, fmt.Errorf("core: ball agent %d out of range [0, %d) or out of ascending order", v, s.N)
+	if ball != nil {
+		if base == nil || !base.owned || len(base.T) != s.N || base.R != opt.R {
+			return nil, fmt.Errorf("core: a ball-local tail needs a base trace from Own over %d agents at R=%d", s.N, opt.R)
+		}
+		for j, v := range ball {
+			if v < 0 || v >= s.N || j > 0 && v <= ball[j-1] {
+				return nil, fmt.Errorf("core: ball agent %d out of range [0, %d) or out of ascending order", v, s.N)
+			}
+		}
+		if len(ball) == s.N {
+			ball, base = nil, nil
 		}
 	}
-	return sc.ballTail(s, opt, t, ball, base), nil
+	return sc.tail(s, opt, t, ball, base, Ablation{}), nil
 }
 
-// tail is Tail on normalized options, with ab switching off design
-// elements for SolveAblated.
-func (sc *Scratch) tail(s *structured.Instance, opt Options, t []float64, ab Ablation) *Trace {
+// tail is Tail on validated arguments, with ab switching off design
+// elements for SolveAblated. Each stage runs its per-agent function over
+// the work region — the ball, or every agent — in the dependency order of
+// §5, reading base's values wherever a neighbour lies outside the ball:
+// values the edit cannot have moved.
+func (sc *Scratch) tail(s *structured.Instance, opt Options, t []float64, ball []int, base *Trace, ab Ablation) *Trace {
 	r := opt.R - 2
-	tr := &Trace{R: opt.R, SmallR: r, T: t}
-
-	tr.S = grow(&sc.sA, s.N)
-	copy(tr.S, t)
-	if !ab.NoSmoothing {
-		tr.S = smoothInto(s, r, tr.S, grow(&sc.sB, s.N))
-	}
-
-	tr.GPlus = growMatrix(&sc.gp, &sc.gpB, r+1, s.N)
-	tr.GMinus = growMatrix(&sc.gm, &sc.gmB, r+1, s.N)
-	computeGInto(s, tr.S, r, tr.GPlus, tr.GMinus)
-
-	tr.X = grow(&sc.x, s.N)
-	switch ab.Role {
-	case RoleDown:
-		singleRoleOutputInto(tr.GPlus, opt.R, tr.X)
-	case RoleUp:
-		singleRoleOutputInto(tr.GMinus, opt.R, tr.X)
-	default:
-		outputInto(tr.GPlus, tr.GMinus, opt.R, tr.X, grow(&sc.gps, r+1), grow(&sc.gms, r+1))
-	}
-
-	for u, tu := range t {
-		if u == 0 || tu < tr.UpperBound {
-			tr.UpperBound = tu
+	gp := growMatrix(&sc.gp, &sc.gpB, r+1, s.N)
+	gm := growMatrix(&sc.gm, &sc.gmB, r+1, s.N)
+	x := grow(&sc.x, s.N)
+	if base != nil {
+		for d := 0; d <= r; d++ {
+			copy(gp[d], base.GPlus[d])
+			copy(gm[d], base.GMinus[d])
 		}
-	}
-	return tr
-}
-
-// ballTail is Tail's ball-local path on validated arguments. Each stage
-// runs the full tail's per-agent function on the ball alone, in the full
-// tail's dependency order, reading the base's values wherever a neighbour
-// lies outside the ball — values the edit cannot have moved.
-func (sc *Scratch) ballTail(s *structured.Instance, opt Options, t []float64, ball []int, base *Trace) *Trace {
-	r := opt.R - 2
-	tr := &Trace{R: opt.R, SmallR: r, T: t}
-
-	tr.S = grow(&sc.sA, s.N)
-	copy(tr.S, base.S)
-	sc.smoothBall(s, r, t, ball, tr.S)
-
-	tr.GPlus = growMatrix(&sc.gp, &sc.gpB, r+1, s.N)
-	tr.GMinus = growMatrix(&sc.gm, &sc.gmB, r+1, s.N)
-	for d := 0; d <= r; d++ {
-		copy(tr.GPlus[d], base.GPlus[d])
-		copy(tr.GMinus[d], base.GMinus[d])
-	}
-	for d := 0; d <= r; d++ {
-		for _, v := range ball {
-			tr.GPlus[d][v] = gPlusAt(s, tr.GMinus, d, v)
-		}
-		for _, v := range ball {
-			tr.GMinus[d][v] = gMinusAt(s, tr.S, tr.GPlus, d, v)
-		}
+		copy(x, base.X)
 	}
 
-	tr.X = grow(&sc.x, s.N)
-	copy(tr.X, base.X)
-	gps, gms := grow(&sc.gps, r+1), grow(&sc.gms, r+1)
-	for _, v := range ball {
-		tr.X[v] = outputAt(tr.GPlus, tr.GMinus, opt.R, v, gps, gms)
-	}
-
-	// The upper bound is the one global quantity: the minimum of t over
-	// the ball, and of base.T — which t equals there — over the rest, whose
-	// smallest entry is the first agent in base's T order outside the ball.
-	first := true
-	take := func(tu float64) {
-		if first || tu < tr.UpperBound {
-			tr.UpperBound, first = tu, false
-		}
-	}
-	for _, v := range ball {
-		take(t[v])
-	}
-	for _, v := range base.byT {
-		if _, in := slices.BinarySearch(ball, int(v)); !in {
-			take(base.T[v])
-			break
-		}
-	}
-	return tr
-}
-
-// smoothBall writes s_v into out for the agents of ball only, bit-identical
-// to smoothInto's. Round k of the diffusion needs round k−1's values one
-// agent-step further out, so round k runs over the agents within 2r+1−k
-// steps of the ball — a region that shrinks to the ball itself — through
-// the full diffusion's per-agent step. Round 0's values are t.
-func (sc *Scratch) smoothBall(s *structured.Instance, r int, t []float64, ball []int, out []float64) {
 	rounds := 2*r + 1
-	ends := sc.reach(s, ball, rounds-1)
-	bufs := [2][]float64{grow(&sc.sB, s.N), grow(&sc.sC, s.N)}
+	if ab.NoSmoothing {
+		rounds = 0
+	}
+	sc.reach(s, ball, 2*r)
+	work := sc.region[:sc.ends[0]]
+	sv := sc.smooth(s, rounds, t, base)
+
+	for d := 0; d <= r; d++ {
+		gpd, gmd := gp[d], gm[d]
+		for _, v := range work {
+			gpd[v] = gPlusAt(s, gm, d, int(v))
+		}
+		for _, v := range work {
+			gmd[v] = gMinusAt(s, sv, gp, d, int(v))
+		}
+	}
+
+	cols := grow(&sc.cols, 2*(r+1))
+	gps, gms := cols[:r+1], cols[r+1:]
+	for _, v := range work {
+		switch ab.Role {
+		case RoleDown:
+			x[v] = singleRoleAt(gp, opt.R, int(v))
+		case RoleUp:
+			x[v] = singleRoleAt(gm, opt.R, int(v))
+		default:
+			x[v] = outputAt(gp, gm, opt.R, int(v), gps, gms)
+		}
+	}
+
+	ub := 0.0
+	for u, tu := range t {
+		if u == 0 || tu < ub {
+			ub = tu
+		}
+	}
+	return &Trace{R: opt.R, SmallR: r, T: t, S: sv, GPlus: gp, GMinus: gm, X: x, UpperBound: ub}
+}
+
+// smooth returns s, the smoothed bound of §5.3, derived for the agents of
+// the work region and base's S elsewhere (when there is a base): s_v =
+// min of t over agents within distance 4r+2 of v, via 2r+1 rounds of
+// distance-2 min-diffusion. Agents at even distances are linked through
+// shared constraints (partners) and shared objectives (peers), and every
+// shortest agent-to-agent path passes an agent at each even position.
+//
+// Round 0's values are t; round k needs round k−1's values one agent-step
+// further out, so it runs over the agents within rounds−k steps of the
+// work region, a region that shrinks to the work region itself. The rounds
+// alternate between two buffers. The last one writes into the buffer whose
+// values the round before it has finished reading, so that buffer takes
+// base's S first. Zero rounds (the NoSmoothing ablation, never given a
+// base) return t itself.
+func (sc *Scratch) smooth(s *structured.Instance, rounds int, t []float64, base *Trace) []float64 {
+	bufs := [2][]float64{grow(&sc.sA, s.N), grow(&sc.sB, s.N)}
 	cur := t
 	for round := 1; round <= rounds; round++ {
 		next := bufs[round%2]
-		if round == rounds {
-			next = out
+		if round == rounds && base != nil {
+			copy(next, base.S)
 		}
-		for _, v := range sc.region[:ends[rounds-round]] {
+		for _, v := range sc.region[:sc.ends[rounds-round]] {
 			next[v] = minAround(s, cur, int(v))
 		}
 		cur = next
 	}
+	return cur
 }
 
 // reach lists in sc.region the agents within steps agent-steps of ball —
-// one step is a constraint partner or an objective peer — in BFS order,
-// and returns the prefix ends: sc.region[:ends[k]] are the agents within
-// k steps.
-func (sc *Scratch) reach(s *structured.Instance, ball []int, steps int) []int {
+// one step is a constraint partner or an objective peer; every agent when
+// ball is nil — in BFS order, and in sc.ends the prefix ends:
+// sc.region[:sc.ends[k]] are the agents within k steps, and
+// sc.region[:sc.ends[0]] is ball.
+func (sc *Scratch) reach(s *structured.Instance, ball []int, steps int) {
 	sc.epoch++
 	ep := sc.epoch
-	at := reuse.Grow(&sc.at, s.N)
-	region := sc.region[:0]
-	for _, v := range ball {
-		at[v] = ep
-		region = append(region, int32(v))
+	region := slices.Grow(sc.region[:0], s.N)
+	var at []uint64
+	if ball == nil {
+		for v := range s.N {
+			region = append(region, int32(v))
+		}
+	} else {
+		at = reuse.Grow(&sc.at, s.N)
+		for _, v := range ball {
+			at[v] = ep
+			region = append(region, int32(v))
+		}
 	}
-	ends := append(sc.ends[:0], len(region))
+	ends := append(slices.Grow(sc.ends[:0], steps+1), len(region))
 	visit := func(w int32) {
 		if at[w] != ep {
 			at[w] = ep
@@ -303,18 +323,19 @@ func (sc *Scratch) reach(s *structured.Instance, ball []int, steps int) []int {
 	}
 	for lo := 0; len(ends) <= steps; {
 		hi := len(region)
-		for _, v := range region[lo:hi] {
-			for _, i := range s.ConsOf[v] {
-				w, _, _ := s.Partner(int(i), v)
-				visit(w)
-			}
-			for _, w := range s.Objs[s.ObjOf[v]] {
-				visit(w)
+		if hi < s.N { // a region of every agent has nowhere left to grow
+			for _, v := range region[lo:hi] {
+				for _, i := range s.ConsOf[v] {
+					w, _, _ := s.Partner(int(i), v)
+					visit(w)
+				}
+				for _, w := range s.Objs[s.ObjOf[v]] {
+					visit(w)
+				}
 			}
 		}
 		lo = hi
 		ends = append(ends, len(region))
 	}
 	sc.region, sc.ends = region, ends
-	return ends
 }

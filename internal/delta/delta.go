@@ -123,7 +123,7 @@ func (f *BaseForm) Bytes() int64 {
 		}
 	}
 	if tr := f.Trace; tr != nil {
-		n += 8*int64(len(tr.T)+len(tr.S)+len(tr.X)) + 4*int64(len(tr.T)) // byT
+		n += 8 * int64(len(tr.T)+len(tr.S)+len(tr.X))
 		for d := range tr.GPlus {
 			n += 24 + 8*int64(len(tr.GPlus[d])+len(tr.GMinus[d]))
 		}

@@ -315,9 +315,6 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		kernelStage, tailStage, backStage = obs.StageDeltaKernel, obs.StageDeltaSplice, obs.StageDeltaSplice
 		baseT, baseTr = baseRec.T, form.Trace
 		out.DirtyAgents, out.TotalAgents, out.Spliced = len(dirty), s.N, len(dirty) < s.N
-		if len(ball) == s.N {
-			ball = nil // the ball is everything: the full tail is cheaper
-		}
 	}
 	tk := time.Now()
 	switch {

@@ -22,7 +22,7 @@ type Scale int
 const (
 	// Quick runs reduced sweeps suitable for tests (a few seconds).
 	Quick Scale = iota
-	// Full runs the sweeps EXPERIMENTS.md reports.
+	// Full runs the complete sweeps, the default of cmd/mmlpbench.
 	Full
 )
 

@@ -1,8 +1,8 @@
-// Package expt is the experiment harness behind cmd/mmlpbench and
-// EXPERIMENTS.md: it sweeps the workload generators, measures approximation
-// ratios against the exact simplex optimum (or against the algorithm's own
-// certified upper bound when an instance is too large to solve exactly),
-// and renders the result tables the repository reports.
+// Package expt is the experiment harness behind cmd/mmlpbench: it sweeps
+// the workload generators, measures approximation ratios against the
+// exact simplex optimum (or against the algorithm's own certified upper
+// bound when an instance is too large to solve exactly), and renders the
+// result tables the repository reports.
 package expt
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // Table is a rendered experiment result.
 type Table struct {
-	// ID is the experiment identifier (E1…E9) from DESIGN.md.
+	// ID is the experiment identifier (E1…E6, E8…E11), as All runs them.
 	ID string
 	// Title describes the experiment.
 	Title string

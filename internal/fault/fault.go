@@ -1,8 +1,8 @@
 // Package fault is a deterministic fault-injection layer for chaos
 // testing the serving fleet. An Injector is parsed from a compact
-// scenario spec and wraps either an http.Handler (shard side) or an
-// http.RoundTripper (client side), injecting latency, error statuses,
-// blackholes, slow response bodies, and mid-stream truncation. All
+// scenario spec and wraps a shard's http.Handler, injecting latency,
+// error statuses, blackholes, slow response bodies, and mid-stream
+// truncation. All
 // randomness comes from a single seeded source, so a given spec replays
 // the same fault sequence on every run. The zero Injector (nil, or a
 // spec with no rules) wraps to the original handler untouched, so the
@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httperr"
 )
 
 // Rule is one parsed fault clause: which requests it matches (path
@@ -199,9 +201,7 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 			<-r.Context().Done()
 			panic(http.ErrAbortHandler)
 		case rule.ErrorCode != 0:
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(rule.ErrorCode)
-			fmt.Fprintf(w, "{\"error\":\"injected fault (status %d)\"}\n", rule.ErrorCode)
+			httperr.Write(w, rule.ErrorCode, httperr.CodeForStatus(rule.ErrorCode), fmt.Errorf("injected fault (status %d)", rule.ErrorCode))
 		case rule.Slow > 0 || rule.Truncate > 0:
 			next.ServeHTTP(&faultWriter{ResponseWriter: w, slow: rule.Slow, truncate: rule.Truncate, limited: rule.Truncate > 0}, r)
 		default:
@@ -248,62 +248,3 @@ func (fw *faultWriter) Flush() {
 		f.Flush()
 	}
 }
-
-// RoundTripper returns a client-side transport applying the injector's
-// rules before delegating to base (http.DefaultTransport when nil).
-// Latency delays the request, error synthesizes a response without
-// touching the network, and blackhole blocks until the request context
-// is done. Slow/truncate are server-side-only and act as latency here.
-func (in *Injector) RoundTripper(base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	if in == nil || len(in.rules) == 0 {
-		return base
-	}
-	return &roundTripper{in: in, base: base}
-}
-
-type roundTripper struct {
-	in   *Injector
-	base http.RoundTripper
-}
-
-func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	rule := rt.in.match(req.URL.Path)
-	if rule == nil {
-		return rt.base.RoundTrip(req)
-	}
-	rt.in.injected.Add(1)
-	if d := rule.Latency + rule.Slow; d > 0 {
-		select {
-		case <-time.After(d):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
-	switch {
-	case rule.Blackhole:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	case rule.ErrorCode != 0:
-		body := fmt.Sprintf("{\"error\":\"injected fault (status %d)\"}\n", rule.ErrorCode)
-		return &http.Response{
-			StatusCode:    rule.ErrorCode,
-			Status:        fmt.Sprintf("%d %s", rule.ErrorCode, http.StatusText(rule.ErrorCode)),
-			Proto:         "HTTP/1.1",
-			ProtoMajor:    1,
-			ProtoMinor:    1,
-			Header:        http.Header{"Content-Type": []string{"application/json"}},
-			Body:          nopCloser{strings.NewReader(body)},
-			ContentLength: int64(len(body)),
-			Request:       req,
-		}, nil
-	default:
-		return rt.base.RoundTrip(req)
-	}
-}
-
-type nopCloser struct{ *strings.Reader }
-
-func (nopCloser) Close() error { return nil }

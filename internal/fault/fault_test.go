@@ -2,12 +2,16 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mmlp"
 )
 
 func TestParseEmptyAndDirectiveOnly(t *testing.T) {
@@ -19,13 +23,10 @@ func TestParseEmptyAndDirectiveOnly(t *testing.T) {
 		if in != nil {
 			t.Fatalf("Parse(%q) = %+v, want nil injector", spec, in)
 		}
-		// A nil injector must be transparent in both wrap directions.
+		// A nil injector must be transparent.
 		h := http.NotFoundHandler()
 		if got := in.Wrap(h); got == nil {
 			t.Fatalf("nil injector Wrap returned nil")
-		}
-		if got := in.RoundTripper(http.DefaultTransport); got != http.DefaultTransport {
-			t.Fatalf("nil injector RoundTripper did not return base")
 		}
 		if in.Count() != 0 {
 			t.Fatalf("nil injector Count = %d", in.Count())
@@ -220,46 +221,68 @@ func TestBlackholeHoldsUntilClientGivesUp(t *testing.T) {
 	}
 }
 
-func TestRoundTripperErrorSynthesis(t *testing.T) {
+// TestInjectedErrorIsEnveloped: an error rule answers in the envelope every
+// other non-2xx response uses, with the status's default code.
+func TestInjectedErrorIsEnveloped(t *testing.T) {
 	in, err := Parse("error=503")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := in.RoundTripper(failingTransport{}) // base must never be reached
-	req := httptest.NewRequest("POST", "http://shard/v1/solve", nil)
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	in.Wrap(okHandler()).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", rec.Code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
+	if ct := rec.Header().Get("Content-Type"); ct != mmlp.ContentTypeJSON {
+		t.Fatalf("Content-Type %q", ct)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "injected fault") {
-		t.Fatalf("body %q", body)
+	var env mmlp.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", rec.Body.String(), err)
 	}
-	if in.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", in.Count())
+	if env.Error.Code != mmlp.ErrCodeUnavailable || env.Error.Message != "injected fault (status 503)" {
+		t.Fatalf("envelope %+v", env.Error)
 	}
 }
 
-func TestRoundTripperBlackholeRespectsContext(t *testing.T) {
-	in, err := Parse("blackhole")
+// TestReadmeSpellingsParse: every spec the README's fault-injection section
+// shows — each table row and the example command — is one Parse accepts,
+// and each action row is a rule.
+func TestReadmeSpellingsParse(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := in.RoundTripper(failingTransport{})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", "http://shard/x", nil)
-	if _, err := rt.RoundTrip(req); err == nil {
-		t.Fatal("blackholed round trip returned nil error")
+	_, section, ok := strings.Cut(string(readme), "**Fault injection (`-fault-spec`).**")
+	if !ok {
+		t.Fatal("README has no fault-injection section")
 	}
-}
-
-type failingTransport struct{}
-
-func (failingTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	panic("base transport reached through a short-circuiting fault rule")
+	section, _, _ = strings.Cut(section, "\n### ")
+	modifiers := map[string]bool{"path": true, "rate": true, "seed": true}
+	var specs []string
+	for _, line := range strings.Split(section, "\n") {
+		if row, ok := strings.CutPrefix(line, "| `"); ok {
+			spec, _, _ := strings.Cut(row, "`")
+			specs = append(specs, spec)
+			in, err := Parse(spec)
+			if err != nil {
+				t.Errorf("table row %q: %v", spec, err)
+				continue
+			}
+			key, _, _ := strings.Cut(spec, "=")
+			if !modifiers[key] && (in == nil || len(in.rules) != 1) {
+				t.Errorf("table row %q parses to no rule", spec)
+			}
+		}
+		if _, cmd, ok := strings.Cut(line, "-fault-spec '"); ok {
+			spec, _, _ := strings.Cut(cmd, "'")
+			specs = append(specs, spec)
+			if _, err := Parse(spec); err != nil {
+				t.Errorf("example %q: %v", spec, err)
+			}
+		}
+	}
+	if len(specs) < 9 {
+		t.Fatalf("found %d spellings %q: the README section changed shape", len(specs), specs)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -146,7 +147,7 @@ func DeadlineContext(r *http.Request, def time.Duration) (ctx context.Context, c
 	d := def
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, perr := strconv.ParseInt(h, 10, 64)
-		if perr != nil || ms <= 0 {
+		if perr != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return nil, nil, fmt.Errorf("bad %s header %q: want a positive integer millisecond count", DeadlineHeader, h)
 		}
 		d = time.Duration(ms) * time.Millisecond

@@ -83,6 +83,8 @@ func TestDeadlineContext(t *testing.T) {
 		{"negative", "-5", time.Minute, 0, true},
 		{"not a number", "soon", 0, 0, true},
 		{"fractional", "1.5", 0, 0, true},
+		{"wraps to a short deadline", "18446744073710", 0, 0, true},
+		{"wraps to no deadline", "9223372036854775807", time.Minute, 0, true},
 	}
 	for _, c := range cases {
 		r := httptest.NewRequest(http.MethodPost, "/v1/solve", nil)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/mmlp"
+	"repro/internal/shard"
 )
 
 // waitFor polls cond until it holds or the deadline lapses; background
@@ -162,6 +163,31 @@ func adminGet(t *testing.T, rt *router) mmlp.RingStatus {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestAdminRingBounded: at the default 128 virtual nodes a proposal of
+// 513 members asks for 65,664 ring points, past shard.MaxPoints; it is
+// 400 and leaves the topology alone.
+func TestAdminRingBounded(t *testing.T) {
+	ring, err := shard.New([]string{"127.0.0.1:1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newRouter(shard.NewClient(ring, shard.ClientOptions{}), 1<<20)
+	members := make([]string, 513)
+	for i := range members {
+		members[i] = fmt.Sprintf("10.0.%d.%d:8080", i/256, i%256)
+	}
+	prop, err := json.Marshal(mmlp.RingProposal{Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(rt, "/admin/ring", string(prop)); w.Code != http.StatusBadRequest {
+		t.Fatalf("513-member proposal: status %d (%s), want 400", w.Code, w.Body)
+	}
+	if st := adminGet(t, rt); st.Version != 1 || len(st.Members) != 1 {
+		t.Fatalf("ring status after a rejected proposal = %+v", st)
+	}
 }
 
 // TestAdminRingCutover walks the full handover: propose a smaller member

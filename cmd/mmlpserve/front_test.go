@@ -86,3 +86,13 @@ func TestRingRejectsTrailingData(t *testing.T) {
 		t.Fatalf("trailing data: status %d body %s, want 400 malformed JSON", w.Code, w.Body)
 	}
 }
+
+// TestRingBounded: a ring update may not ask for more than
+// shard.MaxPoints points, however few bytes it takes to ask.
+func TestRingBounded(t *testing.T) {
+	h := cachedServer(t)
+	update := `{"members":["127.0.0.1:1"],"replicas":131072,"self":"127.0.0.1:1"}`
+	if w := post(h, "/admin/ring", update); w.Code != http.StatusBadRequest {
+		t.Fatalf("131,072-point ring: status %d (%s), want 400", w.Code, w.Body)
+	}
+}

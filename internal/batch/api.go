@@ -6,29 +6,17 @@ import (
 	"time"
 
 	"repro/internal/canon"
-	"repro/internal/engine"
 	"repro/internal/mmlp"
 )
 
-// JobFromRequest converts a validated wire request into a solver job.
+// JobFromRequest converts a wire request into a solver job, failing as
+// the request's Options do.
 func JobFromRequest(req *mmlp.SolveRequest) (Job, error) {
-	if err := req.Validate(); err != nil {
+	o, err := req.Options()
+	if err != nil {
 		return Job{}, err
 	}
-	eng, err := mmlp.ParseEngine(req.Engine)
-	if err != nil { // unreachable after Validate
-		return Job{}, err
-	}
-	return Job{
-		In: req.Instance,
-		Opts: engine.Options{
-			Engine:              eng,
-			R:                   req.R,
-			BinIters:            req.BinIters,
-			DisableSpecialCases: req.DisableSpecialCases,
-			SelfCheck:           req.SelfCheck,
-		},
-	}, nil
+	return Job{In: req.Instance, Opts: o}, nil
 }
 
 // JobFromDelta converts a validated wire delta request into a pool job.

@@ -1,7 +1,9 @@
 // Package canon defines the canonical binary encoding of every
-// (instance, solve options) pair, the cryptographic key derived from it,
-// and — since the encoding became the fleet's binary wire format — the
-// decoders and frames of that wire surface (see wire.go).
+// (instance, mmlp.SolveOptions) pair, the cryptographic key derived from
+// it, and — since the encoding became the fleet's binary wire format — the
+// decoders and frames of that wire surface (see wire.go). The key covers
+// exactly what decides a solve's answer bits or whether it fails: the
+// instance's content and the five settings of mmlp.SolveOptions.
 //
 // The paper's algorithm is deterministic: identical instance and options
 // always yield bit-identical solutions, so the SHA-256 of the canonical
@@ -11,9 +13,9 @@
 //
 // The encoding (version 2, magic "mmlp-canon/v2\n"):
 //
-//   - options are normalized (R 0→3, BinIters 0→100, matching the solver's
-//     defaults) so spellings of the same configuration collide, and are
-//     written as uvarints plus one flags byte;
+//   - options are normalized (mmlp.SolveOptions.Normalized, the solver's
+//     own defaults) so spellings of the same configuration collide, and
+//     are written as uvarints plus one flags byte;
 //   - terms within a row are ordered by mmlp.CompareTerm (the semantics of
 //     mmlp.SortTerms, applied to a scratch copy so the caller's instance is
 //     never mutated) and written fixed-width: the agent as its sign-flipped
@@ -67,36 +69,6 @@ type Key [sha256.Size]byte
 // String renders the key in hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Options are the solve parameters that participate in the key: everything
-// that can influence the output bits. Workers is deliberately absent — the
-// per-agent computations are independent and the binary search is a pure
-// function of its inputs, so results are bit-identical across parallelism.
-type Options struct {
-	// Engine is the execution engine (the integer value of mmlp.Engine).
-	Engine int
-	// R is the shifting parameter (0 is normalized to the default 3).
-	R int
-	// BinIters caps the per-agent binary search (0 is normalized to 100).
-	BinIters int
-	// DisableSpecialCases skips the optimal ΔI=1 / ΔK=1 dispatch.
-	DisableSpecialCases bool
-	// SelfCheck re-verifies the run's invariants. It never changes the
-	// output bits, but it changes which runs can fail, so it keys
-	// separately rather than aliasing checked and unchecked solves.
-	SelfCheck bool
-}
-
-// normalized fills the zero-value defaults the solver itself applies.
-func (o Options) normalized() Options {
-	if o.R == 0 {
-		o.R = 3
-	}
-	if o.BinIters == 0 {
-		o.BinIters = 100
-	}
-	return o
-}
-
 // Option flag bits (the flags byte after the varint option fields).
 const (
 	flagDisableSpecialCases = 1 << 0
@@ -118,7 +90,7 @@ var hasherPool = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
 // wire encoding. The instance is read, never mutated; invalid instances
 // hash fine (they simply never acquire a cached value, because failed
 // solves are not stored).
-func Hash(in *mmlp.Instance, o Options) Key {
+func Hash(in *mmlp.Instance, o mmlp.SolveOptions) Key {
 	s := hasherPool.Get().(*hasher)
 	defer hasherPool.Put(s)
 	s.msg = s.appendSolve(s.msg[:0], in, o)
@@ -137,21 +109,21 @@ func HashBytes(payload []byte) Key { return Key(sha256.Sum256(payload)) }
 // AppendSolve appends the canonical wire encoding of (in, o) to dst and
 // returns the extended buffer. The result is exactly the byte string Hash
 // hashes, and DecodeSolve inverts it.
-func AppendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
+func AppendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions) []byte {
 	s := hasherPool.Get().(*hasher)
 	defer hasherPool.Put(s)
 	return s.appendSolve(dst, in, o)
 }
 
 // EncodeSolve is AppendSolve into a fresh buffer.
-func EncodeSolve(in *mmlp.Instance, o Options) []byte { return AppendSolve(nil, in, o) }
+func EncodeSolve(in *mmlp.Instance, o mmlp.SolveOptions) []byte { return AppendSolve(nil, in, o) }
 
 // appendSolve writes magic, normalized options and the canonicalized
 // instance into dst, growing dst once to the message's exact size.
-func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o Options) []byte {
+func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions) []byte {
 	dst = slices.Grow(dst, encodedLen(in))
 	dst = append(dst, SolveMagic...)
-	o = o.normalized()
+	o = o.Normalized()
 	dst = binary.AppendUvarint(dst, uint64(o.Engine))
 	dst = binary.AppendUvarint(dst, uint64(o.R))
 	dst = binary.AppendUvarint(dst, uint64(o.BinIters))

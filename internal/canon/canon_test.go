@@ -46,13 +46,13 @@ func TestHashPermutationInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		in := randomInstance(seed)
 		before := in.Clone()
-		key := canon.Hash(in, canon.Options{})
+		key := canon.Hash(in, mmlp.SolveOptions{})
 		if !reflect.DeepEqual(in, before) {
 			t.Fatalf("seed %d: Hash mutated the instance", seed)
 		}
 		rng := rand.New(rand.NewSource(seed * 31))
 		for trial := 0; trial < 8; trial++ {
-			if got := canon.Hash(permute(in, rng), canon.Options{}); got != key {
+			if got := canon.Hash(permute(in, rng), mmlp.SolveOptions{}); got != key {
 				t.Fatalf("seed %d trial %d: permuted key %s != %s", seed, trial, got, key)
 			}
 		}
@@ -63,11 +63,11 @@ func TestHashPermutationInvariance(t *testing.T) {
 // coefficient, or moving any single agent index, changes the key.
 func TestHashCoefficientSensitivity(t *testing.T) {
 	in := randomInstance(3)
-	key := canon.Hash(in, canon.Options{})
+	key := canon.Hash(in, mmlp.SolveOptions{})
 	mutate := func(f func(*mmlp.Instance)) canon.Key {
 		m := in.Clone()
 		f(m)
-		return canon.Hash(m, canon.Options{})
+		return canon.Hash(m, mmlp.SolveOptions{})
 	}
 	for i := range in.Cons {
 		for j := range in.Cons[i].Terms {
@@ -101,7 +101,7 @@ func TestHashCoefficientSensitivity(t *testing.T) {
 // the key.
 func TestHashStructureSensitivity(t *testing.T) {
 	in := randomInstance(4)
-	key := canon.Hash(in, canon.Options{})
+	key := canon.Hash(in, mmlp.SolveOptions{})
 	cases := map[string]func(*mmlp.Instance){
 		"agents":     func(m *mmlp.Instance) { m.NumAgents++ },
 		"drop-cons":  func(m *mmlp.Instance) { m.Cons = m.Cons[1:] },
@@ -115,7 +115,7 @@ func TestHashStructureSensitivity(t *testing.T) {
 	for name, f := range cases {
 		m := in.Clone()
 		f(m)
-		if got := canon.Hash(m, canon.Options{}); got == key {
+		if got := canon.Hash(m, mmlp.SolveOptions{}); got == key {
 			t.Fatalf("%s: structural change kept the key", name)
 		}
 	}
@@ -125,8 +125,8 @@ func TestHashStructureSensitivity(t *testing.T) {
 // and all single-field variations are mutually distinct.
 func TestHashOptionSensitivity(t *testing.T) {
 	in := randomInstance(5)
-	base := canon.Options{R: 3, BinIters: 100}
-	variants := map[string]canon.Options{
+	base := mmlp.SolveOptions{R: 3, BinIters: 100}
+	variants := map[string]mmlp.SolveOptions{
 		"base":          base,
 		"engine":        {Engine: 1, R: 3, BinIters: 100},
 		"r":             {R: 4, BinIters: 100},
@@ -148,10 +148,10 @@ func TestHashOptionSensitivity(t *testing.T) {
 // equivalent spellings of one configuration share a cache line.
 func TestHashNormalization(t *testing.T) {
 	in := randomInstance(6)
-	if canon.Hash(in, canon.Options{}) != canon.Hash(in, canon.Options{R: 3, BinIters: 100}) {
+	if canon.Hash(in, mmlp.SolveOptions{}) != canon.Hash(in, mmlp.SolveOptions{R: 3, BinIters: 100}) {
 		t.Fatal("zero options do not hash like the defaults")
 	}
-	if canon.Hash(in, canon.Options{R: 2}) == canon.Hash(in, canon.Options{R: 3}) {
+	if canon.Hash(in, mmlp.SolveOptions{R: 2}) == canon.Hash(in, mmlp.SolveOptions{R: 3}) {
 		t.Fatal("explicit non-default R aliased the default")
 	}
 }
@@ -161,7 +161,7 @@ func TestHashNormalization(t *testing.T) {
 func TestHashDistinguishesInstances(t *testing.T) {
 	seen := make(map[canon.Key]int64)
 	for seed := int64(1); seed <= 50; seed++ {
-		k := canon.Hash(randomInstance(seed), canon.Options{})
+		k := canon.Hash(randomInstance(seed), mmlp.SolveOptions{})
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("seeds %d and %d collide", prev, seed)
 		}
@@ -177,9 +177,9 @@ func FuzzHashPermutationInvariance(f *testing.F) {
 	f.Add(int64(42), int64(1))
 	f.Fuzz(func(t *testing.T, seed, shuffleSeed int64) {
 		in := randomInstance(seed)
-		key := canon.Hash(in, canon.Options{})
+		key := canon.Hash(in, mmlp.SolveOptions{})
 		rng := rand.New(rand.NewSource(shuffleSeed))
-		if got := canon.Hash(permute(in, rng), canon.Options{}); got != key {
+		if got := canon.Hash(permute(in, rng), mmlp.SolveOptions{}); got != key {
 			t.Fatalf("permuted key %s != %s", got, key)
 		}
 	})

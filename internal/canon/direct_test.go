@@ -16,7 +16,7 @@ import (
 // appendSorted, the path every non-canonical instance takes. Its header
 // is AppendSolve's for an instance with no rows, minus the two one-byte
 // zero row counts.
-func encodeSorted(in *mmlp.Instance, o Options) []byte {
+func encodeSorted(in *mmlp.Instance, o mmlp.SolveOptions) []byte {
 	dst := AppendSolve(nil, &mmlp.Instance{NumAgents: in.NumAgents}, o)
 	dst = dst[:len(dst)-2]
 	s := &hasher{}
@@ -62,7 +62,7 @@ func TestDirectEncodingMatchesSorted(t *testing.T) {
 			ExtraCons: rng.Intn(10), ExtraObjs: rng.Intn(5), ZeroOne: seed%3 == 0,
 		}, seed))
 	}
-	o := Options{R: 4}
+	o := mmlp.SolveOptions{R: 4}
 	for c, in := range cases {
 		rng := rand.New(rand.NewSource(int64(c)))
 		want := encodeSorted(in, o)
@@ -92,7 +92,7 @@ func TestHashCanonicalColdAllocs(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Hash(in, Options{})
+	Hash(in, mmlp.SolveOptions{})
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n > 16 {
 		t.Fatalf("cold Hash of a canonical necklace (%d rows) allocated %d objects, want O(1)",

@@ -81,7 +81,7 @@ func FuzzDecodeResults(f *testing.F) {
 func solveSeeds() [][]byte {
 	var seeds [][]byte
 	for s := int64(1); s <= 3; s++ {
-		seeds = append(seeds, canon.EncodeSolve(randomInstance(s), canon.Options{Engine: int(s) % 3}))
+		seeds = append(seeds, canon.EncodeSolve(randomInstance(s), mmlp.SolveOptions{Engine: mmlp.Engine(s % 3)}))
 	}
 	seeds = append(seeds,
 		nil,
@@ -94,8 +94,8 @@ func solveSeeds() [][]byte {
 }
 
 func batchSeeds() [][]byte {
-	one := canon.EncodeSolve(randomInstance(1), canon.Options{})
-	two := canon.EncodeSolve(randomInstance(2), canon.Options{Engine: 1})
+	one := canon.EncodeSolve(randomInstance(1), mmlp.SolveOptions{})
+	two := canon.EncodeSolve(randomInstance(2), mmlp.SolveOptions{Engine: 1})
 	return [][]byte{
 		nil,
 		[]byte(canon.BatchMagic),

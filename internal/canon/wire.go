@@ -127,47 +127,32 @@ func (r *reader) take(n int) ([]byte, error) {
 // front of payload, returning the remainder (the instance section). The
 // options on the wire must already be normalized — the encoder writes
 // them that way, and accepting R=0 alongside R=3 would alias two byte
-// strings to one configuration.
-func decodeOptions(payload []byte) (Options, []byte, error) {
+// strings to one configuration — so mmlp.SolveOptions.CheckWire rejects
+// a zero, and a value past MaxInt, which converts to a negative int.
+func decodeOptions(payload []byte) (mmlp.SolveOptions, []byte, error) {
 	if !SniffSolve(payload) {
-		return Options{}, nil, fmt.Errorf("%w: want %q", ErrMagic, SolveMagic)
+		return mmlp.SolveOptions{}, nil, fmt.Errorf("%w: want %q", ErrMagic, SolveMagic)
 	}
 	r := &reader{p: payload, off: len(SolveMagic)}
-	var o Options
-	eng, err := r.uvarint()
-	if err != nil {
-		return Options{}, nil, err
+	var vals [3]uint64 // engine, R, BinIters
+	for i := range vals {
+		var err error
+		if vals[i], err = r.uvarint(); err != nil {
+			return mmlp.SolveOptions{}, nil, err
+		}
 	}
-	if eng > uint64(mmlp.EngineDistributedCompact) {
-		return Options{}, nil, fmt.Errorf("%w: engine %d (max %d)", ErrRange, eng, mmlp.EngineDistributedCompact)
-	}
-	o.Engine = int(eng)
-	rv, err := r.uvarint()
-	if err != nil {
-		return Options{}, nil, err
-	}
-	if rv < 2 || rv > mmlp.MaxWireR {
-		return Options{}, nil, fmt.Errorf("%w: r %d outside [2, %d]", ErrRange, rv, mmlp.MaxWireR)
-	}
-	o.R = int(rv)
-	bi, err := r.uvarint()
-	if err != nil {
-		return Options{}, nil, err
-	}
-	if bi < 1 || bi > mmlp.MaxWireBinIters {
-		return Options{}, nil, fmt.Errorf("%w: bin_iters %d outside [1, %d]",
-			ErrRange, bi, mmlp.MaxWireBinIters)
-	}
-	o.BinIters = int(bi)
 	flags, err := r.byte()
 	if err != nil {
-		return Options{}, nil, err
+		return mmlp.SolveOptions{}, nil, err
 	}
 	if flags&flagsReservedMask != 0 {
-		return Options{}, nil, fmt.Errorf("%w: reserved flag bits %#x set", ErrRange, flags&flagsReservedMask)
+		return mmlp.SolveOptions{}, nil, fmt.Errorf("%w: reserved flag bits %#x set", ErrRange, flags&flagsReservedMask)
 	}
-	o.DisableSpecialCases = flags&flagDisableSpecialCases != 0
-	o.SelfCheck = flags&flagSelfCheck != 0
+	o := mmlp.SolveOptions{Engine: mmlp.Engine(vals[0]), R: int(vals[1]), BinIters: int(vals[2]),
+		DisableSpecialCases: flags&flagDisableSpecialCases != 0, SelfCheck: flags&flagSelfCheck != 0}
+	if err := o.CheckWire(); err != nil {
+		return mmlp.SolveOptions{}, nil, fmt.Errorf("%w: %w", ErrRange, err)
+	}
 	return o, payload[r.off:], nil
 }
 
@@ -339,17 +324,17 @@ func decodeRow(r *reader, numAgents int, buf []mmlp.Term) (row []mmlp.Term, raw 
 // DecodeSolve decodes one complete canon solve message: options header,
 // instance, and nothing after. It is the exact inverse of AppendSolve on
 // the set of payloads it accepts.
-func DecodeSolve(payload []byte, sc *DecodeScratch) (*mmlp.Instance, Options, error) {
+func DecodeSolve(payload []byte, sc *DecodeScratch) (*mmlp.Instance, mmlp.SolveOptions, error) {
 	o, rest, err := decodeOptions(payload)
 	if err != nil {
-		return nil, Options{}, err
+		return nil, mmlp.SolveOptions{}, err
 	}
 	in, rest, err := decodeInstance(rest, sc)
 	if err != nil {
-		return nil, Options{}, err
+		return nil, mmlp.SolveOptions{}, err
 	}
 	if len(rest) != 0 {
-		return nil, Options{}, fmt.Errorf("%w: %d bytes after instance", ErrTrailing, len(rest))
+		return nil, mmlp.SolveOptions{}, fmt.Errorf("%w: %d bytes after instance", ErrTrailing, len(rest))
 	}
 	return in, o, nil
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // optionVariants covers every field of the options header.
-func optionVariants() []canon.Options {
-	return []canon.Options{
+func optionVariants() []mmlp.SolveOptions {
+	return []mmlp.SolveOptions{
 		{},
 		{Engine: 1},
 		{Engine: 2, R: 4},
@@ -105,7 +105,7 @@ func TestWireLayout(t *testing.T) {
 		uv(1), row(term(0, 1.0), term(1, 2.0)), // constraints, term-sorted
 		uv(1), row(term(0, 1.5)), // objectives
 	)
-	if got := canon.EncodeSolve(in, canon.Options{}); !bytes.Equal(got, want) {
+	if got := canon.EncodeSolve(in, mmlp.SolveOptions{}); !bytes.Equal(got, want) {
 		t.Fatalf("encoded layout drifted:\n got %x\nwant %x", got, want)
 	}
 }
@@ -123,7 +123,7 @@ func TestWireRowOrderMatchesCanonical(t *testing.T) {
 	in.AddConstraint(3, 1.0)
 	in.AddObjective(299, 2.0, 70, 1.0)
 	in.AddObjective(3, 1.0, 5, 1.0)
-	payload := canon.EncodeSolve(in, canon.Options{})
+	payload := canon.EncodeSolve(in, mmlp.SolveOptions{})
 	dec, _, err := canon.DecodeSolve(payload, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -199,10 +199,22 @@ func TestDecodeHostility(t *testing.T) {
 	}
 }
 
+// TestDecodeOptionsPastMaxInt: a header value of 2⁶³ or more, which the
+// decoder converts to a negative int, is out of range in every field.
+func TestDecodeOptionsPastMaxInt(t *testing.T) {
+	inst := validPayload()[len(canon.SolveMagic)+4:] // after three one-byte varints and the flags
+	for _, hdr := range [][]byte{uv(1<<63, 3, 100), uv(0, math.MaxUint64, 100), uv(0, 3, 1<<63+100)} {
+		payload := cat([]byte(canon.SolveMagic), hdr, []byte{0}, inst)
+		if _, _, err := canon.DecodeSolve(payload, nil); !errors.Is(err, canon.ErrRange) {
+			t.Fatalf("header %x: got %v, want %v", hdr, err, canon.ErrRange)
+		}
+	}
+}
+
 // TestDecodeEveryPrefixFails: no truncation point of a valid payload
 // decodes successfully or panics.
 func TestDecodeEveryPrefixFails(t *testing.T) {
-	payload := canon.EncodeSolve(randomInstance(9), canon.Options{Engine: 1})
+	payload := canon.EncodeSolve(randomInstance(9), mmlp.SolveOptions{Engine: 1})
 	for n := 0; n < len(payload); n++ {
 		if _, _, err := canon.DecodeSolve(payload[:n], nil); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", n, len(payload))
@@ -213,7 +225,7 @@ func TestDecodeEveryPrefixFails(t *testing.T) {
 // TestDecodeScratchReuse: warm decodes into a reused scratch allocate
 // nothing — the property SolveCanonBytes' warm path depends on.
 func TestDecodeScratchReuse(t *testing.T) {
-	payload := canon.EncodeSolve(randomInstance(11), canon.Options{})
+	payload := canon.EncodeSolve(randomInstance(11), mmlp.SolveOptions{})
 	var sc canon.DecodeScratch
 	if _, _, err := canon.DecodeSolve(payload, &sc); err != nil {
 		t.Fatal(err)
@@ -233,7 +245,7 @@ func TestDecodeScratchReuse(t *testing.T) {
 func TestBatchFrame(t *testing.T) {
 	var payloads [][]byte
 	for seed := int64(1); seed <= 4; seed++ {
-		payloads = append(payloads, canon.EncodeSolve(randomInstance(seed), canon.Options{Engine: int(seed) % 3}))
+		payloads = append(payloads, canon.EncodeSolve(randomInstance(seed), mmlp.SolveOptions{Engine: mmlp.Engine(seed % 3)}))
 	}
 	frame := canon.AppendBatch(nil, payloads)
 	got, err := canon.SplitBatch(frame)
@@ -253,7 +265,7 @@ func TestBatchFrame(t *testing.T) {
 		}
 	}
 
-	short := canon.EncodeSolve(randomInstance(1), canon.Options{})
+	short := canon.EncodeSolve(randomInstance(1), mmlp.SolveOptions{})
 	cases := []struct {
 		name  string
 		frame []byte
@@ -369,7 +381,7 @@ func TestResultTrafficBlock(t *testing.T) {
 
 // TestSniff: the router's classification helpers read only the prefix.
 func TestSniff(t *testing.T) {
-	if !canon.SniffSolve(canon.EncodeSolve(randomInstance(1), canon.Options{})) {
+	if !canon.SniffSolve(canon.EncodeSolve(randomInstance(1), mmlp.SolveOptions{})) {
 		t.Fatal("SniffSolve rejects an encoded solve")
 	}
 	if canon.SniffSolve([]byte(canon.BatchMagic)) || canon.SniffSolve(nil) {

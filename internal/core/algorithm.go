@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/mmlp"
 	"repro/internal/structured"
 )
 
@@ -41,8 +42,8 @@ type Options struct {
 	// approximation factor on structured instances is
 	// 2(1−1/ΔK)·(1+1/(R−1)).
 	R int
-	// BinIters caps the binary-search iterations for each t_u. 0 means 100,
-	// which drives the bracket to float64 exhaustion.
+	// BinIters caps the binary-search iterations for each t_u. 0 means
+	// mmlp.DefaultBinIters, which drives the bracket to float64 exhaustion.
 	BinIters int
 	// Workers is the parallelism for the t_u computations; 0 means
 	// GOMAXPROCS. Each worker evaluates one contiguous chunk of the agents
@@ -53,10 +54,10 @@ type Options struct {
 // withDefaults fills in zero fields.
 func (o Options) withDefaults() Options {
 	if o.R == 0 {
-		o.R = 3
+		o.R = mmlp.DefaultR
 	}
 	if o.BinIters == 0 {
-		o.BinIters = 100
+		o.BinIters = mmlp.DefaultBinIters
 	}
 	return o
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/mmlp"
 	"repro/internal/structured"
 )
 
@@ -13,8 +14,8 @@ import (
 // expressions in exactly the same order, so the centralised engine calls
 // the same functions.
 
-// Normalized returns the options with defaults filled in (R=3,
-// BinIters=100) and reports unusable parameter combinations.
+// Normalized returns the options with defaults filled in and reports
+// unusable parameter combinations.
 func (o Options) Normalized() (Options, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
@@ -121,12 +122,12 @@ func NewEvaluatorScoped(s *structured.Instance, r int, agents []int32) (*Evaluat
 }
 
 // ComputeT returns t_u as computed by the centralised engine: the largest ω
-// feasible for root u within binIters bracket halvings (0 means the
-// default of 100) — the bits of BinarySearch over the recursions, from
-// the few evaluations of the threshold search.
+// feasible for root u within binIters bracket halvings (0 means
+// mmlp.DefaultBinIters) — the bits of BinarySearch over the recursions,
+// from the few evaluations of the threshold search.
 func (e *Evaluator) ComputeT(u int32, binIters int) float64 {
 	if binIters == 0 {
-		binIters = 100
+		binIters = mmlp.DefaultBinIters
 	}
 	return e.ev.computeT(u, binIters)
 }

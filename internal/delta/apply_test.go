@@ -17,10 +17,10 @@ import (
 // like the reference's — with base's encoding unchanged either way.
 func checkApply(t *testing.T, name string, base *mmlp.Instance, edits []mmlp.RowEdit) {
 	t.Helper()
-	before := canon.EncodeSolve(base, canon.Options{})
+	before := canon.EncodeSolve(base, mmlp.SolveOptions{})
 	got, err := delta.Apply(base, edits)
 	want, wantErr := referenceApply(base, edits)
-	if !bytes.Equal(canon.EncodeSolve(base, canon.Options{}), before) {
+	if !bytes.Equal(canon.EncodeSolve(base, mmlp.SolveOptions{}), before) {
 		t.Fatalf("%s: Apply changed its base", name)
 	}
 	if wantErr != nil {
@@ -35,7 +35,7 @@ func checkApply(t *testing.T, name string, base *mmlp.Instance, edits []mmlp.Row
 	if got.Canonical() != got {
 		t.Fatalf("%s: Apply's result is not canonical", name)
 	}
-	if canon.Hash(got, canon.Options{}) != canon.Hash(want, canon.Options{}) {
+	if canon.Hash(got, mmlp.SolveOptions{}) != canon.Hash(want, mmlp.SolveOptions{}) {
 		t.Fatalf("%s: Apply's result differs from the reference's", name)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/mmlp"
 	"repro/internal/structured"
@@ -41,10 +40,10 @@ type Record struct {
 	// cache values are shared across requests, and a delta's edited
 	// instance shares its untouched rows with its base's.
 	In *mmlp.Instance
-	// Opts are the canonical solve options (engine, R, BinIters, flags) the
-	// base was keyed under; a delta inherits them, so the edited key is
-	// computed under the same options.
-	Opts canon.Options
+	// Opts are the normalized solve options the base was keyed under; a
+	// delta inherits them, so the edited key is computed under the same
+	// options.
+	Opts mmlp.SolveOptions
 	// T is the kernel t-vector over the base's structured form. It is nil
 	// when the pipeline never ran the kernel on the structured form (zero
 	// optimum, unbounded, or a trivial-case dispatch): a delta against such

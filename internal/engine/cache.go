@@ -67,10 +67,9 @@ type cachedResult struct {
 // SolveKey canonically hashes one solve: the cache index of its result and
 // — because it is invariant under row/term permutation — the routing key
 // the shard layer uses to assign every spelling of one problem to one
-// fleet member. Workers is excluded: it changes parallelism, never output
-// bits.
-func SolveKey(in *mmlp.Instance, o Options) canon.Key {
-	return canon.Hash(in, canonOptions(o))
+// fleet member.
+func SolveKey(in *mmlp.Instance, o mmlp.SolveOptions) canon.Key {
+	return canon.Hash(in, o)
 }
 
 // bytes estimates an entry's memory cost: the X vector dominates; the
@@ -114,7 +113,7 @@ func (d *DistInfo) clone() *DistInfo {
 // Canon, and Canon over In.
 type Request struct {
 	In    *mmlp.Instance
-	Opts  Options
+	Opts  mmlp.SolveOptions
 	Canon []byte
 	Delta *DeltaRequest
 }
@@ -146,7 +145,7 @@ type Reply struct {
 // solution is a private copy — callers may mutate it freely. cached
 // reports whether the result came from the cache (or a concurrent leader)
 // rather than from this call's own solve.
-func SolveCached(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, ca *Cache) (sol *Solution, info *DistInfo, cached bool, err error) {
+func SolveCached(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions, sc *Scratch, ca *Cache) (sol *Solution, info *DistInfo, cached bool, err error) {
 	rep, _, err := solve(ctx, Request{In: in, Opts: o}, sc, ca, nil)
 	return rep.Sol, rep.Dist, rep.Cached, err
 }
@@ -248,10 +247,11 @@ func (r *cachedResult) reply(out *DeltaOutcome, cached bool) Reply {
 // keyed is what a request's key prologue hands its miss computation.
 type keyed struct {
 	key canon.Key
-	// in and opts are the canonical instance and options to solve; a canon
-	// request leaves them to the miss, which decodes the payload.
+	// in and opts are the canonical instance and normalized options to
+	// solve; a canon request leaves them to the miss, which decodes the
+	// payload.
 	in   *mmlp.Instance
-	opts Options
+	opts mmlp.SolveOptions
 	// base and out are a delta's base and its accounting.
 	base deltaBase
 	out  *DeltaOutcome
@@ -292,11 +292,11 @@ func (r Request) prologue(sc *Scratch, ca *Cache) (k keyed, err error) {
 		// makes the kernels order-sensitive, and the cache keys on exactly
 		// these equivalence classes.
 		tc := time.Now()
-		k.in, k.opts = r.In.CanonicalInto(cs), r.Opts
+		k.in, k.opts = r.In.CanonicalInto(cs), r.Opts.Normalized()
 		tr.Add(obs.StageCanonicalize, time.Since(tc))
 		if ca != nil {
 			th := time.Now()
-			k.key = SolveKey(k.in, r.Opts)
+			k.key = SolveKey(k.in, k.opts)
 			tr.Add(obs.StageHash, time.Since(th))
 		}
 	}
@@ -306,7 +306,6 @@ func (r Request) prologue(sc *Scratch, ca *Cache) (k keyed, err error) {
 // miss runs the pipeline for a request the cache could not answer. capture
 // asks for the delta record a stored result carries.
 func (r Request) miss(ctx context.Context, k keyed, sc *Scratch, capture bool) (cachedResult, error) {
-	coreScratch := sc != nil
 	if sc == nil {
 		sc = NewScratch()
 	}
@@ -341,13 +340,13 @@ func (r Request) miss(ctx context.Context, k keyed, sc *Scratch, capture bool) (
 		if !k.owned {
 			in = in.Clone()
 		}
-		rec = &delta.Record{In: in, Opts: canonOptions(k.opts)}
+		rec = &delta.Record{In: in, Opts: k.opts}
 	}
 	var base *deltaBase
 	if r.Delta != nil {
 		base = &k.base
 	}
-	sol, info, err := solveCanonical(ctx, k.in, k.opts, sc, coreScratch, rec, base, k.out)
+	sol, info, err := solveCanonical(ctx, k.in, k.opts, sc, rec, base, k.out)
 	if err == nil {
 		err = sol.finite()
 	}

@@ -17,51 +17,21 @@ import (
 	"repro/internal/mmlp"
 )
 
-// canonOptions maps engine options onto the wire/key options. SolveKey and
-// EncodeCanon both go through it, so the JSON path's cache key and the
-// binary wire's payload can never disagree about what participates.
-func canonOptions(o Options) canon.Options {
-	return canon.Options{
-		Engine:              int(o.Engine),
-		R:                   o.R,
-		BinIters:            o.BinIters,
-		DisableSpecialCases: o.DisableSpecialCases,
-		SelfCheck:           o.SelfCheck,
-	}
-}
-
-// OptionsFromCanon maps decoded wire options back to engine options.
-// Workers is absent on the wire (it never changes output bits); it stays
-// zero, which scratch-based solving ignores anyway.
-func OptionsFromCanon(co canon.Options) Options {
-	return Options{
-		Engine:              mmlp.Engine(co.Engine),
-		R:                   co.R,
-		BinIters:            co.BinIters,
-		DisableSpecialCases: co.DisableSpecialCases,
-		SelfCheck:           co.SelfCheck,
-	}
-}
-
 // EncodeCanon encodes one solve as a canon wire payload — what a binary
 // client sends where a JSON client sends a SolveRequest.
-func EncodeCanon(in *mmlp.Instance, o Options) []byte {
-	return canon.EncodeSolve(in, canonOptions(o))
+func EncodeCanon(in *mmlp.Instance, o mmlp.SolveOptions) []byte {
+	return canon.EncodeSolve(in, o)
 }
 
 // decodeCanon decodes a payload into sc's arena. Wire errors wrap
 // mmlp.ErrInvalid: a malformed payload is the binary twin of a JSON body
 // that fails validation, and the serving layer maps both to one 400 path.
-func decodeCanon(payload []byte, sc *Scratch) (*mmlp.Instance, Options, error) {
-	var dsc *canon.DecodeScratch
-	if sc != nil {
-		dsc = &sc.dec
-	}
-	in, co, err := canon.DecodeSolve(payload, dsc)
+func decodeCanon(payload []byte, sc *Scratch) (*mmlp.Instance, mmlp.SolveOptions, error) {
+	in, o, err := canon.DecodeSolve(payload, &sc.dec)
 	if err != nil {
-		return nil, Options{}, fmt.Errorf("%w: canon request: %w", mmlp.ErrInvalid, err)
+		return nil, mmlp.SolveOptions{}, fmt.Errorf("%w: canon request: %w", mmlp.ErrInvalid, err)
 	}
-	return in, OptionsFromCanon(co), nil
+	return in, o, nil
 }
 
 // SolveCanonBytes is the canon-payload counterpart of SolveCached: the key

@@ -99,7 +99,7 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	baseX := b.encodedX()
 	tr.Add(obs.StageDeltaPlan, time.Since(tp))
 	tc := time.Now()
-	k := keyed{in: edited.CanonicalInto(cs), opts: OptionsFromCanon(rec.Opts), base: b}
+	k := keyed{in: edited.CanonicalInto(cs), opts: rec.Opts, base: b}
 	k.owned = k.in == edited
 	tr.Add(obs.StageCanonicalize, time.Since(tc))
 	th := time.Now()

@@ -7,11 +7,17 @@
 // cooperative cancellation — without an import cycle through the public
 // API.
 //
+// A solve is an instance and its mmlp.SolveOptions (Options, under the
+// type's older name). How many goroutines run its t-stage belongs to the
+// Scratch it runs on (Scratch.Workers): SolveScratch runs on the caller's,
+// Solve on a fresh one, with one goroutine.
+//
 // Error strings keep the "maxminlp:" prefix because every error escapes
 // through the public surface.
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -29,24 +35,9 @@ import (
 	"repro/internal/transform"
 )
 
-// Options configures one solve.
-type Options struct {
-	// Engine selects the execution engine.
-	Engine mmlp.Engine
-	// R is the shifting parameter (≥ 2, 0 means the default 3).
-	R int
-	// Workers bounds the parallelism of the centralised engine
-	// (0 = GOMAXPROCS). Ignored when a Scratch is supplied: scratch solving
-	// is single-worker by construction.
-	Workers int
-	// BinIters caps the per-agent binary search (0 = 100).
-	BinIters int
-	// DisableSpecialCases skips the optimal ΔI=1 / ΔK=1 dispatch.
-	DisableSpecialCases bool
-	// SelfCheck re-verifies the lemma-level invariants of a centralised run
-	// before returning.
-	SelfCheck bool
-}
+// Options is mmlp.SolveOptions under its older name, which callers
+// outside the serving path still spell in literals.
+type Options = mmlp.SolveOptions
 
 // Status classifies a Solution.
 type Status int
@@ -152,6 +143,11 @@ type Scratch struct {
 	plan  delta.Scratch
 	back  [2][]float64 // Pipeline.BackInto's buffers
 
+	// Workers bounds the goroutines of the centralised t-stage, each on
+	// its own evaluator (0 means one: a pool worker's t-stage stays on its
+	// goroutine). Every count gives the same bits.
+	Workers int
+
 	// Trace is the per-request stage-timing record, reset by every entry
 	// point and filled as the pipeline runs. A fixed array inside the
 	// scratch, it adds no allocations to the solve path; callers that want
@@ -179,25 +175,24 @@ func (sc *Scratch) trace() *obs.Trace {
 // between the per-agent t_u computations inside the kernel: a solve whose
 // context expires returns ctx's error without starting the next stage (or
 // the next agent). The message-passing engines are not preempted mid-run.
-func Solve(ctx context.Context, in *mmlp.Instance, o Options) (*Solution, *DistInfo, error) {
+func Solve(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions) (*Solution, *DistInfo, error) {
 	return SolveScratch(ctx, in, o, nil)
 }
 
 // SolveScratch is Solve reusing sc's buffers for the transform stages and
-// the centralised kernel (sc may be nil: the transform stages then use a
-// private arena and the centralised kernel runs on o.Workers workers; the
-// message-passing engines allocate their node state regardless). The
-// returned solution owns its memory — it never aliases sc.
-func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch) (*Solution, *DistInfo, error) {
+// the centralised kernel, whose t-stage runs sc.Workers goroutines (a nil
+// sc is a fresh scratch, with one; the message-passing engines allocate
+// their node state regardless). The returned solution owns its memory —
+// it never aliases sc.
+func SolveScratch(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions, sc *Scratch) (*Solution, *DistInfo, error) {
 	rep, _, err := solve(ctx, Request{In: in, Opts: o}, sc, nil, nil)
 	return rep.Sol, rep.Dist, err
 }
 
 // solveCanonical runs the pipeline stages on a validated instance already
-// in canonical form: the §4 preamble and transformations, the trivial-case
-// dispatch, the kernel and the back-map. coreScratch marks sc as a
-// worker's scratch, whose centralised kernel runs single-worker; the
-// transform stages always build into sc's arena.
+// in canonical form, under normalized options: the §4 preamble and
+// transformations, the trivial-case dispatch, the kernel and the
+// back-map, all in sc's arenas.
 //
 // rec, when non-nil, captures the kernel t-vector for the delta record a
 // stored result carries (a private copy; the trivial and preprocess
@@ -210,13 +205,10 @@ func SolveScratch(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch
 // base's trace, and out receives the accounting. Every other shape runs
 // the full kernel and tail, which is always bit-identical (just not
 // incremental).
-func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scratch, coreScratch bool, rec *delta.Record, base *deltaBase, out *DeltaOutcome) (*Solution, *DistInfo, error) {
+func solveCanonical(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions, sc *Scratch, rec *delta.Record, base *deltaBase, out *DeltaOutcome) (*Solution, *DistInfo, error) {
 	var info *DistInfo
 	if o.Engine != mmlp.EngineCentral {
 		info = &DistInfo{}
-	}
-	if o.R == 0 {
-		o.R = 3
 	}
 	if o.R < 2 {
 		return nil, nil, fmt.Errorf("maxminlp: R must be ≥ 2, got %d", o.R)
@@ -225,10 +217,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o Options, sc *Scrat
 		return nil, nil, err
 	}
 
-	copts := core.Options{R: o.R, Workers: o.Workers, BinIters: o.BinIters}
-	if coreScratch {
-		copts.Workers = 1
-	}
+	copts := core.Options{R: o.R, Workers: cmp.Or(sc.Workers, 1), BinIters: o.BinIters}
 	var form *delta.BaseForm
 	var baseRec *delta.Record
 	if base != nil {

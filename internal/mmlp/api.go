@@ -9,8 +9,10 @@ import (
 
 // This file defines the wire format of the serving layer (cmd/mmlpserve).
 // The types are purely syntactic — engine names and statuses travel as
-// strings — so the package stays free of solver dependencies; the batch
-// package converts them to solver inputs and outputs.
+// strings — so the package stays free of solver dependencies. A request's
+// settings leave the wire through SolveRequest.Options, as the
+// SolveOptions the engine runs on and the canon key covers; the batch
+// package turns requests into jobs and results into responses.
 
 // Engine names accepted on the wire.
 const (
@@ -35,24 +37,19 @@ const (
 )
 
 // SolveRequest is the body of POST /v1/solve and one element of a
-// BatchRequest.
+// BatchRequest: an instance and, under their wire names, the fields of its
+// SolveOptions, which Options reads.
 type SolveRequest struct {
 	// Instance is the max-min LP to solve.
 	Instance *Instance `json:"instance"`
-	// Engine selects the execution engine ("" means EngineLocal).
+	// Engine names SolveOptions.Engine ("" means EngineLocal).
 	Engine string `json:"engine,omitempty"`
-	// R is the shifting parameter (0 means the default 3). The wire layer
-	// caps it at MaxWireR: solver memory and rounds grow with R, so an
-	// unbounded value in a small request could exhaust the server.
-	R int `json:"r,omitempty"`
-	// BinIters caps the per-agent binary search (0 means the default 100).
-	BinIters int `json:"bin_iters,omitempty"`
-	// DisableSpecialCases skips the optimal ΔI=1 / ΔK=1 dispatch.
+	// R, BinIters, DisableSpecialCases and SelfCheck are the SolveOptions
+	// fields of the same names.
+	R                   int  `json:"r,omitempty"`
+	BinIters            int  `json:"bin_iters,omitempty"`
 	DisableSpecialCases bool `json:"disable_special_cases,omitempty"`
-	// SelfCheck re-verifies the lemma-level invariants before responding.
-	// Only the centralised engine supports it; it is a no-op for the dist
-	// engines (their conformance is asserted by the test suite instead).
-	SelfCheck bool `json:"self_check,omitempty"`
+	SelfCheck           bool `json:"self_check,omitempty"`
 }
 
 // MaxWireR bounds the shifting parameter accepted over HTTP. R=64 already
@@ -75,28 +72,29 @@ const MaxWireBinIters = 1 << 20
 // below this.
 const MaxWireAgents = 1 << 20
 
-// Validate vets the request envelope: the instance must be present, the
-// engine name known, and the parameters in range. Instance contents are
-// deliberately not checked here — the solve pipeline validates them
-// exactly once, and its failures also wrap ErrInvalid.
-func (r *SolveRequest) Validate() error {
+// Options vets the request envelope and returns its settings,
+// normalized: the instance present and within MaxWireAgents, the engine
+// name known, the settings within CheckWire's bounds. Every failure wraps
+// ErrInvalid. The instance's contents are left to the solve pipeline,
+// which validates them exactly once.
+func (r *SolveRequest) Options() (SolveOptions, error) {
 	if r.Instance == nil {
-		return fmt.Errorf("%w: missing instance", ErrInvalid)
+		return SolveOptions{}, fmt.Errorf("%w: missing instance", ErrInvalid)
 	}
 	if r.Instance.NumAgents > MaxWireAgents {
-		return fmt.Errorf("%w: num_agents %d exceeds the serving limit %d",
+		return SolveOptions{}, fmt.Errorf("%w: num_agents %d exceeds the serving limit %d",
 			ErrInvalid, r.Instance.NumAgents, MaxWireAgents)
 	}
-	if _, err := ParseEngine(r.Engine); err != nil {
-		return err
+	eng, err := ParseEngine(r.Engine)
+	if err != nil {
+		return SolveOptions{}, err
 	}
-	if r.R != 0 && (r.R < 2 || r.R > MaxWireR) {
-		return fmt.Errorf("%w: r must be in [2, %d], got %d", ErrInvalid, MaxWireR, r.R)
+	o := SolveOptions{Engine: eng, R: r.R, BinIters: r.BinIters,
+		DisableSpecialCases: r.DisableSpecialCases, SelfCheck: r.SelfCheck}.Normalized()
+	if err := o.CheckWire(); err != nil {
+		return SolveOptions{}, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
-	if r.BinIters < 0 || r.BinIters > MaxWireBinIters {
-		return fmt.Errorf("%w: bin_iters must be in [0, %d], got %d", ErrInvalid, MaxWireBinIters, r.BinIters)
-	}
-	return nil
+	return o, nil
 }
 
 // SolveResponse is the body of a successful POST /v1/solve and the payload

@@ -23,7 +23,7 @@ import (
 // syntax error.
 //
 // Memory is proportional to len(data), never to a count the body
-// declares; num_agents is for SolveRequest.Validate to cap.
+// declares; num_agents is for SolveRequest.Options to cap.
 func UnmarshalSolveRequest(data []byte, req *SolveRequest) error {
 	*req = SolveRequest{}
 	d := solveDecoder{data: data}

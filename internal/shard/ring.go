@@ -40,6 +40,11 @@ import (
 // percent while the ring stays tiny (N·128 16-byte points).
 const DefaultReplicas = 128
 
+// MaxPoints bounds a ring's points, members × replicas: both /admin/ring
+// routes build a ring from a request body, and this many points take
+// ~33 ms and 1 MB where an unbounded body could ask for minutes and GBs.
+const MaxPoints = 1 << 16
+
 // point is one virtual node: a position on the 2^64 circle and the member
 // planted there.
 type point struct {
@@ -57,16 +62,20 @@ type Ring struct {
 }
 
 // New builds the ring for the given member addresses. Members must be
-// non-empty and distinct; replicas ≤ 0 selects DefaultReplicas. The member
-// order given by the caller is irrelevant: points depend only on the member
-// strings, so every process configured with the same set computes the same
-// ring.
+// non-empty and distinct; replicas ≤ 0 selects DefaultReplicas, and the
+// ring may hold at most MaxPoints points. The member order given by the
+// caller is irrelevant: points depend only on the member strings, so every
+// process configured with the same set computes the same ring.
 func New(members []string, replicas int) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one member")
 	}
 	if replicas <= 0 {
 		replicas = DefaultReplicas
+	}
+	if replicas > MaxPoints/len(members) { // the product could overflow
+		return nil, fmt.Errorf("shard: %d members × %d replicas exceed the ring's %d points",
+			len(members), replicas, MaxPoints)
 	}
 	ms := slices.Clone(members)
 	slices.Sort(ms)

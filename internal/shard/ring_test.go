@@ -36,6 +36,15 @@ func TestNewRejectsBadMembers(t *testing.T) {
 	if _, err := New([]string{"a:1", "b:1", "a:1"}, 8); err == nil {
 		t.Fatal("want error for duplicate member")
 	}
+	if _, err := New([]string{"a:1"}, MaxPoints+1); err == nil {
+		t.Fatal("want error for a replica count past MaxPoints")
+	}
+	if _, err := New(testMembers(MaxPoints/DefaultReplicas+1), 0); err == nil {
+		t.Fatal("want error for a member list past MaxPoints at the default replicas")
+	}
+	if _, err := New(testMembers(MaxPoints/DefaultReplicas), 0); err != nil {
+		t.Fatalf("a ring of exactly MaxPoints points: %v", err)
+	}
 }
 
 // TestAssignmentDeterministicAcrossRestarts builds the ring twice — once

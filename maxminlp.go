@@ -37,9 +37,11 @@
 package maxminlp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/baseline"
@@ -115,15 +117,21 @@ type LocalOptions struct {
 }
 
 // engineOptions converts the public options for the given engine kind.
-func (o LocalOptions) engineOptions(kind mmlp.Engine) engine.Options {
-	return engine.Options{
+func (o LocalOptions) engineOptions(kind mmlp.Engine) mmlp.SolveOptions {
+	return mmlp.SolveOptions{
 		Engine:              kind,
 		R:                   o.R,
-		Workers:             o.Workers,
 		BinIters:            o.BinIters,
 		DisableSpecialCases: o.DisableSpecialCases,
 		SelfCheck:           o.SelfCheck,
 	}
+}
+
+// solve runs one solve on the given engine kind, on a scratch whose
+// t-stage runs o.Workers goroutines (0 = GOMAXPROCS).
+func (o LocalOptions) solve(in *Instance, kind mmlp.Engine) (*Solution, *DistInfo, error) {
+	sc := &engine.Scratch{Workers: cmp.Or(o.Workers, runtime.GOMAXPROCS(0))}
+	return engine.SolveScratch(context.Background(), in, o.engineOptions(kind), sc)
 }
 
 // distKind picks the message-passing engine selected by the options.
@@ -147,7 +155,7 @@ type DistInfo = engine.DistInfo
 // the back-mappings lift it to the input instance. The result is feasible
 // and within factor max(2,ΔI)·(1−1/max(2,ΔK))·(1+1/(R−1)) of the optimum.
 func SolveLocal(in *Instance, opts LocalOptions) (*Solution, error) {
-	sol, _, err := engine.Solve(context.Background(), in, opts.engineOptions(mmlp.EngineCentral))
+	sol, _, err := opts.solve(in, mmlp.EngineCentral)
 	return sol, err
 }
 
@@ -155,7 +163,7 @@ func SolveLocal(in *Instance, opts LocalOptions) (*Solution, error) {
 // message-passing protocol of the dist package. The solution is identical
 // to SolveLocal's; the second result reports the communication volume.
 func SolveLocalDistributed(in *Instance, opts LocalOptions) (*Solution, *DistInfo, error) {
-	return engine.Solve(context.Background(), in, opts.engineOptions(opts.distKind()))
+	return opts.solve(in, opts.distKind())
 }
 
 // BatchJob is one unit of work for SolveBatch.

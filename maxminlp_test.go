@@ -3,6 +3,7 @@ package maxminlp
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +177,36 @@ func TestSolveLocalRejectsBadInput(t *testing.T) {
 	ok.AddObjective(0, 1)
 	if _, err := SolveLocal(ok, LocalOptions{R: 1}); err == nil {
 		t.Fatal("R=1 accepted")
+	}
+}
+
+// TestSolveLocalWorkers: the public worker count reaches the kernel — a
+// negative one fails core's validation — and no count changes an answer
+// bit.
+func TestSolveLocalWorkers(t *testing.T) {
+	in := GenerateTriNecklace(200)
+	if _, err := SolveLocal(in, LocalOptions{Workers: -1}); err == nil ||
+		!strings.Contains(err.Error(), "core: negative BinIters or Workers") {
+		t.Fatalf("Workers -1: err = %v, want core's validation error", err)
+	}
+	want, err := SolveLocal(in, LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 3} {
+		sol, err := SolveLocal(in, LocalOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("Workers %d: %v", w, err)
+		}
+		if math.Float64bits(sol.Utility) != math.Float64bits(want.Utility) ||
+			math.Float64bits(sol.UpperBound) != math.Float64bits(want.UpperBound) {
+			t.Fatalf("Workers %d: utility %v bound %v, want %v and %v", w, sol.Utility, sol.UpperBound, want.Utility, want.UpperBound)
+		}
+		for v := range want.X {
+			if math.Float64bits(sol.X[v]) != math.Float64bits(want.X[v]) {
+				t.Fatalf("Workers %d: X[%d] = %v, want %v", w, v, sol.X[v], want.X[v])
+			}
+		}
 	}
 }
 

@@ -105,26 +105,3 @@ func SolveSingletonObjectives(in *mmlp.Instance) []float64 {
 	}
 	return x
 }
-
-// SolveUniform is a naive non-adaptive heuristic used as a reference floor
-// in the experiments: every agent takes an equal 1/|Vi|-style share,
-// x_v = cap_v / maxLoad where maxLoad = max_i |Vi|. It is feasible but can
-// be a factor ≈ ΔI·cap-spread worse than optimal.
-func SolveUniform(in *mmlp.Instance) []float64 {
-	maxLoad := 1
-	for _, c := range in.Cons {
-		if len(c.Terms) > maxLoad {
-			maxLoad = len(c.Terms)
-		}
-	}
-	caps := in.Caps()
-	x := make([]float64, in.NumAgents)
-	for v := range x {
-		if math.IsInf(caps[v], 1) {
-			x[v] = 0
-			continue
-		}
-		x[v] = caps[v] / float64(maxLoad)
-	}
-	return x
-}

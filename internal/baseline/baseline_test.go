@@ -131,13 +131,3 @@ func TestSingletonObjectivesZeroesUncoveredAgents(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUniformFeasible(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		in := gen.Random(gen.RandomConfig{Agents: 7, MaxDegI: 3, MaxDegK: 2, ExtraCons: 2}, seed)
-		x := SolveUniform(in)
-		if err := in.CheckFeasible(x, 1e-12); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}

@@ -204,16 +204,3 @@ func TestGirth(t *testing.T) {
 		t.Fatalf("doubled constraint girth = %d, want 4", got)
 	}
 }
-
-func TestIsTree(t *testing.T) {
-	if !FromInstance(pathInstance(4)).IsTree() {
-		t.Fatal("path should be a tree")
-	}
-	if FromInstance(cycleInstance(6)).IsTree() {
-		t.Fatal("cycle should not be a tree")
-	}
-	in := mmlp.New(2) // two isolated agents: forest, not tree
-	if FromInstance(in).IsTree() {
-		t.Fatal("forest with two components reported as tree")
-	}
-}

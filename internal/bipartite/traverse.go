@@ -126,14 +126,3 @@ func (g *Graph) Girth() int {
 	}
 	return best
 }
-
-// IsTree reports whether the graph is a connected forest with exactly one
-// component (a tree), the situation in which the unfolding of §3 is finite.
-func (g *Graph) IsTree() bool {
-	edges := 0
-	for _, a := range g.adj {
-		edges += len(a)
-	}
-	edges /= 2
-	return g.Connected() && edges == g.NumNodes()-1
-}

@@ -15,96 +15,29 @@ import (
 //	dual feasibility:    Σ_i y_i a_ij ≥ c_j for every variable j,
 //	sign conventions:    y_i ≥ 0 for ≤ rows, y_i ≤ 0 for ≥ rows, free for =.
 //
-// Duals are read off the final reduced-cost row: the slack column of row i
-// prices to exactly y_i (cost 0, unit coefficient), a surplus column to
-// −y_i, and an artificial column (equality rows) to y_i.
+// The duals are read off the final reduced-cost row of the tableau the
+// solve ran on, at the columns its row plan names: a slack column prices
+// to exactly y_i (cost 0, unit coefficient), a surplus column to −y_i, and
+// the artificial column of an = row to y_i; a flipped row negates its
+// dual.
 func SolveWithDuals(p *Problem) (Result, []float64) {
-	// Re-run build bookkeeping to locate each row's private column.
-	// (This duplicates the column plan of build; kept in sync by tests.)
-	r, duals := solveDuals(p, 1e-9)
-	return r, duals
-}
-
-func solveDuals(p *Problem, eps float64) (Result, []float64) {
-	ar := floatArith{eps: eps}
-	t := build[float64](ar, p)
-	if t.artStart < t.ncols {
-		st := t.iterate(t.obj1, t.ncols)
-		if st == Stalled {
-			return Result{Status: Stalled}, nil
-		}
-		if ar.sign(t.obj1[t.ncols]) != 0 {
-			return Result{Status: Infeasible}, nil
-		}
-		t.evictArtificials()
-	}
-	st := t.iterate(t.obj2, t.artStart)
-	if st != Optimal {
+	t := build[float64](floatArith{eps: 1e-9}, p)
+	if st := t.solve(); st != Optimal {
 		return Result{Status: st}, nil
 	}
-	xs := make([]float64, t.nStruct)
-	for i, b := range t.basis {
-		if b < t.nStruct {
-			xs[b] = t.a[i][t.ncols]
-		}
-	}
-	res := Result{Status: Optimal, X: xs, Value: t.obj2[t.ncols]}
-
-	// Column plan reconstruction: which column belongs to which row.
+	xs, val := t.primal()
 	duals := make([]float64, len(p.Rows))
-	col := p.NumVars
-	type owner struct {
-		row  int
-		sign float64 // +1 slack, −1 surplus
-	}
-	owners := make([]owner, 0, len(p.Rows))
-	flips := make([]float64, len(p.Rows))
-	for i, row := range p.Rows {
-		rel, rhs := row.Rel, row.RHS
-		flips[i] = 1
-		if rhs < 0 {
-			flips[i] = -1
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
+	for i, pl := range t.plans {
+		col, sgn := pl.artCol, 1.0
+		if pl.slackCol >= 0 {
+			col, sgn = pl.slackCol, float64(pl.slackSgn)
 		}
-		if rel == LE {
-			owners = append(owners, owner{i, 1})
-			col++
-		} else if rel == GE {
-			owners = append(owners, owner{i, -1})
-			col++
+		if pl.flip {
+			sgn = -sgn
 		}
+		duals[i] = sgn * t.obj2[col]
 	}
-	artCol := col
-	for i, row := range p.Rows {
-		rel := row.Rel
-		if flips[i] < 0 {
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		if rel == GE || rel == EQ {
-			// For GE the surplus already identifies the dual; equality rows
-			// need their artificial column.
-			if rel == EQ {
-				duals[i] = flips[i] * t.obj2[artCol]
-			}
-			artCol++
-		}
-	}
-	colAt := p.NumVars
-	for _, ow := range owners {
-		duals[ow.row] = flips[ow.row] * ow.sign * t.obj2[colAt]
-		colAt++
-	}
-	return res, duals
+	return Result{Status: Optimal, X: xs, Value: val}, duals
 }
 
 // MaxMinCertificate is a self-contained upper-bound proof for a max-min
@@ -131,7 +64,7 @@ func CertifyMaxMin(in *mmlp.Instance) (Result, *MaxMinCertificate, error) {
 		return Result{Status: Unbounded}, nil, fmt.Errorf("simplex: no objectives")
 	}
 	p := FromMaxMin(in)
-	res, duals := solveDuals(p, 1e-9)
+	res, duals := SolveWithDuals(p)
 	if res.Status != Optimal {
 		return res, nil, fmt.Errorf("simplex: %v", res.Status)
 	}

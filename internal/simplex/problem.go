@@ -8,6 +8,13 @@
 // ratios), and as the cross-check for the per-agent optimum t_u of the
 // alternating-tree LP of §5.2, which the local algorithm otherwise obtains
 // by binary search.
+//
+// One two-phase routine over one column plan serves every solve: build lays
+// out each row's slack, surplus and artificial columns on the tableau, and
+// the float, rational and dual-certified solves all pivot on it.
+// SolveWithDuals reads each row's dual off the column that plan names, so
+// the LP-duality certificate behind CertifyMaxMin comes from the very
+// tableau the solve ran on.
 package simplex
 
 import "fmt"
@@ -82,21 +89,6 @@ func (p *Problem) AddRow(rel Relation, rhs float64, pairs ...float64) int {
 	}
 	p.Rows = append(p.Rows, row)
 	return len(p.Rows) - 1
-}
-
-// Validate checks variable indices and finiteness of coefficients.
-func (p *Problem) Validate() error {
-	if len(p.Objective) != p.NumVars {
-		return fmt.Errorf("simplex: objective has %d entries for %d variables", len(p.Objective), p.NumVars)
-	}
-	for r, row := range p.Rows {
-		for _, e := range row.Entries {
-			if e.Var < 0 || e.Var >= p.NumVars {
-				return fmt.Errorf("simplex: row %d references variable %d outside [0,%d)", r, e.Var, p.NumVars)
-			}
-		}
-	}
-	return nil
 }
 
 // Status is the outcome of a solve.

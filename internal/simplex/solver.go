@@ -51,31 +51,57 @@ type tableau[T any] struct {
 	m        int
 	ncols    int
 	nStruct  int
-	artStart int   // first artificial column; ncols when none
-	a        [][]T // m rows × (ncols+1)
-	obj1     []T   // phase-1 reduced costs (maximise −Σ artificials)
-	obj2     []T   // phase-2 reduced costs (maximise c·x)
+	artStart int       // first artificial column; ncols when none
+	plans    []rowPlan // one per constraint row
+	a        [][]T     // m rows × (ncols+1)
+	obj1     []T       // phase-1 reduced costs (maximise −Σ artificials)
+	obj2     []T       // phase-2 reduced costs (maximise c·x)
 	basis    []int
+}
+
+// rowPlan is the column layout build gives one row. A row with a negative
+// right-hand side is flipped (negated, so ≤ and ≥ swap) to make it
+// nonnegative. After the flip a ≤ row owns a slack column, a ≥ row a
+// surplus column and an artificial one, an = row only an artificial one.
+// An absent column is −1.
+type rowPlan struct {
+	flip     bool
+	slackCol int
+	slackSgn int // +1 slack, −1 surplus, 0 none
+	artCol   int
 }
 
 // run executes the two-phase algorithm and extracts the solution.
 func run[T any](ar arith[T], p *Problem) (Status, []T, T) {
 	t := build(ar, p)
+	if st := t.solve(); st != Optimal {
+		return st, nil, ar.zero()
+	}
+	xs, val := t.primal()
+	return Optimal, xs, val
+}
+
+// solve runs the two phases: phase 1 while artificials are basic, the
+// eviction of those left at zero, then phase 2.
+func (t *tableau[T]) solve() Status {
 	if t.artStart < t.ncols { // phase 1 needed
 		st := t.iterate(t.obj1, t.ncols) // artificials may enter in phase 1
 		if st == Stalled {
-			return Stalled, nil, ar.zero()
+			return Stalled
 		}
 		// Phase-1 optimum must be 0 (the stored value is −Σ artificials).
-		if ar.sign(t.obj1[t.ncols]) != 0 {
-			return Infeasible, nil, ar.zero()
+		if t.ar.sign(t.obj1[t.ncols]) != 0 {
+			return Infeasible
 		}
 		t.evictArtificials()
 	}
-	st := t.iterate(t.obj2, t.artStart) // artificials barred from entering
-	if st != Optimal {
-		return st, nil, ar.zero()
-	}
+	return t.iterate(t.obj2, t.artStart) // artificials barred from entering
+}
+
+// primal reads the structural variables and the optimum off an optimal
+// tableau.
+func (t *tableau[T]) primal() ([]T, T) {
+	ar := t.ar
 	xs := make([]T, t.nStruct)
 	for j := range xs {
 		xs[j] = ar.zero()
@@ -85,7 +111,7 @@ func run[T any](ar arith[T], p *Problem) (Status, []T, T) {
 			xs[b] = ar.clone(t.a[i][t.ncols])
 		}
 	}
-	return Optimal, xs, ar.clone(t.obj2[t.ncols])
+	return xs, ar.clone(t.obj2[t.ncols])
 }
 
 // build assembles the initial tableau with a feasible slack/artificial basis.
@@ -93,58 +119,32 @@ func build[T any](ar arith[T], p *Problem) *tableau[T] {
 	m := len(p.Rows)
 	n := p.NumVars
 
-	// Column accounting pass: one slack or surplus per inequality row, one
-	// artificial per row whose initial basic variable would be infeasible.
-	// RHS signs are normalised to ≥ 0 first by flipping rows.
-	type rowPlan struct {
-		flip     bool
-		slackCol int // -1 if none
-		slackSgn int // +1 slack, -1 surplus
-		artCol   int // -1 if none
-	}
+	// Column plan: slack and surplus columns in row order, then the
+	// artificials of the rows whose initial basic variable would be
+	// infeasible — every row without a slack.
 	plans := make([]rowPlan, m)
 	col := n
 	for i, row := range p.Rows {
-		rel, rhs := row.Rel, row.RHS
-		pl := rowPlan{slackCol: -1, artCol: -1}
-		if rhs < 0 {
-			pl.flip = true
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		switch rel {
-		case LE:
+		pl := rowPlan{flip: row.RHS < 0, slackCol: -1, artCol: -1}
+		if row.Rel != EQ {
 			pl.slackCol, pl.slackSgn = col, 1
-			col++
-		case GE:
-			pl.slackCol, pl.slackSgn = col, -1
+			if (row.Rel == GE) != pl.flip {
+				pl.slackSgn = -1
+			}
 			col++
 		}
 		plans[i] = pl
 	}
 	artStart := col
-	for i, row := range p.Rows {
-		rel := row.Rel
-		if plans[i].flip {
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		if rel == GE || rel == EQ {
+	for i := range plans {
+		if plans[i].slackSgn <= 0 {
 			plans[i].artCol = col
 			col++
 		}
 	}
 	ncols := col
 
-	t := &tableau[T]{ar: ar, m: m, ncols: ncols, nStruct: n, artStart: artStart}
+	t := &tableau[T]{ar: ar, m: m, ncols: ncols, nStruct: n, artStart: artStart, plans: plans}
 	t.a = make([][]T, m)
 	t.basis = make([]int, m)
 	for i := range t.a {
@@ -154,22 +154,23 @@ func build[T any](ar arith[T], p *Problem) *tableau[T] {
 		}
 	}
 	for i, row := range p.Rows {
+		pl := plans[i]
 		sgn := 1.0
-		if plans[i].flip {
+		if pl.flip {
 			sgn = -1
 		}
 		for _, e := range row.Entries {
 			t.a[i][e.Var] = ar.add(t.a[i][e.Var], ar.fromFloat(sgn*e.Coef))
 		}
 		t.a[i][ncols] = ar.fromFloat(sgn * row.RHS)
-		if c := plans[i].slackCol; c >= 0 {
-			t.a[i][c] = ar.fromFloat(float64(plans[i].slackSgn))
+		if c := pl.slackCol; c >= 0 {
+			t.a[i][c] = ar.fromFloat(float64(pl.slackSgn))
 		}
-		if c := plans[i].artCol; c >= 0 {
+		if c := pl.artCol; c >= 0 {
 			t.a[i][c] = ar.fromFloat(1)
 			t.basis[i] = c
 		} else {
-			t.basis[i] = plans[i].slackCol
+			t.basis[i] = pl.slackCol
 		}
 	}
 
@@ -188,21 +189,16 @@ func build[T any](ar arith[T], p *Problem) *tableau[T] {
 	for j := 0; j < n; j++ {
 		t.obj2[j] = ar.fromFloat(-p.Objective[j])
 	}
-	for i := range p.Rows {
-		if plans[i].artCol < 0 {
+	for i, pl := range plans {
+		if pl.artCol < 0 {
 			continue
 		}
 		for j := 0; j <= ncols; j++ {
 			t.obj1[j] = ar.sub(t.obj1[j], t.a[i][j])
 		}
-	}
-	// The artificial columns themselves must price to zero in obj1: each
-	// appears in exactly one row with coefficient 1, so obj1[art] is now
-	// −1; adding the cost −(−1) = 1 restores 0.
-	for i := range p.Rows {
-		if c := plans[i].artCol; c >= 0 {
-			t.obj1[c] = ar.add(t.obj1[c], ar.fromFloat(1))
-		}
+		// The artificial column itself, basic in this row alone, prices
+		// to zero (the sum left −1 there; its cost −(−1) restores 0).
+		t.obj1[pl.artCol] = ar.zero()
 	}
 	return t
 }

@@ -165,22 +165,6 @@ func TestSolveRatInfeasibleAndUnbounded(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	p := New(1)
-	p.AddRow(LE, 1, 5, 1)
-	if err := p.Validate(); err == nil {
-		t.Fatal("bad var index accepted")
-	}
-	q := New(2)
-	q.Objective = q.Objective[:1]
-	if err := q.Validate(); err == nil {
-		t.Fatal("short objective accepted")
-	}
-	if err := New(3).Validate(); err != nil {
-		t.Fatalf("valid problem rejected: %v", err)
-	}
-}
-
 func TestAddRowPanicsOnOddPairs(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -309,13 +309,19 @@ func SolveSafe(in *Instance) (*Solution, error) {
 type Certificate = simplex.MaxMinCertificate
 
 // SolveExactCertified computes the optimum together with an independently
-// verifiable dual certificate of optimality. The certificate is validated
-// before it is returned.
+// verifiable dual certificate of optimality. The certificate is read off
+// the optimal tableau of the same two-phase simplex SolveExact runs, and
+// is validated before it is returned. An instance whose optimum is
+// unbounded (SolveExact's StatusUnbounded) has nothing to certify: its
+// error wraps ErrNotOptimal.
 func SolveExactCertified(in *Instance) (*Solution, *Certificate, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	res, cert, err := simplex.CertifyMaxMin(in)
+	if res.Status == simplex.Unbounded {
+		return nil, nil, fmt.Errorf("%w: %v", ErrNotOptimal, err)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,5 +351,7 @@ func LocalityThreshold(degI, degK int) float64 {
 	return float64(degI) * (1 - 1/float64(degK))
 }
 
-// ErrNotOptimal is returned by helpers that require an exact solve.
+// ErrNotOptimal is wrapped in the error SolveExactCertified returns for an
+// instance with no finite optimum: one with no objectives, or one in which
+// every objective has an agent that no constraint bounds.
 var ErrNotOptimal = errors.New("maxminlp: instance has no finite optimum")

@@ -2,6 +2,7 @@ package maxminlp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -297,6 +298,25 @@ func TestSolveExactCertified(t *testing.T) {
 	bad.AddConstraint(5, 1)
 	if _, _, err := SolveExactCertified(bad); err == nil {
 		t.Fatal("invalid instance accepted")
+	}
+}
+
+// TestSolveExactCertifiedNotOptimal: an instance SolveExact reports
+// unbounded has no optimum to certify, and the error says so with
+// ErrNotOptimal.
+func TestSolveExactCertifiedNotOptimal(t *testing.T) {
+	unconstrained := NewInstance(2)
+	unconstrained.AddConstraint(0, 1)
+	unconstrained.AddObjective(1, 1)
+	noObjectives := NewInstance(1)
+	noObjectives.AddConstraint(0, 1)
+	for name, in := range map[string]*Instance{"unconstrained objective": unconstrained, "no objectives": noObjectives} {
+		if sol, err := SolveExact(in); err != nil || sol.Status != StatusUnbounded {
+			t.Fatalf("%s: SolveExact = %+v, %v; want unbounded", name, sol, err)
+		}
+		if _, _, err := SolveExactCertified(in); !errors.Is(err, ErrNotOptimal) {
+			t.Errorf("%s: SolveExactCertified error %v does not wrap ErrNotOptimal", name, err)
+		}
 	}
 }
 

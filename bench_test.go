@@ -93,7 +93,7 @@ func BenchmarkE5Distributed(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dist.SolveDistributed(s, core.Options{R: R}); err != nil {
+				if _, err := dist.SolveDistributed(context.Background(), s, core.Options{R: R}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkE5Protocols(b *testing.B) {
 	b.Run("views", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dist.SolveDistributed(s, core.Options{R: 4}); err != nil {
+			if _, err := dist.SolveDistributed(context.Background(), s, core.Options{R: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -120,7 +120,7 @@ func BenchmarkE5Protocols(b *testing.B) {
 	b.Run("records", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dist.SolveDistributedCompact(s, core.Options{R: 4}); err != nil {
+			if _, err := dist.SolveDistributedCompact(context.Background(), s, core.Options{R: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -120,6 +121,7 @@ func cmdSolve(args []string) error {
 		return err
 	}
 	var sol *maxminlp.Solution
+	bound := "certified optimum upper bound"
 	switch *algo {
 	case "local":
 		sol, err = maxminlp.SolveLocal(in, maxminlp.LocalOptions{R: *rParam})
@@ -131,7 +133,11 @@ func cmdSolve(args []string) error {
 				info.Rounds, info.Messages, info.Bytes, info.MaxMessageBytes)
 		}
 	case "exact":
-		sol, err = maxminlp.SolveExact(in)
+		sol, _, err = maxminlp.SolveExactCertified(in)
+		if errors.Is(err, maxminlp.ErrNotOptimal) {
+			sol, err = &maxminlp.Solution{Status: maxminlp.StatusUnbounded}, nil
+		}
+		bound += " (verified dual certificate)"
 	case "rational":
 		sol, err = maxminlp.SolveExactRational(in)
 	case "safe":
@@ -148,8 +154,7 @@ func cmdSolve(args []string) error {
 	}
 	fmt.Printf("utility: %.6g\n", sol.Utility)
 	if sol.UpperBound > 0 {
-		fmt.Printf("certified optimum upper bound: %.6g (gap ≤ %.3fx)\n",
-			sol.UpperBound, sol.UpperBound/sol.Utility)
+		fmt.Printf("%s: %.6g (gap ≤ %.3fx)\n", bound, sol.UpperBound, sol.UpperBound/sol.Utility)
 	}
 	if *solOut != "" {
 		f, err := os.Create(*solOut)

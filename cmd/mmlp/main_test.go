@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	maxminlp "repro"
@@ -42,6 +45,30 @@ func TestInfoAndSolve(t *testing.T) {
 			t.Fatalf("%s: %v", algo, err)
 		}
 	}
+	// -algo exact prints the bound of a verified dual certificate, and an
+	// instance without a finite optimum is unbounded.
+	in, err := maxminlp.ReadInstanceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cert, err := maxminlp.SolveExactCertified(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("certified optimum upper bound (verified dual certificate): %.6g ", cert.Bound)
+	if out := stdout(t, "-in", path, "-algo", "exact"); !strings.Contains(out, want) {
+		t.Fatalf("exact printed\n%s\nwant a line starting %q", out, want)
+	}
+	free := maxminlp.NewInstance(2)
+	free.AddObjective(0, 1, 1, 1)
+	free.AddConstraint(0, 1)
+	freePath := filepath.Join(dir, "free.json")
+	if err := free.WriteFile(freePath); err != nil {
+		t.Fatal(err)
+	}
+	if out := stdout(t, "-in", freePath, "-algo", "exact"); out != "status: unbounded\n" {
+		t.Fatalf("exact on an instance without a finite optimum printed %q", out)
+	}
 	if err := cmdSolve([]string{"-in", path, "-algo", "nope"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
@@ -61,4 +88,29 @@ func TestSolveMissingFile(t *testing.T) {
 	if err := cmdInfo([]string{"-in", "/nonexistent.json"}); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// stdout runs cmdSolve with args and returns what it printed.
+func stdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	orig := os.Stdout
+	os.Stdout = w
+	err = cmdSolve(args)
+	os.Stdout = orig
+	w.Close()
+	b := <-out
+	r.Close()
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return string(b)
 }

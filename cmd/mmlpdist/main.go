@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/structured"
-	"repro/internal/transform"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mmlpdist: -m must be ≥ 1, got %d\n", *m)
 		os.Exit(2)
 	}
-	var solver func(*structured.Instance, core.Options) (*dist.Result, error)
+	var solver func(context.Context, *structured.Instance, core.Options) (*dist.Result, error)
 	switch *protocol {
 	case "views":
 		solver = dist.SolveDistributed
@@ -58,16 +58,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mmlpdist: invalid instance:", err)
 		os.Exit(1)
 	}
-	if err := transform.CheckStructured(in); err != nil {
+	s, err := structured.FromMMLP(in)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mmlpdist: instance not structured:", err)
 		os.Exit(1)
 	}
-	s, err := structured.FromMMLP(in)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mmlpdist:", err)
-		os.Exit(1)
-	}
-	res, err := solver(s, core.Options{R: *rParam})
+	res, err := solver(context.Background(), s, core.Options{R: *rParam})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mmlpdist:", err)
 		os.Exit(1)

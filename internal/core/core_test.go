@@ -9,15 +9,11 @@ import (
 	"repro/internal/mmlp"
 	"repro/internal/simplex"
 	"repro/internal/structured"
-	"repro/internal/transform"
 )
 
 // mustStructured converts an instance to the compact structured form.
 func mustStructured(t *testing.T, in *mmlp.Instance) *structured.Instance {
 	t.Helper()
-	if err := transform.CheckStructured(in); err != nil {
-		t.Fatalf("instance not structured: %v", err)
-	}
 	s, err := structured.FromMMLP(in)
 	if err != nil {
 		t.Fatalf("FromMMLP: %v", err)

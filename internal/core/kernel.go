@@ -82,9 +82,9 @@ func BinarySearch(hi float64, iters int, feasible func(omega float64) bool) floa
 
 // Evaluator exposes the per-root t_u computation (recursions (5)–(7) with
 // the binary search of §5.2, found by the threshold search of computeT)
-// for callers outside the package; the dist package uses it to run the
-// identifier-based record protocol on exactly the centralised kernel. The
-// evaluator is not safe for concurrent use.
+// for callers outside the package; the dist package's record protocol
+// prices each agent's t_u on a pool of them, so it runs exactly the
+// centralised kernel. The evaluator is not safe for concurrent use.
 type Evaluator struct {
 	ev *evaluator
 }
@@ -95,30 +95,6 @@ func NewEvaluator(s *structured.Instance, r int) (*Evaluator, error) {
 		return nil, fmt.Errorf("core: negative recursion radius %d", r)
 	}
 	return &Evaluator{ev: newEvaluator(s, r)}, nil
-}
-
-// NewEvaluatorScoped allocates an evaluator whose memo tables cover only
-// the listed agents, O(len(agents)·(r+1)) memory instead of O(N·(r+1)).
-// The recursion from a root u only ever touches agents within bipartite
-// distance 4r+2 of u, so a caller that evaluates one root — the simulator
-// runs one evaluator per agent, all concurrently — may scope the tables to
-// any superset of that neighbourhood (e.g. the gossip-complete
-// radius-(4r+3) ball) and the computed t_u is bit-identical to the
-// full-instance evaluator's. Evaluating a root whose neighbourhood leaves
-// the scope panics rather than corrupting results.
-func NewEvaluatorScoped(s *structured.Instance, r int, agents []int32) (*Evaluator, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("core: negative recursion radius %d", r)
-	}
-	if len(agents) == 0 {
-		return nil, fmt.Errorf("core: empty evaluator scope")
-	}
-	for _, a := range agents {
-		if a < 0 || int(a) >= s.N {
-			return nil, fmt.Errorf("core: scope agent %d out of range [0, %d)", a, s.N)
-		}
-	}
-	return &Evaluator{ev: newEvaluatorScoped(s, r, agents)}, nil
 }
 
 // ComputeT returns t_u as computed by the centralised engine: the largest ω

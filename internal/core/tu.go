@@ -21,24 +21,13 @@ import (
 // few evaluations instead of one per bisection step.
 //
 // Memo slots are invalidated in O(1) between evaluations by an epoch
-// counter.
-//
-// Tables are normally sized N·(r+1): one row per agent of the instance.
-// A scoped evaluator (newEvaluatorScoped) instead covers only a declared
-// agent subset — the recursion from one root u touches only the agents
-// within bipartite distance 4r+2 of u, so a caller that evaluates a single
-// root can size the tables to u's neighbourhood. That is what keeps the
-// simulator's N concurrent per-agent evaluators at O(N) total memory for
-// bounded-degree instances instead of O(N²·r).
+// counter. The tables are sized N·(r+1), one row per agent of the
+// instance, so one evaluator serves every root in turn.
 type evaluator struct {
 	s *structured.Instance
 	r int
 
-	// width is the number of agent rows per depth: s.N, or the scope size
-	// for a scoped evaluator. localIdx maps agent id → dense row index and
-	// is nil for a full-instance evaluator (row index = agent id).
-	width    int
-	localIdx map[int32]int32
+	width int // agent rows per depth: s.N
 
 	omega float64
 	ok    bool // condition (8): every evaluated f+ is ≥ 0
@@ -71,32 +60,12 @@ func newEvaluator(s *structured.Instance, r int) *evaluator {
 	return e
 }
 
-// newEvaluatorScoped allocates memo tables covering only the given agents.
-// The caller guarantees the scope is recursion-closed for the roots it will
-// query: every agent within bipartite distance 4r+2 of a queried root is
-// listed. Evaluating an out-of-scope agent panics — it would mean the
-// caller's locality contract is broken, and returning a wrong slot would
-// silently corrupt results.
-func newEvaluatorScoped(s *structured.Instance, r int, agents []int32) *evaluator {
-	e := &evaluator{s: s, r: r, width: len(agents), localIdx: make(map[int32]int32, len(agents))}
-	for i, a := range agents {
-		e.localIdx[a] = int32(i)
-	}
-	n := len(agents) * (r + 1)
-	e.plus = make([]piece, n)
-	e.minus = make([]piece, n)
-	e.plusSeen = make([]uint64, n)
-	e.minusSeen = make([]uint64, n)
-	return e
-}
-
 // reset retargets the evaluator at a new instance and radius, reusing the
 // memo tables when they are large enough. Stale Seen entries are harmless:
 // the epoch counter is monotone across resets, so slots written by earlier
 // runs never match a future epoch.
 func (e *evaluator) reset(s *structured.Instance, r int) {
-	e.s, e.r = s, r
-	e.width, e.localIdx = s.N, nil
+	e.s, e.r, e.width = s, r, s.N
 	n := s.N * (r + 1)
 	if cap(e.plus) < n {
 		e.plus = make([]piece, n)
@@ -111,17 +80,9 @@ func (e *evaluator) reset(s *structured.Instance, r int) {
 	e.minusSeen = e.minusSeen[:n]
 }
 
-// slot maps (agent, depth) to a memo index: the agent id directly for a
-// full-instance evaluator, the dense scope index for a scoped one.
+// slot maps (agent, depth) to a memo index.
 func (e *evaluator) slot(v int32, d int) int {
-	if e.localIdx == nil {
-		return d*e.width + int(v)
-	}
-	li, ok := e.localIdx[v]
-	if !ok {
-		panic("core: scoped evaluator reached an agent outside its declared scope")
-	}
-	return d*e.width + int(li)
+	return d*e.width + int(v)
 }
 
 // fplus returns f+_{u,v,d}(ω) per (5)/(7) and records condition (8).

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"context"
+	"runtime"
+
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/structured"
@@ -49,18 +52,20 @@ type Result struct {
 // protocol: nodes carry no identifiers, and stage 1 ships radius-(4r+3)
 // views as trees (counted tree-encoded in Stats.Bytes and DAG-compressed
 // in Stats.CompressedBytes). Options.Workers is ignored — the parallelism
-// is one goroutine per network node.
-func SolveDistributed(s *structured.Instance, opt core.Options) (*Result, error) {
-	return solve(s, opt, false)
+// is one goroutine per network node. ctx is checked at every round
+// barrier: a run whose context is done stops there with ctx's error.
+func SolveDistributed(ctx context.Context, s *structured.Instance, opt core.Options) (*Result, error) {
+	return solve(ctx, s, opt, false)
 }
 
 // SolveDistributedCompact runs the same algorithm as the identifier-based
-// record-gossip protocol: polynomial message sizes, identical outputs.
-func SolveDistributedCompact(s *structured.Instance, opt core.Options) (*Result, error) {
-	return solve(s, opt, true)
+// record-gossip protocol: polynomial message sizes, identical outputs. ctx
+// is checked at every round barrier, as in SolveDistributed.
+func SolveDistributedCompact(ctx context.Context, s *structured.Instance, opt core.Options) (*Result, error) {
+	return solve(ctx, s, opt, true)
 }
 
-func solve(s *structured.Instance, opt core.Options, compact bool) (*Result, error) {
+func solve(ctx context.Context, s *structured.Instance, opt core.Options, compact bool) (*Result, error) {
 	opt, err := opt.Normalized()
 	if err != nil {
 		return nil, err
@@ -73,12 +78,22 @@ func solve(s *structured.Instance, opt core.Options, compact bool) (*Result, err
 	}
 	e := newEngine(g, store)
 	e.s = s
+	if compact {
+		e.evals = make(chan *core.Evaluator, runtime.GOMAXPROCS(0))
+		for range cap(e.evals) {
+			ev, err := core.NewEvaluator(s, sch.r)
+			if err != nil {
+				return nil, err
+			}
+			e.evals <- ev
+		}
+	}
 
 	newGossip := func() *gossip {
 		if !compact {
 			return nil
 		}
-		return &gossip{known: make([]bool, g.NumNodes())}
+		return &gossip{}
 	}
 	steps := make([]func(int), g.NumNodes())
 	agents := make([]*agentNode, s.N)
@@ -104,7 +119,9 @@ func solve(s *structured.Instance, opt core.Options, compact bool) (*Result, err
 		steps[o.id] = o.step
 	}
 
-	e.run(steps, sch.total)
+	if err := e.run(ctx, steps, sch.total); err != nil {
+		return nil, err
+	}
 
 	res := &Result{Rounds: sch.total, T: make([]float64, s.N), X: make([]float64, s.N)}
 	for v, a := range agents {

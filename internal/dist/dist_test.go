@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // protocols names the two stage-1 variants under test.
 var protocols = []struct {
 	name string
-	run  func(*structured.Instance, core.Options) (*dist.Result, error)
+	run  func(context.Context, *structured.Instance, core.Options) (*dist.Result, error)
 }{
 	{"views", dist.SolveDistributed},
 	{"records", dist.SolveDistributedCompact},
@@ -68,7 +69,7 @@ func TestDistConformance(t *testing.T) {
 			}
 			for _, pr := range protocols {
 				t.Run(fmt.Sprintf("%s/%s/R=%d", name, pr.name, R), func(t *testing.T) {
-					got, err := pr.run(s, core.Options{R: R})
+					got, err := pr.run(context.Background(), s, core.Options{R: R})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,11 +98,11 @@ func TestDistProtocolsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := dist.SolveDistributed(s, core.Options{R: 3})
+	a, err := dist.SolveDistributed(context.Background(), s, core.Options{R: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.SolveDistributedCompact(s, core.Options{R: 3})
+	b, err := dist.SolveDistributedCompact(context.Background(), s, core.Options{R: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,21 @@
 //     but not with the instance size.
 //
 //   - SolveDistributedCompact — identifier-based record gossip: nodes
-//     flood O(degree)-byte records of their local rows, reconstruct their
-//     radius-(4r+3) neighbourhood exactly, and reuse the centralised
-//     kernel (core.Evaluator) on it. Message sizes stay polynomial;
-//     outputs are bit-identical to the anonymous protocol.
+//     flood O(degree)-byte records of their local rows until each holds
+//     its radius-(4r+3) ball, checked hop by hop, and keep only the ids
+//     they heard. Each agent then prices t_u on a kernel evaluator
+//     (core.Evaluator) borrowed from a pool of GOMAXPROCS, so the
+//     simulator's memory is linear in the network size. Message sizes
+//     stay polynomial; outputs are bit-identical to the anonymous
+//     protocol.
 //
 // The remaining phases are shared: 2r+1 min-diffusion iterations (two
 // rounds each) for the smoothing of §5.3, one objective round trip for
 // g−_0 plus a constraint and an objective round trip per depth d = 1…r for
 // the recursions (12)–(14), and a final message-free round in which every
 // agent evaluates the output (18).
+//
+// Both simulators take a context and check it at every round barrier: a
+// run whose deadline passes stops at the next barrier with the context's
+// error.
 package dist

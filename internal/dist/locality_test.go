@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestDistRoundsFormula(t *testing.T) {
 		for _, R := range []int{2, 3, 4} {
 			want := 12*(R-2) + 8
 			for _, m := range []int{4, 8, 16} {
-				res, err := pr.run(necklace(t, m), core.Options{R: R})
+				res, err := pr.run(context.Background(), necklace(t, m), core.Options{R: R})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +59,7 @@ func TestDistMaxMessageLocality(t *testing.T) {
 				sizes := []int{8, 16, 24}
 				var base int
 				for i, m := range sizes {
-					res, err := pr.run(necklace(t, m), core.Options{R: R})
+					res, err := pr.run(context.Background(), necklace(t, m), core.Options{R: R})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -88,7 +89,7 @@ func TestDistPerRoundAccounting(t *testing.T) {
 	for _, pr := range protocols {
 		for _, R := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%s/R=%d", pr.name, R), func(t *testing.T) {
-				res, err := pr.run(necklace(t, 6), core.Options{R: R})
+				res, err := pr.run(context.Background(), necklace(t, 6), core.Options{R: R})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,11 +125,11 @@ func TestDistPerRoundAccounting(t *testing.T) {
 // TestDistTrafficScalesLinearly asserts total traffic grows linearly in m
 // on the necklace (constant per-node work, m-proportional node count).
 func TestDistTrafficScalesLinearly(t *testing.T) {
-	res8, err := dist.SolveDistributed(necklace(t, 8), core.Options{R: 3})
+	res8, err := dist.SolveDistributed(context.Background(), necklace(t, 8), core.Options{R: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res16, err := dist.SolveDistributed(necklace(t, 16), core.Options{R: 3})
+	res16, err := dist.SolveDistributed(context.Background(), necklace(t, 16), core.Options{R: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

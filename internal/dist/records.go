@@ -2,10 +2,9 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bipartite"
-	"repro/internal/core"
 )
 
 // The compact protocol trades anonymity for polynomial messages: every
@@ -16,10 +15,11 @@ import (
 // an objective record lists its member ids in port order. A record is
 // forwarded on every port the round after it is first learned, so after
 // 4r+3 rounds a node knows exactly the records of its radius-(4r+3)
-// neighbourhood. Because records carry the original row orderings, the
-// reconstructed neighbourhood is literally the local restriction of the
-// structured instance, and t_u can be computed with the centralised
-// kernel (core.Evaluator) unchanged — outputs are bit-identical to both
+// neighbourhood, and it keeps nothing else. Because records carry the
+// original row orderings, the reconstructed neighbourhood is literally the
+// local restriction of the structured instance, and each agent prices t_u
+// on the centralised kernel unchanged: a core.Evaluator borrowed from the
+// engine's pool of GOMAXPROCS. Outputs are bit-identical to both
 // core.Solve and the anonymous-view protocol.
 //
 // Message sizes are polynomial: a record is O(degree) bytes and each of
@@ -47,9 +47,11 @@ func recordBatchBytes(g *bipartite.Graph, recs []int32) int {
 	return b
 }
 
-// gossip is the per-node record state.
+// gossip is the per-node record state: the ids of the records the node
+// has heard, ascending. It holds the node's radius-(4r+3) ball and nothing
+// else, so the simulator's memory grows with N, not with N².
 type gossip struct {
-	known []bool // by node id
+	heard []int32
 }
 
 // gossipStep forwards newly learned records on every port. Round 1 seeds
@@ -58,7 +60,7 @@ type gossip struct {
 func (e *engine) gossipStep(gs *gossip, n bipartite.Node, round int) {
 	var fresh []int32
 	if round == 1 {
-		gs.known[n] = true
+		gs.heard = []int32{int32(n)}
 		fresh = []int32{int32(n)}
 	} else {
 		fresh = e.collectFresh(gs, n)
@@ -71,23 +73,23 @@ func (e *engine) gossipStep(gs *gossip, n bipartite.Node, round int) {
 	}
 }
 
-// collectFresh drains the node's inbox and returns the ids not seen
-// before, sorted ascending.
+// collectFresh drains the node's inbox, adds the ids not heard before to
+// gs.heard, and returns them, sorted ascending.
 func (e *engine) collectFresh(gs *gossip, n bipartite.Node) []int32 {
 	var fresh []int32
 	for p := 0; p < e.g.Degree(n); p++ {
-		m := e.recv(n, p)
-		if !m.has || m.kind != mkRecords {
-			continue
-		}
-		for _, id := range m.recs {
-			if !gs.known[id] {
-				gs.known[id] = true
-				fresh = append(fresh, id)
-			}
+		if m := e.recv(n, p); m.has && m.kind == mkRecords {
+			fresh = append(fresh, m.recs...)
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	fresh = slices.DeleteFunc(fresh, func(id int32) bool {
+		_, ok := slices.BinarySearch(gs.heard, id)
+		return ok
+	})
+	gs.heard = append(gs.heard, fresh...)
+	slices.Sort(gs.heard)
 	return fresh
 }
 
@@ -99,7 +101,7 @@ func (e *engine) checkCoverage(gs *gossip, n bipartite.Node, radius int) error {
 	queue := []bipartite.Node{n}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		if !gs.known[v] {
+		if _, ok := slices.BinarySearch(gs.heard, int32(v)); !ok {
 			return fmt.Errorf("dist: node %d at distance %d from %d has no record after %d rounds",
 				v, depth[v], n, radius)
 		}
@@ -119,31 +121,19 @@ func (e *engine) checkCoverage(gs *gossip, n bipartite.Node, radius int) error {
 // recComputeT finishes the gossip (folding the final round's batches),
 // checks coverage, and computes t_u on the reconstructed neighbourhood —
 // which is the local restriction of the structured instance, so the
-// centralised kernel applies verbatim.
-//
-// The evaluator is scoped to the agents whose records this node gossiped:
-// the checked radius-(4r+3) ball strictly contains everything the t_u
-// recursion can reach (bipartite distance ≤ 4r+2), and for bounded-degree
-// instances it is O(1) agents. Every agent runs its evaluator in the same
-// simulated round, so full-instance tables would put O(N²·(r+1)) words in
-// flight at the barrier; scoped tables keep the whole round at O(N).
+// centralised kernel applies verbatim. The checked radius-(4r+3) ball
+// holds everything the t_u recursion can reach (bipartite distance
+// ≤ 4r+2), so the node prices t_u on an evaluator borrowed from the
+// engine's pool: every agent runs in the same round, and the pool keeps
+// the evaluators in flight at GOMAXPROCS instead of one per agent.
 func (a *agentNode) recComputeT() (float64, error) {
 	e := a.e
 	e.collectFresh(a.gs, a.id)
 	if err := e.checkCoverage(a.gs, a.id, a.sch.gather); err != nil {
 		return 0, err
 	}
-	// Agents occupy node ids [0, s.N); their records double as the
-	// evaluator scope.
-	agents := make([]int32, 0, 16)
-	for id := 0; id < e.s.N; id++ {
-		if a.gs.known[id] {
-			agents = append(agents, int32(id))
-		}
-	}
-	ev, err := core.NewEvaluatorScoped(e.s, a.sch.r, agents)
-	if err != nil {
-		return 0, err
-	}
-	return ev.ComputeT(int32(a.id), a.binIters), nil
+	ev := <-e.evals
+	t := ev.ComputeT(int32(a.id), a.binIters)
+	e.evals <- ev
+	return t, nil
 }

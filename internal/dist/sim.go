@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"context"
 	"math"
 	"sync"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 	"repro/internal/structured"
 )
 
@@ -48,7 +50,10 @@ type engine struct {
 
 	in, out [][]message // [node][port]
 
-	store    *viewStore // nil for the record protocol
+	store *viewStore // nil for the record protocol
+	// evals pools the record protocol's t_u evaluators, GOMAXPROCS of
+	// them: no more agent nodes can compute at once.
+	evals    chan *core.Evaluator
 	perRound []RoundStats
 }
 
@@ -91,8 +96,10 @@ func (e *engine) recv(n bipartite.Node, p int) message {
 
 // run executes the protocol for total rounds: steps[n] is invoked once per
 // round per node, concurrently across nodes, with a delivery barrier in
-// between. Per-round traffic is recorded in e.perRound.
-func (e *engine) run(steps []func(round int), total int) {
+// between. Per-round traffic is recorded in e.perRound. ctx is checked at
+// every barrier: once it is done, run releases the node goroutines and
+// returns its error.
+func (e *engine) run(ctx context.Context, steps []func(round int), total int) error {
 	n := len(steps)
 	e.perRound = make([]RoundStats, total)
 
@@ -110,6 +117,12 @@ func (e *engine) run(steps []func(round int), total int) {
 			}
 		}(i)
 	}
+	defer func() {
+		for i := range start {
+			close(start[i])
+		}
+		wg.Wait()
+	}()
 	for round := 1; round <= total; round++ {
 		for i := range start {
 			start[i] <- round
@@ -118,11 +131,11 @@ func (e *engine) run(steps []func(round int), total int) {
 			<-done
 		}
 		e.deliver(round)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
-	for i := range start {
-		close(start[i])
-	}
-	wg.Wait()
+	return nil
 }
 
 // deliver moves every outbox message to the matching inbox and accounts

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -380,7 +381,7 @@ func GatherView(s *structured.Instance, root bipartite.Node, depth int) ([]byte,
 		n := bipartite.Node(v)
 		steps[v] = func(round int) { e.viewGatherStep(n, round) }
 	}
-	e.run(steps, depth)
+	e.run(context.Background(), steps, depth)
 	return store.encodeCanonical(e.assembleRootView(root, depth)), nil
 }
 

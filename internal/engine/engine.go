@@ -171,10 +171,11 @@ func (sc *Scratch) trace() *obs.Trace {
 // for the centralised engine and populated for the message-passing engines
 // (zero-valued when a trivial case was dispatched before any protocol ran).
 //
-// ctx is checked between pipeline stages and, on the centralised engine,
-// between the per-agent t_u computations inside the kernel: a solve whose
-// context expires returns ctx's error without starting the next stage (or
-// the next agent). The message-passing engines are not preempted mid-run.
+// ctx is checked between pipeline stages and, inside the kernel, between
+// the per-agent t_u computations of the centralised engine and at every
+// round barrier of the message-passing engines: a solve whose context
+// expires returns ctx's error without starting the next stage (or the
+// next agent, or round).
 func Solve(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions) (*Solution, *DistInfo, error) {
 	return SolveScratch(ctx, in, o, nil)
 }
@@ -330,7 +331,7 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions,
 		if o.Engine == mmlp.EngineDistributedCompact {
 			solver = dist.SolveDistributedCompact
 		}
-		res, err := solver(s, copts)
+		res, err := solver(ctx, s, copts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -359,14 +360,6 @@ func solveCanonical(ctx context.Context, in *mmlp.Instance, o mmlp.SolveOptions,
 		// The scratch kernel's T aliases sc's buffers; the record outlives
 		// this request, so it takes a copy.
 		rec.T = append([]float64(nil), t...)
-	}
-
-	// The centralised kernel checks ctx in its t_u loop, but the
-	// message-passing engines run to completion, so a deadline that
-	// expired while one ran is detected here: better a late error than
-	// reporting success long past the job's deadline.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
 	}
 
 	tb := time.Now()

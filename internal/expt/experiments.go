@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -246,7 +247,7 @@ func E5Rounds(scale Scale) (*Table, error) {
 	}
 	type proto struct {
 		name string
-		run  func(*structured.Instance, core.Options) (*dist.Result, error)
+		run  func(context.Context, *structured.Instance, core.Options) (*dist.Result, error)
 	}
 	protos := []proto{
 		{"views (anonymous)", dist.SolveDistributed},
@@ -256,11 +257,11 @@ func E5Rounds(scale Scale) (*Table, error) {
 		for _, R := range Rs {
 			for _, m := range ms {
 				in := gen.TriNecklace(m)
-				sIn, err := toStructured(in)
+				sIn, err := structured.FromMMLP(in)
 				if err != nil {
 					return nil, err
 				}
-				res, err := pr.run(sIn, core.Options{R: R})
+				res, err := pr.run(context.Background(), sIn, core.Options{R: R})
 				if err != nil {
 					return nil, err
 				}
@@ -348,7 +349,7 @@ func E8Scaling(scale Scale) (*Table, error) {
 	}
 	for _, objs := range sizes {
 		in := gen.RandomStructured(gen.StructuredConfig{Objectives: objs, MaxDegK: 3, ExtraCons: objs / 2}, 1)
-		s, err := toStructured(in)
+		s, err := structured.FromMMLP(in)
 		if err != nil {
 			return nil, err
 		}
@@ -393,14 +394,6 @@ func E9RSweep(scale Scale) (*Table, error) {
 		t.AddRow(R, seeds, worst, sum/float64(seeds), maxminlp.RatioBound(3, 3, R), maxminlp.LocalityThreshold(3, 3))
 	}
 	return t, nil
-}
-
-// toStructured converts a structured-form mmlp instance.
-func toStructured(in *mmlp.Instance) (*structured.Instance, error) {
-	if err := transform.CheckStructured(in); err != nil {
-		return nil, err
-	}
-	return structured.FromMMLP(in)
 }
 
 // All runs every experiment at the given scale.

@@ -116,7 +116,7 @@ type StructuredConfig struct {
 // RandomStructured builds an instance already in the structured form of §5:
 // every agent in exactly one objective (sizes ≥ 2, unit coefficients),
 // every constraint over exactly two agents, every agent in at least one
-// constraint. Returned instances satisfy transform.CheckStructured.
+// constraint. structured.FromMMLP accepts every returned instance.
 func RandomStructured(cfg StructuredConfig, seed int64) *mmlp.Instance {
 	rng := rand.New(rand.NewSource(seed))
 	if cfg.MaxDegK < 2 {

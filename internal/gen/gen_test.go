@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/simplex"
-	"repro/internal/transform"
+	"repro/internal/structured"
 )
 
 func TestRandomStrictlyValidAndBounded(t *testing.T) {
@@ -64,7 +64,7 @@ func TestRandomConnected(t *testing.T) {
 func TestRandomStructuredIsStructured(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		in := RandomStructured(StructuredConfig{Objectives: 5, MaxDegK: 4, ExtraCons: 3}, seed)
-		if err := transform.CheckStructured(in); err != nil {
+		if _, err := structured.FromMMLP(in); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestRandomStructuredUnitCoefs(t *testing.T) {
 func TestTriNecklaceShapeAndGirth(t *testing.T) {
 	m := 6
 	in := TriNecklace(m)
-	if err := transform.CheckStructured(in); err != nil {
+	if _, err := structured.FromMMLP(in); err != nil {
 		t.Fatalf("not structured: %v", err)
 	}
 	if in.NumAgents != 3*m || len(in.Cons) != 2*m || len(in.Objs) != m {
@@ -116,7 +116,7 @@ func TestTriNecklaceOptimum(t *testing.T) {
 func TestLayeredNecklaceShapeAndLayers(t *testing.T) {
 	m := 6
 	in, agentLayer, objLayer := LayeredNecklace(m)
-	if err := transform.CheckStructured(in); err != nil {
+	if _, err := structured.FromMMLP(in); err != nil {
 		t.Fatalf("not structured: %v", err)
 	}
 	if len(agentLayer) != 3*m || len(objLayer) != m {
@@ -220,7 +220,7 @@ func TestBandwidthShape(t *testing.T) {
 func TestLayeredTreeIsAStructuredTree(t *testing.T) {
 	for _, depth := range []int{1, 2, 3} {
 		in := LayeredTree(depth)
-		if err := transform.CheckStructured(in); err != nil {
+		if _, err := structured.FromMMLP(in); err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
 		g := bipartite.FromInstance(in)

@@ -59,8 +59,11 @@ type Scratch struct {
 // grow is the shared arena-resize primitive.
 func grow[T any](buf *[]T, n int) []T { return reuse.Grow(buf, n) }
 
-// FromMMLP converts a structured mmlp.Instance (see transform.CheckStructured)
-// into the compact form. It re-verifies the structural preconditions.
+// FromMMLP converts a structured mmlp.Instance into the compact form. It
+// is the one check of §5's preconditions: every constraint has exactly two
+// agents, every agent exactly one objective and at least one constraint,
+// every objective at least two agents, and every objective coefficient
+// is 1.
 func FromMMLP(in *mmlp.Instance) (*Instance, error) {
 	return FromMMLPScratch(in, nil)
 }

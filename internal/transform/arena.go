@@ -125,7 +125,6 @@ type Scratch struct {
 	// Shared per-step work tables, freely reused between phases.
 	caps    []float64
 	countA  []int32
-	countB  []int32
 	boolV   []bool
 	boolK   []bool
 	idxA    []int32

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/mmlp"
+	"repro/internal/structured"
 )
 
 // structuredInputs are the in-repo families already in structured form,
@@ -55,7 +56,7 @@ func specialPoint(n int) []float64 {
 func TestStructurePassThrough(t *testing.T) {
 	sc := NewScratch()
 	for name, in := range structuredInputs() {
-		if err := CheckStructured(in); err != nil {
+		if _, err := structured.FromMMLP(in); err != nil {
 			t.Fatalf("%s: not structured: %v", name, err)
 		}
 		p, err := StructureScratch(in, sc)

@@ -7,6 +7,9 @@
 //	|Vk| ≥ 2  for every objective,
 //	c_kv = 1  for every objective coefficient.
 //
+// structured.FromMMLP checks these preconditions when it builds the
+// compact form that §5 runs on.
+//
 // Each step produces a transformed instance together with a back-mapping
 // that converts any feasible solution of the transformed instance into a
 // feasible solution of the original whose utility is no smaller (up to the
@@ -84,8 +87,8 @@ func (p *Pipeline) BackInto(x []float64, bufs *[2][]float64) []float64 {
 
 // Structure applies the full §4 pipeline (after Preprocess has removed
 // degenerate nodes — see Preprocess; Structure requires a strictly valid
-// input) and returns the composed pipeline. The final instance satisfies
-// CheckStructured.
+// input) and returns the composed pipeline. The final instance is in the
+// structured form of §5, whose preconditions structured.FromMMLP checks.
 func Structure(in *mmlp.Instance) (*Pipeline, error) {
 	return StructureScratch(in, nil)
 }
@@ -120,60 +123,5 @@ func StructureScratch(in *mmlp.Instance, sc *Scratch) (*Pipeline, error) {
 	p.Steps = append(p.Steps, Step{Name: "§4.5 augment singleton objectives", Out: cur, Back: back})
 	cur, back = normalizeCoefficients(cur, sc, &sc.outs[4], true)
 	p.Steps = append(p.Steps, Step{Name: "§4.6 normalise coefficients", Out: cur, Back: back})
-	if err := checkStructured(cur, sc); err != nil {
-		return nil, fmt.Errorf("transform: pipeline did not reach structured form: %w", err)
-	}
 	return p, nil
-}
-
-// CheckStructured verifies the §5 preconditions: every constraint has
-// exactly two agents, every agent exactly one objective and at least one
-// constraint, every objective at least two agents, and all objective
-// coefficients equal 1.
-func CheckStructured(in *mmlp.Instance) error {
-	return checkStructured(in, NewScratch())
-}
-
-// checkStructured is CheckStructured counting row memberships in sc's
-// reusable arrays instead of materialising an Incidence.
-func checkStructured(in *mmlp.Instance, sc *Scratch) error {
-	for i, c := range in.Cons {
-		if len(c.Terms) != 2 {
-			return fmt.Errorf("constraint %d has %d agents, want 2", i, len(c.Terms))
-		}
-	}
-	for k, o := range in.Objs {
-		if len(o.Terms) < 2 {
-			return fmt.Errorf("objective %d has %d agents, want ≥ 2", k, len(o.Terms))
-		}
-		for _, t := range o.Terms {
-			if t.Coef != 1 {
-				return fmt.Errorf("objective %d has coefficient %v for agent %d, want 1", k, t.Coef, t.Agent)
-			}
-		}
-	}
-	objCount := grow(&sc.countA, in.NumAgents)
-	consCount := grow(&sc.countB, in.NumAgents)
-	for v := 0; v < in.NumAgents; v++ {
-		objCount[v], consCount[v] = 0, 0
-	}
-	for _, c := range in.Cons {
-		for _, t := range c.Terms {
-			consCount[t.Agent]++
-		}
-	}
-	for _, o := range in.Objs {
-		for _, t := range o.Terms {
-			objCount[t.Agent]++
-		}
-	}
-	for v := 0; v < in.NumAgents; v++ {
-		if objCount[v] != 1 {
-			return fmt.Errorf("agent %d belongs to %d objectives, want 1", v, objCount[v])
-		}
-		if consCount[v] == 0 {
-			return fmt.Errorf("agent %d has no constraints", v)
-		}
-	}
-	return nil
 }

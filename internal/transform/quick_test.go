@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mmlp"
+	"repro/internal/structured"
 )
 
 // randFeasible produces a random feasible point of in.
@@ -79,7 +80,7 @@ func TestQuickStructuredInstanceInvariants(t *testing.T) {
 			return false
 		}
 		final := p.Final()
-		if CheckStructured(final) != nil {
+		if _, err := structured.FromMMLP(final); err != nil {
 			return false
 		}
 		maxK := in.DegreeK()

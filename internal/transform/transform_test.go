@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mmlp"
 	"repro/internal/simplex"
+	"repro/internal/structured"
 )
 
 // randGeneral builds a random strictly valid instance with singleton and
@@ -366,7 +367,7 @@ func TestStructureReachesStructuredForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Structure: %v", err)
 		}
-		if err := CheckStructured(p.Final()); err != nil {
+		if _, err := structured.FromMMLP(p.Final()); err != nil {
 			t.Fatalf("not structured: %v", err)
 		}
 	}
@@ -423,28 +424,6 @@ func TestPipelineFinalOnEmptyPipeline(t *testing.T) {
 	x := p.Back([]float64{1})
 	if len(x) != 1 || x[0] != 1 {
 		t.Fatalf("Back on empty pipeline = %v", x)
-	}
-}
-
-func TestCheckStructuredDiagnoses(t *testing.T) {
-	bad := mmlp.New(1)
-	bad.AddConstraint(0, 1)
-	bad.AddObjective(0, 1)
-	if err := CheckStructured(bad); err == nil {
-		t.Fatal("singleton constraint accepted")
-	}
-	bad2 := mmlp.New(2)
-	bad2.AddConstraint(0, 1, 1, 1)
-	bad2.AddObjective(0, 1, 1, 2) // coef ≠ 1
-	if err := CheckStructured(bad2); err == nil {
-		t.Fatal("non-unit objective coefficient accepted")
-	}
-	bad3 := mmlp.New(2)
-	bad3.AddConstraint(0, 1, 1, 1)
-	bad3.AddObjective(0, 1, 1, 1)
-	bad3.AddObjective(0, 1, 1, 1) // agent in two objectives
-	if err := CheckStructured(bad3); err == nil {
-		t.Fatal("multi-objective agent accepted")
 	}
 }
 

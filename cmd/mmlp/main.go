@@ -140,6 +140,7 @@ func cmdSolve(args []string) error {
 		bound += " (verified dual certificate)"
 	case "rational":
 		sol, err = maxminlp.SolveExactRational(in)
+		bound = "exact rational optimum (rounded to float64)"
 	case "safe":
 		sol, err = maxminlp.SolveSafe(in)
 	default:

@@ -59,6 +59,16 @@ func TestInfoAndSolve(t *testing.T) {
 	if out := stdout(t, "-in", path, "-algo", "exact"); !strings.Contains(out, want) {
 		t.Fatalf("exact printed\n%s\nwant a line starting %q", out, want)
 	}
+	// -algo rational prints the exact optimum, which no certificate
+	// backs, under its own label.
+	rat, err := maxminlp.SolveExactRational(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprintf("exact rational optimum (rounded to float64): %.6g ", rat.UpperBound)
+	if out := stdout(t, "-in", path, "-algo", "rational"); !strings.Contains(out, want) {
+		t.Fatalf("rational printed\n%s\nwant a line starting %q", out, want)
+	}
 	free := maxminlp.NewInstance(2)
 	free.AddObjective(0, 1, 1, 1)
 	free.AddConstraint(0, 1)

@@ -16,18 +16,16 @@
 //   - options are normalized (mmlp.SolveOptions.Normalized, the solver's
 //     own defaults) so spellings of the same configuration collide, and
 //     are written as uvarints plus one flags byte;
-//   - terms within a row are ordered by mmlp.CompareTerm (the semantics of
-//     mmlp.SortTerms, applied to a scratch copy so the caller's instance is
-//     never mutated) and written fixed-width: the agent as its sign-flipped
-//     big-endian 64-bit pattern, the coefficient as its big-endian IEEE-754
-//     bits — so any representable coefficient change, however small,
-//     changes the bytes;
-//   - rows within each section are ordered lexicographically by their
-//     encoded bytes. Because every row field is fixed-width big-endian,
-//     byte order IS canonical order: it coincides exactly with the
-//     (length, then termwise CompareTerm) order of mmlp.Canonical. A
-//     decoded wire message is therefore already in the pipeline's canonical
-//     form — no re-canonicalization, no second hashing.
+//   - terms within a row are ordered by mmlp.CompareTerm and written
+//     fixed-width: the agent as its sign-flipped big-endian 64-bit
+//     pattern, the coefficient as its big-endian IEEE-754 bits — so any
+//     representable coefficient change, however small, changes the bytes;
+//   - rows within each section are ordered by mmlp.CompareRows (length,
+//     then termwise CompareTerm), the row order of mmlp.Canonical. An
+//     instance out of that order is encoded from its canonical copy
+//     (mmlp.Instance.CanonicalInto), so the caller's instance is never
+//     mutated, and a decoded wire message is already in the pipeline's
+//     canonical form — no re-canonicalization, no second hashing.
 //
 // The encoding is self-delimiting (every list is preceded by its length)
 // and the decoder rejects non-canonical term or row order, hence each
@@ -39,15 +37,14 @@
 // == Hash(in, o) by construction.
 //
 // Hashing sits on the cache-hit path of the serving layer, so the encoder
-// state (hash, message buffer, row buffers, term scratch) is pooled:
+// state (hash, message buffer, the arena of a canonical copy) is pooled:
 // steady-state hashing of similarly-shaped instances does not allocate.
 // An instance already in canonical form — every instance the engine keys
-// — is written straight into the message, with no row buffers and no row
-// sort, so even a cold hasher costs a constant number of allocations.
+// — is written straight into the message in one pass, with no copy, so
+// even a cold hasher costs a constant number of allocations.
 package canon
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -78,10 +75,9 @@ const (
 
 // hasher is the reusable encoder state.
 type hasher struct {
-	h     hash.Hash
-	msg   []byte      // whole-message scratch, reused by Hash
-	rows  [][]byte    // appendSorted's row encodings; backings are reused
-	terms []mmlp.Term // appendSorted's term copy, so callers' rows stay untouched
+	h   hash.Hash
+	msg []byte            // whole-message scratch, reused by Hash
+	cs  mmlp.CanonScratch // the canonical copy of an instance out of order
 }
 
 var hasherPool = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
@@ -137,10 +133,17 @@ func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions)
 	dst = append(dst, flags)
 
 	dst = binary.AppendUvarint(dst, uint64(in.NumAgents))
-	dst = binary.AppendUvarint(dst, uint64(len(in.Cons)))
-	dst = appendSection(s, dst, in.Cons)
-	dst = binary.AppendUvarint(dst, uint64(len(in.Objs)))
-	return appendSection(s, dst, in.Objs)
+	start := len(dst)
+	dst, ok := appendSection(dst, in.Cons)
+	if ok {
+		dst, ok = appendSection(dst, in.Objs)
+	}
+	if !ok {
+		c := in.CanonicalInto(&s.cs)
+		dst, _ = appendSection(dst[:start], c.Cons)
+		dst, _ = appendSection(dst, c.Objs)
+	}
+	return dst
 }
 
 // encodedLen bounds the message appendSolve writes: the header's varints
@@ -156,54 +159,27 @@ func encodedLen(in *mmlp.Instance) int {
 	return n
 }
 
-// appendSection emits one section's rows in canonical order. A section
-// already in canonical order — every instance the engine keys is — is
-// written straight into dst, each row checked as it goes: its terms
-// sorted by mmlp.CompareTerm, the row no smaller under mmlp.CompareRows
-// (which is byte order on the encodings) than the one before. Those are
-// exactly the orders appendSorted establishes, so the bytes are the same.
-// The first row out of order sends the whole section through appendSorted
-// instead.
-func appendSection[R mmlp.Row](s *hasher, dst []byte, rows []R) []byte {
-	start := len(dst)
+// appendSection writes one section, its row count and then its rows,
+// straight into dst, checking each row with mmlp.RowInOrder as it goes.
+// It reports false at the first row out of order, and appendSolve then
+// rewrites both sections from the instance's canonical copy. Every
+// instance the engine keys is canonical, so it takes the one pass.
+func appendSection[R mmlp.Row](dst []byte, rows []R) ([]byte, bool) {
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	var prev []mmlp.Term
-	for j, r := range rows {
+	for _, r := range rows {
 		terms := mmlp.Constraint(r).Terms
-		if !slices.IsSortedFunc(terms, mmlp.CompareTerm) || j > 0 && mmlp.CompareRows(prev, terms) > 0 {
-			return appendSorted(s, dst[:start], rows)
+		if !mmlp.RowInOrder(prev, terms) {
+			return dst, false
 		}
 		dst = appendRow(dst, terms)
 		prev = terms
 	}
-	return dst
-}
-
-// appendSorted emits one section in canonical order from any row and term
-// order: each row is encoded with its terms sorted into a pooled row
-// buffer, then the rows are emitted in lexicographic (== mmlp.Canonical)
-// order. Each row is self-delimiting, so plain concatenation is
-// injective.
-func appendSorted[R mmlp.Row](s *hasher, dst []byte, rows []R) []byte {
-	s.rows = s.rows[:0]
-	for _, r := range rows {
-		s.terms = append(s.terms[:0], mmlp.Constraint(r).Terms...)
-		slices.SortFunc(s.terms, mmlp.CompareTerm)
-		var buf []byte
-		if n := len(s.rows); n < cap(s.rows) {
-			buf = s.rows[:n+1][n][:0] // recycle the backing parked in this slot
-		}
-		s.rows = append(s.rows, appendRow(buf, s.terms))
-	}
-	slices.SortFunc(s.rows, bytes.Compare)
-	for _, row := range s.rows {
-		dst = append(dst, row...)
-	}
-	return dst
+	return dst, true
 }
 
 // orderAgent maps a (possibly negative, in not-yet-validated instances)
-// agent index to a big-endian-comparable 64-bit pattern: flipping the sign
-// bit makes unsigned byte comparison agree with signed numeric order.
+// agent index to its wire pattern, the index with its sign bit flipped.
 func orderAgent(agent int) uint64 { return uint64(int64(agent)) ^ (1 << 63) }
 
 // appendRow encodes one row in the given term order: a 4-byte big-endian
@@ -211,9 +187,7 @@ func orderAgent(agent int) uint64 { return uint64(int64(agent)) ^ (1 << 63) }
 // coefficient bits, 8 bytes each, all big-endian. Callers order the terms
 // by mmlp.CompareTerm — the one definition this ordering shares with
 // mmlp.Canonical, so key equality and pipeline canonicalization can never
-// drift apart. Fixed-width fields make lexicographic byte order of whole
-// rows coincide with mmlp.Canonical's (length, then termwise CompareTerm)
-// row order.
+// drift apart.
 func appendRow(dst []byte, terms []mmlp.Term) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(terms)))
 	for _, t := range terms {

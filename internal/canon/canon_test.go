@@ -1,6 +1,7 @@
 package canon_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -170,7 +171,11 @@ func TestHashDistinguishesInstances(t *testing.T) {
 }
 
 // FuzzHashPermutationInvariance drives the permutation property from the
-// fuzzer: any seed pair must keep the key stable under reordering.
+// fuzzer: any seed pair must keep the key stable under reordering, and
+// the permuted instance's encoding must decode to in.Canonical() and
+// re-encode to the same bytes. That one property ties together the
+// encoder's rewrite from the canonical copy, mmlp.CanonicalInto and the
+// one-pass decoder.
 func FuzzHashPermutationInvariance(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(7), int64(11))
@@ -178,9 +183,20 @@ func FuzzHashPermutationInvariance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, shuffleSeed int64) {
 		in := randomInstance(seed)
 		key := canon.Hash(in, mmlp.SolveOptions{})
-		rng := rand.New(rand.NewSource(shuffleSeed))
-		if got := canon.Hash(permute(in, rng), mmlp.SolveOptions{}); got != key {
+		p := permute(in, rand.New(rand.NewSource(shuffleSeed)))
+		if got := canon.Hash(p, mmlp.SolveOptions{}); got != key {
 			t.Fatalf("permuted key %s != %s", got, key)
+		}
+		payload := canon.EncodeSolve(p, mmlp.SolveOptions{})
+		dec, o, err := canon.DecodeSolve(payload, nil)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(dec, in.Canonical()) {
+			t.Fatalf("decoded instance differs from Canonical():\n got %+v\nwant %+v", dec, in.Canonical())
+		}
+		if re := canon.EncodeSolve(dec, o); !bytes.Equal(re, payload) {
+			t.Fatal("decoded instance re-encodes differently")
 		}
 	})
 }

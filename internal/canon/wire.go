@@ -21,7 +21,6 @@ package canon
 // pin that down).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -156,32 +155,25 @@ func decodeOptions(payload []byte) (mmlp.SolveOptions, []byte, error) {
 	return o, payload[r.off:], nil
 }
 
-// DecodeScratch is the reusable working memory of DecodeSolve: row
-// headers and one flat term arena, mirroring mmlp.CanonScratch so warm
-// decoding of similarly-shaped payloads does not allocate. The zero value
-// is ready. Not safe for concurrent use.
-type DecodeScratch struct {
-	inst  mmlp.Instance
-	terms []mmlp.Term
-}
+// DecodeScratch is the arena DecodeSolve decodes into, so warm decoding
+// of similarly-shaped payloads does not allocate.
+type DecodeScratch = mmlp.Arena
 
 // decodeInstance decodes the instance section from the front of p (the
-// remainder returned by decodeOptions) into sc's arena, returning the
-// instance and any bytes that follow it. A nil sc falls back to fresh
-// memory; with a non-nil sc the instance aliases sc and is valid only
-// until sc's next use — treat it as read-only either way.
+// remainder returned by decodeOptions) into a, returning the instance and
+// any bytes that follow it. A nil a falls back to fresh memory; with a
+// non-nil a the instance aliases a and is valid only until a's next use —
+// treat it as read-only either way.
 //
-// The decode is two-pass: a structural scan sizes the arena while
-// bounding every length against the bytes actually present, then the
-// fill pass decodes terms and enforces canonical order — terms within a
-// row non-decreasing under mmlp.CompareTerm, rows within a section
-// non-decreasing under byte comparison (the same order, by the
-// fixed-width encoding). An accepted instance is therefore already in
-// the exact canonical form mmlp.Canonical produces, and the solve
-// pipeline can skip re-canonicalization entirely.
-func decodeInstance(p []byte, sc *DecodeScratch) (*mmlp.Instance, []byte, error) {
-	if sc == nil {
-		sc = &DecodeScratch{}
+// The decode is one pass. Every row and term count is bounded by the
+// bytes present before it is trusted, so a hostile header cannot force a
+// large allocation, and canonical order is enforced with mmlp.RowInOrder
+// as the rows arrive. An accepted instance is therefore already in the
+// exact canonical form mmlp.Canonical produces, and the solve pipeline can
+// skip re-canonicalization entirely.
+func decodeInstance(p []byte, a *DecodeScratch) (*mmlp.Instance, []byte, error) {
+	if a == nil {
+		a = &DecodeScratch{}
 	}
 	r := &reader{p: p}
 	na, err := r.uvarint()
@@ -192,133 +184,69 @@ func decodeInstance(p []byte, sc *DecodeScratch) (*mmlp.Instance, []byte, error)
 		return nil, nil, fmt.Errorf("%w: num_agents %d exceeds the wire limit %d",
 			ErrRange, na, mmlp.MaxWireAgents)
 	}
-	numAgents := int(na)
-
-	// Pass 1: structural scan from the same offset, walking row headers
-	// only. After it succeeds, every count the fill pass re-reads is known
-	// to be backed by real bytes.
-	scan := *r
-	nCons, consTerms, err := scanSection(&scan)
-	if err != nil {
+	a.Reset(int(na))
+	if err := decodeSection(r, a, int(na), false); err != nil {
 		return nil, nil, err
 	}
-	nObjs, objsTerms, err := scanSection(&scan)
-	if err != nil {
+	if err := decodeSection(r, a, int(na), true); err != nil {
 		return nil, nil, err
 	}
-	rest := scan.p[scan.off:]
-
-	// Pass 2: decode into the exactly-sized arena; the per-row carves
-	// below never reallocate the flat backing.
-	out := &sc.inst
-	out.NumAgents = numAgents
-	if total := consTerms + objsTerms; cap(sc.terms) < total {
-		sc.terms = make([]mmlp.Term, total)
-	}
-	buf := sc.terms[:0]
-	if cap(out.Cons) < nCons {
-		out.Cons = make([]mmlp.Constraint, nCons)
-	}
-	out.Cons = out.Cons[:nCons]
-	if cap(out.Objs) < nObjs {
-		out.Objs = make([]mmlp.Objective, nObjs)
-	}
-	out.Objs = out.Objs[:nObjs]
-
-	if _, err := r.uvarint(); err != nil { // cons row count, already scanned
-		return nil, nil, err
-	}
-	var prevRow []byte
-	for i := 0; i < nCons; i++ {
-		row, raw, next, err := decodeRow(r, numAgents, buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("constraint %d: %w", i, err)
-		}
-		if i > 0 && bytes.Compare(prevRow, raw) > 0 {
-			return nil, nil, fmt.Errorf("constraint %d: %w: row out of order", i, ErrNotCanonical)
-		}
-		buf, prevRow = next, raw
-		out.Cons[i] = mmlp.Constraint{Terms: row}
-	}
-	if _, err := r.uvarint(); err != nil { // objs row count, already scanned
-		return nil, nil, err
-	}
-	prevRow = nil
-	for k := 0; k < nObjs; k++ {
-		row, raw, next, err := decodeRow(r, numAgents, buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("objective %d: %w", k, err)
-		}
-		if k > 0 && bytes.Compare(prevRow, raw) > 0 {
-			return nil, nil, fmt.Errorf("objective %d: %w: row out of order", k, ErrNotCanonical)
-		}
-		buf, prevRow = next, raw
-		out.Objs[k] = mmlp.Objective{Terms: row}
-	}
-	return out, rest, nil
+	return a.Finish(), p[r.off:], nil
 }
 
-// scanSection reads one section's row count and skips its rows, returning
-// the row count and total term count. Every count is bounded by the bytes
-// actually remaining before it is trusted, so a hostile header cannot
-// force a large allocation.
-func scanSection(r *reader) (rows, totalTerms int, err error) {
+// decodeSection reads one section's row count and rows onto a: the
+// constraints, or with objs set the objectives. The first section's
+// capacity hint bounds both sections' terms by the bytes that remain.
+func decodeSection(r *reader, a *DecodeScratch, numAgents int, objs bool) error {
 	rc, err := r.uvarint()
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	if rc > uint64(r.remaining()/rowHeaderBytes) {
-		return 0, 0, fmt.Errorf("%w: %d rows declared, %d bytes remain", ErrOverflow, rc, r.remaining())
+		return fmt.Errorf("%w: %d rows declared, %d bytes remain", ErrOverflow, rc, r.remaining())
 	}
-	rows = int(rc)
-	for i := 0; i < rows; i++ {
-		hdr, err := r.take(rowHeaderBytes)
+	name, seal := "constraint", a.EndConstraint
+	if objs {
+		name, seal = "objective", a.EndObjective
+		a.Grow(0, int(rc), 0)
+	} else {
+		a.Grow(int(rc), 0, r.remaining()/bytesPerTerm)
+	}
+	var prev []mmlp.Term
+	for i := range int(rc) {
+		row, err := decodeRow(r, a, numAgents)
+		if err == nil && !mmlp.RowInOrder(prev, row) {
+			err = fmt.Errorf("%w: row or its terms out of order", ErrNotCanonical)
+		}
 		if err != nil {
-			return 0, 0, err
+			return fmt.Errorf("%s %d: %w", name, i, err)
 		}
-		tc := binary.BigEndian.Uint32(hdr)
-		if uint64(tc) > uint64(r.remaining()/bytesPerTerm) {
-			return 0, 0, fmt.Errorf("%w: %d terms declared, %d bytes remain", ErrOverflow, tc, r.remaining())
-		}
-		if _, err := r.take(int(tc) * bytesPerTerm); err != nil {
-			return 0, 0, err
-		}
-		totalTerms += int(tc)
+		seal()
+		prev = row
 	}
-	return rows, totalTerms, nil
+	return nil
 }
 
-// decodeRow decodes one row, carving its terms from buf. It returns the
-// carved row, the row's raw wire bytes (for the caller's cross-row order
-// check) and the extended arena. Within-row term order is enforced here.
-func decodeRow(r *reader, numAgents int, buf []mmlp.Term) (row []mmlp.Term, raw []byte, next []mmlp.Term, err error) {
-	rowStart := r.off
+// decodeRow decodes one row onto a's pending row and returns it; the
+// caller checks its order and seals it.
+func decodeRow(r *reader, a *DecodeScratch, numAgents int) ([]mmlp.Term, error) {
 	hdr, err := r.take(rowHeaderBytes)
 	if err != nil {
-		return nil, nil, buf, err
+		return nil, err
 	}
-	tc := int(binary.BigEndian.Uint32(hdr))
-	body, err := r.take(tc * bytesPerTerm)
-	if err != nil {
-		return nil, nil, buf, err
+	tc := binary.BigEndian.Uint32(hdr)
+	if uint64(tc) > uint64(r.remaining()/bytesPerTerm) {
+		return nil, fmt.Errorf("%w: %d terms declared, %d bytes remain", ErrOverflow, tc, r.remaining())
 	}
-	start := len(buf)
-	var prev mmlp.Term
-	for j := 0; j < tc; j++ {
-		agentBits := binary.BigEndian.Uint64(body[j*bytesPerTerm:])
-		coefBits := binary.BigEndian.Uint64(body[j*bytesPerTerm+8:])
-		agent := int64(agentBits ^ (1 << 63))
+	body, _ := r.take(int(tc) * bytesPerTerm) // cannot fail: tc is bounded above
+	for j := range int(tc) {
+		agent := int64(binary.BigEndian.Uint64(body[j*bytesPerTerm:]) ^ (1 << 63))
 		if agent < 0 || agent >= int64(numAgents) {
-			return nil, nil, buf, fmt.Errorf("%w: agent %d outside [0, %d)", ErrRange, agent, numAgents)
+			return nil, fmt.Errorf("%w: agent %d outside [0, %d)", ErrRange, agent, numAgents)
 		}
-		t := mmlp.Term{Agent: int(agent), Coef: math.Float64frombits(coefBits)}
-		if j > 0 && mmlp.CompareTerm(prev, t) > 0 {
-			return nil, nil, buf, fmt.Errorf("%w: term %d out of order", ErrNotCanonical, j)
-		}
-		prev = t
-		buf = append(buf, t)
+		a.Add(int(agent), math.Float64frombits(binary.BigEndian.Uint64(body[j*bytesPerTerm+8:])))
 	}
-	return buf[start:len(buf):len(buf)], r.p[rowStart:r.off], buf, nil
+	return a.Pending(), nil
 }
 
 // DecodeSolve decodes one complete canon solve message: options header,

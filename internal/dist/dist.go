@@ -79,13 +79,13 @@ func solve(ctx context.Context, s *structured.Instance, opt core.Options, compac
 	e := newEngine(g, store)
 	e.s = s
 	if compact {
-		e.evals = make(chan *core.Evaluator, runtime.GOMAXPROCS(0))
-		for range cap(e.evals) {
+		e.tpool = make(chan *tWorker, runtime.GOMAXPROCS(0))
+		for range cap(e.tpool) {
 			ev, err := core.NewEvaluator(s, sch.r)
 			if err != nil {
 				return nil, err
 			}
-			e.evals <- ev
+			e.tpool <- &tWorker{ev: ev, seen: make([]uint32, g.NumNodes())}
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 )
 
 // The compact protocol trades anonymity for polynomial messages: every
@@ -18,9 +19,9 @@ import (
 // neighbourhood, and it keeps nothing else. Because records carry the
 // original row orderings, the reconstructed neighbourhood is literally the
 // local restriction of the structured instance, and each agent prices t_u
-// on the centralised kernel unchanged: a core.Evaluator borrowed from the
-// engine's pool of GOMAXPROCS. Outputs are bit-identical to both
-// core.Solve and the anonymous-view protocol.
+// on the centralised kernel unchanged: the core.Evaluator of a worker
+// borrowed from the engine's pool of GOMAXPROCS. Outputs are bit-identical
+// to both core.Solve and the anonymous-view protocol.
 //
 // Message sizes are polynomial: a record is O(degree) bytes and each of
 // the O(radius · |E|) record transfers ships a record at most once per
@@ -93,25 +94,39 @@ func (e *engine) collectFresh(gs *gossip, n bipartite.Node) []int32 {
 	return fresh
 }
 
+// tWorker is one entry of the engine's t-round pool: an evaluator, and
+// the visit stamps and queue of the coverage walk, so an agent's t-round
+// allocates nothing.
+type tWorker struct {
+	ev    *core.Evaluator
+	seen  []uint32 // seen[v] == gen: v is in the current walk's queue
+	gen   uint32
+	queue []bipartite.Node
+}
+
 // checkCoverage verifies the locality contract of the gossip phase: every
 // node within graph distance radius of n — everything the t_u recursion
-// can touch — has delivered its record.
-func (e *engine) checkCoverage(gs *gossip, n bipartite.Node, radius int) error {
-	depth := map[bipartite.Node]int{n: 0}
-	queue := []bipartite.Node{n}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if _, ok := slices.BinarySearch(gs.heard, int32(v)); !ok {
-			return fmt.Errorf("dist: node %d at distance %d from %d has no record after %d rounds",
-				v, depth[v], n, radius)
-		}
-		if depth[v] == radius {
-			continue
-		}
-		for _, w := range e.g.Neighbors(v) {
-			if _, ok := depth[w]; !ok {
-				depth[w] = depth[v] + 1
-				queue = append(queue, w)
+// can touch — has delivered its record. The walk goes level by level on
+// w's stamps and queue.
+func (e *engine) checkCoverage(w *tWorker, gs *gossip, n bipartite.Node, radius int) error {
+	w.gen++
+	w.seen[n] = w.gen
+	w.queue = append(w.queue[:0], n)
+	for depth, head := 0, 0; head < len(w.queue); depth++ {
+		for end := len(w.queue); head < end; head++ {
+			v := w.queue[head]
+			if _, ok := slices.BinarySearch(gs.heard, int32(v)); !ok {
+				return fmt.Errorf("dist: node %d at distance %d from %d has no record after %d rounds",
+					v, depth, n, radius)
+			}
+			if depth == radius {
+				continue
+			}
+			for _, u := range e.g.Neighbors(v) {
+				if w.seen[u] != w.gen {
+					w.seen[u] = w.gen
+					w.queue = append(w.queue, u)
+				}
 			}
 		}
 	}
@@ -123,17 +138,17 @@ func (e *engine) checkCoverage(gs *gossip, n bipartite.Node, radius int) error {
 // which is the local restriction of the structured instance, so the
 // centralised kernel applies verbatim. The checked radius-(4r+3) ball
 // holds everything the t_u recursion can reach (bipartite distance
-// ≤ 4r+2), so the node prices t_u on an evaluator borrowed from the
-// engine's pool: every agent runs in the same round, and the pool keeps
-// the evaluators in flight at GOMAXPROCS instead of one per agent.
+// ≤ 4r+2), so the node prices t_u on a worker taken from the engine's
+// pool: every agent runs in the same round, and the pool keeps the
+// evaluators and walk buffers in flight at GOMAXPROCS instead of one per
+// agent.
 func (a *agentNode) recComputeT() (float64, error) {
 	e := a.e
 	e.collectFresh(a.gs, a.id)
-	if err := e.checkCoverage(a.gs, a.id, a.sch.gather); err != nil {
+	w := <-e.tpool
+	defer func() { e.tpool <- w }()
+	if err := e.checkCoverage(w, a.gs, a.id, a.sch.gather); err != nil {
 		return 0, err
 	}
-	ev := <-e.evals
-	t := ev.ComputeT(int32(a.id), a.binIters)
-	e.evals <- ev
-	return t, nil
+	return w.ev.ComputeT(int32(a.id), a.binIters), nil
 }

@@ -3,7 +3,9 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -55,6 +57,31 @@ func TestRunStopsAtBarrier(t *testing.T) {
 		res, err := solve(ctx, s, core.Options{R: 4}, compact)
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("compact=%v: got %v, %v; want context.Canceled", compact, res, err)
+		}
+	}
+}
+
+// TestCheckCoverage: after the gossip phase every agent holds its ball, so
+// the coverage walk passes at the gather radius and names a node without a
+// record one step further, on one pool entry reused for every agent as
+// the t-round reuses it.
+func TestCheckCoverage(t *testing.T) {
+	s := necklaceOf(t, 20)
+	radius := newSchedule(2).gather
+	e, gs, err := gossipOnly(context.Background(), s, radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &tWorker{seen: make([]uint32, e.g.NumNodes())}
+	far := fmt.Sprintf("at distance %d ", radius+1)
+	for v := 0; v < s.N; v++ {
+		n := e.g.AgentNode(v)
+		e.collectFresh(&gs[n], n)
+		if err := e.checkCoverage(w, &gs[n], n, radius); err != nil {
+			t.Fatalf("agent %d: %v", v, err)
+		}
+		if err := e.checkCoverage(w, &gs[n], n, radius+1); err == nil || !strings.Contains(err.Error(), far) {
+			t.Fatalf("agent %d: walk one step past the ball returned %v, want a node %swithout a record", v, err, far)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/bipartite"
-	"repro/internal/core"
 	"repro/internal/structured"
 )
 
@@ -51,9 +50,9 @@ type engine struct {
 	in, out [][]message // [node][port]
 
 	store *viewStore // nil for the record protocol
-	// evals pools the record protocol's t_u evaluators, GOMAXPROCS of
+	// tpool pools the record protocol's t-round workers, GOMAXPROCS of
 	// them: no more agent nodes can compute at once.
-	evals    chan *core.Evaluator
+	tpool    chan *tWorker
 	perRound []RoundStats
 }
 

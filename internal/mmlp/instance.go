@@ -246,9 +246,10 @@ func (in *Instance) SortTerms() {
 
 // CompareTerm totally orders terms by (agent, then coefficient bits — a
 // tie only invalid instances can reach). This is THE term ordering of the
-// canonical form: Instance.Canonical and the canon package's key encoder
-// both sort with it, which is what keeps the cache key's equivalence
-// classes and the pipeline's canonicalization in exact agreement.
+// canonical form: Instance.Canonical sorts with it, and the canon
+// package's encoder and decoder check it through RowInOrder, which is what
+// keeps the cache key's equivalence classes and the pipeline's
+// canonicalization in exact agreement.
 func CompareTerm(a, b Term) int {
 	if a.Agent != b.Agent {
 		if a.Agent < b.Agent {
@@ -268,7 +269,7 @@ func CompareTerm(a, b Term) int {
 
 // Canonical returns the instance in canonical form: within every row the
 // terms are ordered by CompareTerm, and within each section the rows are
-// ordered by a deterministic total order. Term and row order are encoding
+// ordered by CompareRows. Term and row order are encoding
 // artifacts of a max-min LP, yet floating-point summation makes the
 // solvers sensitive to them; canonicalizing at pipeline entry makes every
 // output a pure function of the instance's mathematical content — the
@@ -278,29 +279,22 @@ func CompareTerm(a, b Term) int {
 // caller must treat the result as read-only either way.
 func (in *Instance) Canonical() *Instance { return in.CanonicalInto(nil) }
 
-// CanonScratch is the reusable working memory of CanonicalInto: the copied
-// instance's row headers and one flat term backing. The zero value is
-// ready. Not safe for concurrent use.
-type CanonScratch struct {
-	inst  Instance
-	terms []Term
-}
+// CanonScratch is the arena CanonicalInto builds its copy into.
+type CanonScratch = Arena
 
-// CanonicalInto is Canonical building any needed copy into sc's reusable
+// CanonicalInto is Canonical building any needed copy into a's reusable
 // memory, so steady-state canonicalization of similarly-sized instances
-// does not allocate (nil sc falls back to fresh memory). Like Canonical,
+// does not allocate (nil a falls back to fresh memory). Like Canonical,
 // an already-canonical instance is returned as-is. When a copy was made
-// into a non-nil sc it is valid only until sc's next use; the caller must
+// into a non-nil a it is valid only until a's next use; the caller must
 // treat the result as read-only either way.
-func (in *Instance) CanonicalInto(sc *CanonScratch) *Instance {
+func (in *Instance) CanonicalInto(a *Arena) *Instance {
 	if in.isCanonical() {
 		return in
 	}
-	if sc == nil {
-		sc = &CanonScratch{}
+	if a == nil {
+		a = &Arena{}
 	}
-	out := &sc.inst
-	out.NumAgents = in.NumAgents
 	total := 0
 	for i := range in.Cons {
 		total += len(in.Cons[i].Terms)
@@ -308,33 +302,19 @@ func (in *Instance) CanonicalInto(sc *CanonScratch) *Instance {
 	for k := range in.Objs {
 		total += len(in.Objs[k].Terms)
 	}
-	// Presize the flat backing so the per-row carves below stay stable.
-	if cap(sc.terms) < total {
-		sc.terms = make([]Term, total)
+	a.Reset(in.NumAgents)
+	a.Grow(len(in.Cons), len(in.Objs), total)
+	for _, c := range in.Cons {
+		a.terms = append(a.terms, c.Terms...)
+		slices.SortFunc(a.Pending(), CompareTerm)
+		a.EndConstraint()
 	}
-	buf := sc.terms[:0]
-	if cap(out.Cons) < len(in.Cons) {
-		out.Cons = make([]Constraint, len(in.Cons))
+	for _, o := range in.Objs {
+		a.terms = append(a.terms, o.Terms...)
+		slices.SortFunc(a.Pending(), CompareTerm)
+		a.EndObjective()
 	}
-	out.Cons = out.Cons[:len(in.Cons)]
-	for i, c := range in.Cons {
-		start := len(buf)
-		buf = append(buf, c.Terms...)
-		row := buf[start:len(buf):len(buf)]
-		slices.SortFunc(row, CompareTerm)
-		out.Cons[i] = Constraint{Terms: row}
-	}
-	if cap(out.Objs) < len(in.Objs) {
-		out.Objs = make([]Objective, len(in.Objs))
-	}
-	out.Objs = out.Objs[:len(in.Objs)]
-	for k, o := range in.Objs {
-		start := len(buf)
-		buf = append(buf, o.Terms...)
-		row := buf[start:len(buf):len(buf)]
-		slices.SortFunc(row, CompareTerm)
-		out.Objs[k] = Objective{Terms: row}
-	}
+	out := a.Finish()
 	slices.SortFunc(out.Cons, func(a, b Constraint) int { return CompareRows(a.Terms, b.Terms) })
 	slices.SortFunc(out.Objs, func(a, b Objective) int { return CompareRows(a.Terms, b.Terms) })
 	return out
@@ -343,36 +323,27 @@ func (in *Instance) CanonicalInto(sc *CanonScratch) *Instance {
 // isCanonical reports whether every row's terms and both sections' rows
 // are already in canonical order.
 func (in *Instance) isCanonical() bool {
-	for i := range in.Cons {
-		if !termsSorted(in.Cons[i].Terms) {
+	return sectionInOrder(in.Cons) && sectionInOrder(in.Objs)
+}
+
+func sectionInOrder[R Row](rows []R) bool {
+	var prev []Term
+	for _, r := range rows {
+		if !RowInOrder(prev, Constraint(r).Terms) {
 			return false
 		}
-	}
-	for k := range in.Objs {
-		if !termsSorted(in.Objs[k].Terms) {
-			return false
-		}
-	}
-	for i := 1; i < len(in.Cons); i++ {
-		if CompareRows(in.Cons[i-1].Terms, in.Cons[i].Terms) > 0 {
-			return false
-		}
-	}
-	for k := 1; k < len(in.Objs); k++ {
-		if CompareRows(in.Objs[k-1].Terms, in.Objs[k].Terms) > 0 {
-			return false
-		}
+		prev = Constraint(r).Terms
 	}
 	return true
 }
 
-func termsSorted(ts []Term) bool {
-	for j := 1; j < len(ts); j++ {
-		if CompareTerm(ts[j-1], ts[j]) > 0 {
-			return false
-		}
-	}
-	return true
+// RowInOrder reports whether row may follow prev in a canonical section:
+// its terms are sorted by CompareTerm and prev is no larger under
+// CompareRows. Any row may follow nil, so a section is canonical when
+// each row may follow the one before it. Canon's encoder and decoder
+// check canonical order with it alone.
+func RowInOrder(prev, row []Term) bool {
+	return slices.IsSortedFunc(row, CompareTerm) && CompareRows(prev, row) <= 0
 }
 
 // CompareRows totally orders canonical rows: by length, then termwise by

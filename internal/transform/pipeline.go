@@ -17,10 +17,12 @@
 // into a Pipeline.
 //
 // The pipeline is built to run allocation-free in steady state: Preprocess
-// and the five steps write their intermediate instances, index tables and
-// back-map arrays into a per-worker Scratch arena (see PreprocessScratch
-// and StructureScratch), and back-mappings are data-driven BackMap records
-// applied through one shared routine rather than per-solve closures.
+// and the five steps build their intermediate instances in mmlp.Arenas,
+// the repository's one instance arena, and write their index tables and
+// back-map arrays into buffers, all held by a per-worker Scratch (see
+// PreprocessScratch and StructureScratch); back-mappings are data-driven
+// BackMap records applied through one shared routine rather than
+// per-solve closures.
 //
 // The paper performs these rewrites inside each node's local view to keep
 // the algorithm distributed; the rewrite rules themselves are deterministic

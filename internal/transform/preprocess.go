@@ -145,15 +145,15 @@ func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 		return pp
 	}
 	a := &sc.pre
-	a.reset(na)
+	a.Reset(na)
 	for _, c := range in.Cons {
 		for _, t := range c.Terms {
 			if newIndex[t.Agent] >= 0 {
-				a.cons.add(int(newIndex[t.Agent]), t.Coef)
+				a.Add(int(newIndex[t.Agent]), t.Coef)
 			}
 		}
-		if a.cons.pending() > 0 {
-			a.cons.endRow()
+		if len(a.Pending()) > 0 {
+			a.EndConstraint()
 		}
 	}
 	for k, o := range in.Objs {
@@ -161,12 +161,12 @@ func PreprocessScratch(in *mmlp.Instance, sc *Scratch) *Preprocessed {
 			continue
 		}
 		for _, t := range o.Terms {
-			a.objs.add(int(newIndex[t.Agent]), t.Coef)
+			a.Add(int(newIndex[t.Agent]), t.Coef)
 		}
-		a.objs.endRow()
+		a.EndObjective()
 	}
 	pp.Outcome = OK
-	pp.Out = a.finish()
+	pp.Out = a.Finish()
 	return pp
 }
 

@@ -33,7 +33,7 @@ func AugmentSingletonConstraints(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	return augmentSingletonConstraints(in, sc, &sc.outs[0], false)
 }
 
-func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	back := BackMap{kind: backTruncate, n: in.NumAgents}
 	if handOn && !slices.ContainsFunc(in.Cons, func(c mmlp.Constraint) bool { return len(c.Terms) == 1 }) {
 		return in, back
@@ -51,17 +51,17 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, h
 		}
 	}
 	origAgents := in.NumAgents
-	a.reset(origAgents)
+	a.Reset(origAgents)
 	gadgets := sc.gadgets[:0]
 	next := origAgents
 	for _, c := range in.Cons {
 		if len(c.Terms) != 1 {
-			a.cons.copyRow(c.Terms)
+			a.EndConstraint(c.Terms...)
 			continue
 		}
 		v := c.Terms[0].Agent
 		if v >= origAgents {
-			a.cons.copyRow(c.Terms) // gadget agents are already fine (their rows have 2 terms)
+			a.EndConstraint(c.Terms...) // gadget agents are already fine (their rows have 2 terms)
 			continue
 		}
 		// M = 2 Σ_{w∈Vk} c_kw cap_w for the first objective k adjacent to v.
@@ -76,30 +76,29 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *instArena, h
 		}
 		s := next
 		next += 3
-		a.cons.addTerm(c.Terms[0])
-		a.cons.add(s, 1)
-		a.cons.endRow()
+		a.EndConstraint(c.Terms[0], mmlp.Term{Agent: s, Coef: 1})
 		gadgets = append(gadgets, gadget{s: int32(s), m: m})
 	}
 	sc.gadgets = gadgets
 	for _, g := range gadgets {
-		a.cons.add(int(g.s)+1, 1) // j: x_t + x_u ≤ 1
-		a.cons.add(int(g.s)+2, 1)
-		a.cons.endRow()
+		a.Add(int(g.s)+1, 1) // j: x_t + x_u ≤ 1
+		a.Add(int(g.s)+2, 1)
+		a.EndConstraint()
 	}
 	for _, o := range in.Objs {
-		a.objs.copyRow(o.Terms)
+		a.EndObjective(o.Terms...)
 	}
 	for _, g := range gadgets {
-		a.objs.add(int(g.s), 1) // h: x_s + M x_t
-		a.objs.add(int(g.s)+1, g.m)
-		a.objs.endRow()
-		a.objs.add(int(g.s), 1) // ℓ: x_s + M x_u
-		a.objs.add(int(g.s)+2, g.m)
-		a.objs.endRow()
+		a.Add(int(g.s), 1) // h: x_s + M x_t
+		a.Add(int(g.s)+1, g.m)
+		a.EndObjective()
+		a.Add(int(g.s), 1) // ℓ: x_s + M x_u
+		a.Add(int(g.s)+2, g.m)
+		a.EndObjective()
 	}
-	a.inst.NumAgents = next
-	return a.finish(), back
+	out := a.Finish()
+	out.NumAgents = next
+	return out, back
 }
 
 // ReduceConstraintDegree implements §4.3: every constraint with |Vi| > 2 is
@@ -112,7 +111,7 @@ func ReduceConstraintDegree(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	return reduceConstraintDegree(in, sc, &sc.outs[1], false)
 }
 
-func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	divisor := grow(&sc.divisor, in.NumAgents)
 	for v := range divisor {
 		divisor[v] = 2
@@ -133,24 +132,22 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *instArena, handOn
 	if handOn && !wide {
 		return in, back
 	}
-	a.reset(in.NumAgents)
-	for _, o := range in.Objs {
-		a.objs.copyRow(o.Terms)
-	}
+	a.Reset(in.NumAgents)
 	for _, c := range in.Cons {
 		if len(c.Terms) <= 2 {
-			a.cons.copyRow(c.Terms)
+			a.EndConstraint(c.Terms...)
 			continue
 		}
 		for x := 0; x < len(c.Terms); x++ {
 			for y := x + 1; y < len(c.Terms); y++ {
-				a.cons.addTerm(c.Terms[x])
-				a.cons.addTerm(c.Terms[y])
-				a.cons.endRow()
+				a.EndConstraint(c.Terms[x], c.Terms[y])
 			}
 		}
 	}
-	return a.finish(), back
+	for _, o := range in.Objs {
+		a.EndObjective(o.Terms...)
+	}
+	return a.Finish(), back
 }
 
 // SplitAgentsPerObjective implements §4.4: each agent v with |Kv| = q is
@@ -166,7 +163,7 @@ func SplitAgentsPerObjective(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	return splitAgentsPerObjective(in, sc, &sc.outs[2], false)
 }
 
-func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	n := in.NumAgents
 	// |Kv|, counted off the objective rows.
 	kv := grow(&sc.countA, n)
@@ -198,22 +195,22 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena, handO
 	if handOn && !split {
 		return in, back
 	}
-	a.reset(total)
+	a.Reset(total)
 	for _, c := range in.Cons {
 		switch len(c.Terms) {
 		case 1:
 			t := c.Terms[0]
 			for p := range kv[t.Agent] {
-				a.cons.add(int(copyStart[t.Agent]+p), t.Coef)
-				a.cons.endRow()
+				a.Add(int(copyStart[t.Agent]+p), t.Coef)
+				a.EndConstraint()
 			}
 		case 2:
 			ta, tb := c.Terms[0], c.Terms[1]
 			for pa := range kv[ta.Agent] {
 				for pb := range kv[tb.Agent] {
-					a.cons.add(int(copyStart[ta.Agent]+pa), ta.Coef)
-					a.cons.add(int(copyStart[tb.Agent]+pb), tb.Coef)
-					a.cons.endRow()
+					a.Add(int(copyStart[ta.Agent]+pa), ta.Coef)
+					a.Add(int(copyStart[tb.Agent]+pb), tb.Coef)
+					a.EndConstraint()
 				}
 			}
 		default:
@@ -228,23 +225,23 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *instArena, handO
 	}
 	for _, o := range in.Objs {
 		for _, t := range o.Terms {
-			a.objs.add(int(copyStart[t.Agent]+cursor[t.Agent]), t.Coef)
+			a.Add(int(copyStart[t.Agent]+cursor[t.Agent]), t.Coef)
 			cursor[t.Agent]++
 		}
-		a.objs.endRow()
+		a.EndObjective()
 	}
-	return a.finish(), back
+	return a.Finish(), back
 }
 
 // emitState is the explicit recursion state of §4.5's constraint
 // duplication. The accumulator is pushed and popped around each recursive
-// call and leaves are copied into the row buffer, so — unlike the earlier
+// call and leaves are copied into the arena, so — unlike the earlier
 // encoding that passed append(acc, …) to both branches — no two branches
 // ever share an accumulator backing array (see the aliasing regression
 // test). Living in the Scratch, it also spares the per-call closure
 // allocation of the recursive-function-value form.
 type emitState struct {
-	cons     *rowBuf
+	cons     *mmlp.Arena
 	terms    []mmlp.Term
 	splitT   []int32
 	newIndex []int32
@@ -256,10 +253,7 @@ type emitState struct {
 // original emission order).
 func (e *emitState) emit(idx int) {
 	if idx == len(e.terms) {
-		for _, t := range e.acc {
-			e.cons.addTerm(t)
-		}
-		e.cons.endRow()
+		e.cons.EndConstraint(e.acc...)
 		return
 	}
 	t := e.terms[idx]
@@ -288,7 +282,7 @@ func AugmentSingletonObjectives(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	return augmentSingletonObjectives(in, sc, &sc.outs[3], false)
 }
 
-func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	n := in.NumAgents
 	// splitT[v] is the t-copy of a split agent (its u-copy is splitT[v]+1),
 	// -1 otherwise; newIndex[v] is the output index of an unsplit agent.
@@ -325,12 +319,12 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena, ha
 	if handOn && !single {
 		return in, back
 	}
-	a.reset(out)
+	a.Reset(out)
 	// Constraints: rows containing a split agent are duplicated per copy
 	// (independently for each split member, so a row with two split agents
 	// yields four rows — each combination must hold for max-feasibility).
 	e := &sc.emit
-	*e = emitState{cons: &a.cons, splitT: splitT, newIndex: newIndex, acc: sc.acc[:0]}
+	*e = emitState{cons: a, splitT: splitT, newIndex: newIndex, acc: sc.acc[:0]}
 	for _, c := range in.Cons {
 		e.terms = c.Terms
 		e.emit(0)
@@ -340,23 +334,23 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *instArena, ha
 		if len(o.Terms) == 1 {
 			t := o.Terms[0]
 			st := splitT[t.Agent]
-			a.objs.add(int(st), t.Coef/2)
-			a.objs.add(int(st)+1, t.Coef/2)
-			a.objs.endRow()
+			a.Add(int(st), t.Coef/2)
+			a.Add(int(st)+1, t.Coef/2)
+			a.EndObjective()
 			continue
 		}
 		for _, t := range o.Terms {
 			if st := splitT[t.Agent]; st >= 0 {
 				// A split agent appearing in a multi-agent objective cannot
 				// occur when |Kv| = 1, but handle it by charging copy t.
-				a.objs.add(int(st), t.Coef)
+				a.Add(int(st), t.Coef)
 				continue
 			}
-			a.objs.add(int(newIndex[t.Agent]), t.Coef)
+			a.Add(int(newIndex[t.Agent]), t.Coef)
 		}
-		a.objs.endRow()
+		a.EndObjective()
 	}
-	return a.finish(), back
+	return a.Finish(), back
 }
 
 // NormalizeCoefficients implements §4.6: with |Kv| = 1, each agent's
@@ -369,7 +363,7 @@ func NormalizeCoefficients(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 	return normalizeCoefficients(in, sc, &sc.outs[4], false)
 }
 
-func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *instArena, handOn bool) (*mmlp.Instance, BackMap) {
+func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	gamma := grow(&sc.gamma, in.NumAgents)
 	for v := range gamma {
 		gamma[v] = 1
@@ -385,18 +379,18 @@ func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *instArena, handOn 
 	if handOn && unit {
 		return in, back
 	}
-	a.reset(in.NumAgents)
+	a.Reset(in.NumAgents)
 	for _, c := range in.Cons {
 		for _, t := range c.Terms {
-			a.cons.add(t.Agent, t.Coef/gamma[t.Agent])
+			a.Add(t.Agent, t.Coef/gamma[t.Agent])
 		}
-		a.cons.endRow()
+		a.EndConstraint()
 	}
 	for _, o := range in.Objs {
 		for _, t := range o.Terms {
-			a.objs.add(t.Agent, 1)
+			a.Add(t.Agent, 1)
 		}
-		a.objs.endRow()
+		a.EndObjective()
 	}
-	return a.finish(), back
+	return a.Finish(), back
 }

@@ -134,14 +134,14 @@ func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions)
 
 	dst = binary.AppendUvarint(dst, uint64(in.NumAgents))
 	start := len(dst)
-	dst, ok := appendSection(dst, in.Cons)
+	dst, ok := appendSection(dst, in.Cons, true)
 	if ok {
-		dst, ok = appendSection(dst, in.Objs)
+		dst, ok = appendSection(dst, in.Objs, true)
 	}
 	if !ok {
 		c := in.CanonicalInto(&s.cs)
-		dst, _ = appendSection(dst[:start], c.Cons)
-		dst, _ = appendSection(dst, c.Objs)
+		dst, _ = appendSection(dst[:start], c.Cons, false)
+		dst, _ = appendSection(dst, c.Objs, false)
 	}
 	return dst
 }
@@ -160,16 +160,17 @@ func encodedLen(in *mmlp.Instance) int {
 }
 
 // appendSection writes one section, its row count and then its rows,
-// straight into dst, checking each row with mmlp.RowInOrder as it goes.
-// It reports false at the first row out of order, and appendSolve then
-// rewrites both sections from the instance's canonical copy. Every
+// straight into dst. With check it checks each row with mmlp.RowInOrder as
+// it goes and reports false at the first row out of order; appendSolve
+// then rewrites both sections from the instance's canonical copy, whose
+// rows CanonicalInto has already ordered, without the check. Every
 // instance the engine keys is canonical, so it takes the one pass.
-func appendSection[R mmlp.Row](dst []byte, rows []R) ([]byte, bool) {
+func appendSection[R mmlp.Row](dst []byte, rows []R, check bool) ([]byte, bool) {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	var prev []mmlp.Term
 	for _, r := range rows {
 		terms := mmlp.Constraint(r).Terms
-		if !mmlp.RowInOrder(prev, terms) {
+		if check && !mmlp.RowInOrder(prev, terms) {
 			return dst, false
 		}
 		dst = appendRow(dst, terms)

@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -28,6 +30,54 @@ func TestSolveCtxAlreadyCancelled(t *testing.T) {
 	if _, err := new(core.Scratch).TStage(ctx, s, core.Options{R: 3, Workers: 1}, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("scratch TStage err = %v, want context.Canceled", err)
 	}
+}
+
+// TestTStageCancelledWhileRunning: a context that another goroutine
+// cancels while TStage runs on the 3,000-agent necklace stops it with
+// context.Canceled, on the one-worker and the two-worker path.
+func TestTStageCancelledWhileRunning(t *testing.T) {
+	s, err := structured.FromMMLP(gen.TriNecklace(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelOnDone{Context: ctx, cancel: cancel, cancelled: make(chan struct{})}
+		if _, err := new(core.Scratch).TStage(c, s, core.Options{R: 4, Workers: workers}, nil, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers %d: TStage err = %v, want context.Canceled", workers, err)
+		}
+		cancel()
+	}
+}
+
+// cancelOnDone is a live context that its own goroutine cancels once a
+// worker first fetches its Done channel, so the cancel lands while the
+// t-stage runs. Err waits for a cancel that has started, so TStage's final
+// check always sees it; a context whose Done is never fetched stays live.
+type cancelOnDone struct {
+	context.Context
+	cancel    context.CancelFunc
+	once      sync.Once
+	started   atomic.Bool
+	cancelled chan struct{}
+}
+
+func (c *cancelOnDone) Done() <-chan struct{} {
+	c.once.Do(func() {
+		c.started.Store(true)
+		go func() {
+			c.cancel()
+			close(c.cancelled)
+		}()
+	})
+	return c.Context.Done()
+}
+
+func (c *cancelOnDone) Err() error {
+	if c.started.Load() {
+		<-c.cancelled
+	}
+	return c.Context.Err()
 }
 
 // TestSolveCtxLiveContextMatchesSolve: threading a live context through

@@ -57,10 +57,10 @@ func CombineOutput(gp, gm []float64, R int) float64 {
 // exhausted at float64 resolution. The iteration sequence — and hence the
 // returned bits — is a pure function of (hi, iters, feasible), which is
 // what makes centralised and distributed t_u computations agree exactly.
-// It is the one search loop of every t_u: the centralised kernel replays
-// it against a bracket of the largest feasible float, answering the
-// probes outside the bracket without evaluating them, and the anonymous
-// view protocol runs it plainly.
+// Every t_u runs this loop: the anonymous view protocol calls it, and the
+// centralised kernel (computeT) replays it inline against a bracket of the
+// largest feasible float, answering the probes outside the bracket without
+// evaluating them. FuzzThresholdKernel holds the two to the same bits.
 func BinarySearch(hi float64, iters int, feasible func(omega float64) bool) float64 {
 	if feasible(hi) {
 		return hi

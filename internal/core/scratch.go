@@ -75,8 +75,9 @@ func SolveScratch(s *structured.Instance, opt Options, sc *Scratch) (*Trace, err
 // The work list is split into at most opt.Workers contiguous chunks (0
 // means GOMAXPROCS), each evaluated on its own evaluator of sc: one chunk
 // runs on the caller's goroutine, more run on one goroutine each. Every
-// worker checks ctx before each agent, and a shared stop flag spreads a
-// detected cancellation to the others; a nil ctx skips the checks.
+// worker checks ctx's Done channel before each agent, without blocking or
+// locking, and a shared stop flag spreads a detected cancellation to the
+// others; a nil ctx, or one that can never be cancelled, skips the checks.
 func (sc *Scratch) TStage(ctx context.Context, s *structured.Instance, opt Options, dirty []int, baseT []float64) ([]float64, error) {
 	opt, err := opt.Normalized()
 	if err != nil {
@@ -146,16 +147,24 @@ func (sc *Scratch) evaluators(k int) []evaluator {
 }
 
 // tChunk evaluates t_u for positions [lo, hi) of the work list: dirty, or
-// every agent when dirty is nil.
+// every agent when dirty is nil. It fetches ctx's Done channel once and
+// polls it per agent: ctx.Err takes the context's lock, a non-blocking
+// receive does not.
 func tChunk(ctx context.Context, stop *atomic.Bool, ev *evaluator, t []float64, dirty []int, lo, hi, binIters int) {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	for j := lo; j < hi; j++ {
-		if ctx != nil {
+		if done != nil {
 			if stop.Load() {
 				return
 			}
-			if ctx.Err() != nil {
+			select {
+			case <-done:
 				stop.Store(true)
 				return
+			default:
 			}
 		}
 		u := j

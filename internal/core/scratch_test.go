@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -161,8 +162,7 @@ func bitDiff(a, b *Trace) string {
 
 // TestScratchFanOutAllocs: a warm scratch's two-worker t-stage runs on the
 // scratch's own evaluators, so it allocates goroutine bookkeeping only —
-// no memo table, where a fresh evaluator per chunk would build four
-// N·(r+1) slices each.
+// no memo table, where a fresh evaluator per chunk would build its own.
 func TestScratchFanOutAllocs(t *testing.T) {
 	in := gen.RandomStructured(gen.StructuredConfig{Objectives: 200, MaxDegK: 3, ExtraCons: 100}, 7)
 	s, err := structured.FromMMLP(in)
@@ -190,5 +190,31 @@ func TestScratchFanOutAllocs(t *testing.T) {
 	table := uint64(s.N * (opt.R - 1) * int(unsafe.Sizeof(piece{})))
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= table {
 		t.Fatalf("warm two-worker t-stage allocates %d B per run, at least one %d B memo table", per, table)
+	}
+}
+
+// BenchmarkTStage times the kernel stage alone: a warm one-worker
+// Scratch.TStage over every agent of TriNecklace(1000) (3,000 agents after
+// §4) at R = 4, the instance of the fleet's necklace workloads, under a
+// live cancellable context as a request's. BENCH_budget.json pins it at
+// zero allocations, so the kernel stays allocation-free.
+func BenchmarkTStage(b *testing.B) {
+	s, ok := kernelInput(gen.TriNecklace(1000), 1, 1)
+	if !ok {
+		b.Fatal("necklace has no kernel input")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := Options{R: 4, Workers: 1}
+	sc := &Scratch{}
+	if _, err := sc.TStage(ctx, s, opt, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.TStage(ctx, s, opt, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

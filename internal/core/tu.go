@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/reuse"
 	"repro/internal/structured"
 )
 
@@ -21,8 +22,10 @@ import (
 // few evaluations instead of one per bisection step.
 //
 // Memo slots are invalidated in O(1) between evaluations by an epoch
-// counter. The tables are sized N·(r+1), one row per agent of the
-// instance, so one evaluator serves every root in turn.
+// counter: a slot holds the epoch that wrote it, so one lookup reads both.
+// The tables hold N slots per depth, one per agent of the instance, so
+// one evaluator serves every root in turn: minus has depths 0..r, plus
+// depths 1..r, since f+ at depth 0 is the agent's cap and needs no slot.
 type evaluator struct {
 	s *structured.Instance
 	r int
@@ -32,9 +35,8 @@ type evaluator struct {
 	omega float64
 	ok    bool // condition (8): every evaluated f+ is ≥ 0
 
-	plus, minus         []piece
-	plusSeen, minusSeen []uint64
-	epoch               uint64
+	plus, minus []memo
+	epoch       uint64
 
 	// root is f−_{u,r} of the last evaluation, and drop the largest
 	// Newton step among its violated f+ (see step).
@@ -48,10 +50,17 @@ type evaluator struct {
 	probes int
 }
 
-// piece is one memo slot: an f± value at the evaluated ω and the slope in
-// ω of the linear piece of f± active there. At a kink it is the slope of
+// piece is what a memo slot holds: an f± value at the evaluated ω and the
+// slope in ω of the linear piece of f± active there. At a kink it is the slope of
 // the piece to the left, the side the search approaches t_u from.
 type piece struct{ v, s float64 }
+
+// memo is a memo slot: the piece and the epoch of the evaluation that
+// wrote it. A slot is valid only while its epoch is the evaluator's.
+type memo struct {
+	piece
+	epoch uint64
+}
 
 // newEvaluator allocates the memo tables for one worker.
 func newEvaluator(s *structured.Instance, r int) *evaluator {
@@ -61,56 +70,50 @@ func newEvaluator(s *structured.Instance, r int) *evaluator {
 }
 
 // reset retargets the evaluator at a new instance and radius, reusing the
-// memo tables when they are large enough. Stale Seen entries are harmless:
-// the epoch counter is monotone across resets, so slots written by earlier
+// memo tables when they are large enough. Stale slots are harmless: the
+// epoch counter is monotone across resets, so slots written by earlier
 // runs never match a future epoch.
 func (e *evaluator) reset(s *structured.Instance, r int) {
 	e.s, e.r, e.width = s, r, s.N
-	n := s.N * (r + 1)
-	if cap(e.plus) < n {
-		e.plus = make([]piece, n)
-		e.minus = make([]piece, n)
-		e.plusSeen = make([]uint64, n)
-		e.minusSeen = make([]uint64, n)
-		return
-	}
-	e.plus = e.plus[:n]
-	e.minus = e.minus[:n]
-	e.plusSeen = e.plusSeen[:n]
-	e.minusSeen = e.minusSeen[:n]
+	reuse.Grow(&e.plus, s.N*r)
+	reuse.Grow(&e.minus, s.N*(r+1))
 }
 
-// slot maps (agent, depth) to a memo index.
+// slot maps (agent, depth) to a memo index: of minus at depth d, and of
+// plus at depth d+1.
 func (e *evaluator) slot(v int32, d int) int {
 	return d*e.width + int(v)
 }
 
 // fplus returns f+_{u,v,d}(ω) per (5)/(7) and records condition (8).
 func (e *evaluator) fplus(v int32, d int) piece {
-	slot := e.slot(v, d)
-	if e.plusSeen[slot] == e.epoch {
-		return e.plus[slot]
+	if d == 0 {
+		c := e.s.Caps[v] // (5), constant in ω: flat, so it never sets drop
+		if !(c >= 0) {
+			e.wild = true
+			if c < 0 {
+				e.ok = false // condition (8) violated at every ω
+			}
+		}
+		return piece{v: c}
+	}
+	m := &e.plus[e.slot(v, d-1)]
+	if m.epoch == e.epoch {
+		return m.piece
 	}
 	var p piece
-	if d == 0 {
-		p.v = e.s.Caps[v] // (5), constant in ω
-		if !(p.v >= 0) {
+	for j, i := range e.s.ConsOf[v] {
+		w, av, aw := e.s.Partner(int(i), v)
+		if !(av > 0 && av <= math.MaxFloat64 && aw > 0 && aw <= math.MaxFloat64) {
 			e.wild = true
 		}
-	} else {
-		for j, i := range e.s.ConsOf[v] {
-			w, av, aw := e.s.Partner(int(i), v)
-			if !(av > 0 && av <= math.MaxFloat64 && aw > 0 && aw <= math.MaxFloat64) {
-				e.wild = true
-			}
-			m := e.fminus(w, d-1)
-			cand := GPlusCandidate(av, aw, m.v)
-			slope := -aw * m.s / av
-			if j == 0 || cand < p.v {
-				p = piece{cand, slope}
-			} else if cand == p.v && slope > p.s {
-				p.s = slope // tied minimisers: to the left the least steep stays least
-			}
+		mw := e.fminus(w, d-1)
+		cand := GPlusCandidate(av, aw, mw.v)
+		slope := -aw * mw.s / av
+		if j == 0 || cand < p.v {
+			p = piece{cand, slope}
+		} else if cand == p.v && slope > p.s {
+			p.s = slope // tied minimisers: to the left the least steep stays least
 		}
 	}
 	if p.v < 0 {
@@ -119,16 +122,15 @@ func (e *evaluator) fplus(v int32, d int) piece {
 			e.drop = max(e.drop, p.v/p.s)
 		}
 	}
-	e.plus[slot] = p
-	e.plusSeen[slot] = e.epoch
+	*m = memo{p, e.epoch}
 	return p
 }
 
 // fminus returns f−_{u,v,d}(ω) per (6).
 func (e *evaluator) fminus(v int32, d int) piece {
-	slot := e.slot(v, d)
-	if e.minusSeen[slot] == e.epoch {
-		return e.minus[slot]
+	m := &e.minus[e.slot(v, d)]
+	if m.epoch == e.epoch {
+		return m.piece
 	}
 	sum, slope := 0.0, 0.0
 	e.s.PeersDo(v, func(w int32) {
@@ -140,8 +142,7 @@ func (e *evaluator) fminus(v int32, d int) piece {
 	if p.v > 0 {
 		p.s = 1 - slope
 	}
-	e.minus[slot] = p
-	e.minusSeen[slot] = e.epoch
+	*m = memo{p, e.epoch}
 	return p
 }
 
@@ -185,7 +186,7 @@ type bracket struct{ feas, infeas float64 }
 // the paper's "simple binary search" finds it: exactly the bits of
 // BinarySearch(upper(u), iters, feasible), a lower bound on t_u within
 // one bracket width. It gets them from a few evaluations instead of one
-// per halving.
+// per halving, and runs BinarySearch's loop itself, inline at its end.
 //
 // Why the bits hold. Say every coefficient the root's recursion visits is
 // in (0, +Inf). Then f+ is never NaN (f− is a hinge, so never NaN either),
@@ -212,6 +213,13 @@ type bracket struct{ feas, infeas float64 }
 // recursion reads a coefficient outside (0, +Inf), which valid input can
 // reach through §4.6's division by γ_v — and at iters ≤ 2, where it is
 // cheaper. There the replay evaluates every probe but hi.
+//
+// The replay. After the probe at hi, BinarySearch halves [lo, hi] from
+// lo = 0: the loop below is that loop, with the same midpoints, the same
+// exhaustion check and the same iters cap, and with feasible(mid) answered
+// by b outside it. b needs no update inside the loop: an evaluated probe
+// becomes lo or hi, every later midpoint lies strictly between them, and
+// there narrowing b to that probe changes none of its answers.
 func (e *evaluator) computeT(u int32, iters int) float64 {
 	hi := e.upper(u)
 	e.wild = false
@@ -222,21 +230,19 @@ func (e *evaluator) computeT(u int32, iters int) float64 {
 	if iters > 2 && !e.wild && hi <= math.MaxFloat64 {
 		e.narrow(u, &b)
 	}
-	return BinarySearch(hi, iters, func(omega float64) bool {
-		switch {
-		case omega <= b.feas:
-			return true
-		case omega >= b.infeas:
-			return false
+	lo := 0.0
+	for it := 0; it < iters; it++ {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break // bracket exhausted at float64 resolution
 		}
-		ok := e.feasible(u, omega)
-		if ok {
-			b.feas = omega
+		if mid <= b.feas || mid < b.infeas && e.feasible(u, mid) {
+			lo = mid
 		} else {
-			b.infeas = omega
+			hi = mid
 		}
-		return ok
-	})
+	}
+	return lo
 }
 
 // narrow tightens b around τ: Newton steps on the excess from b.infeas, the

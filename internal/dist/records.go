@@ -75,9 +75,17 @@ func (e *engine) gossipStep(gs *gossip, n bipartite.Node, round int) {
 }
 
 // collectFresh drains the node's inbox, adds the ids not heard before to
-// gs.heard, and returns them, sorted ascending.
+// gs.heard, and returns them, sorted ascending. The batch is sized once
+// from the inbox, and the new ids merge into gs.heard from the back, in
+// place: both lists are sorted, so the merge needs no sort.
 func (e *engine) collectFresh(gs *gossip, n bipartite.Node) []int32 {
-	var fresh []int32
+	size := 0
+	for p := 0; p < e.g.Degree(n); p++ {
+		if m := e.recv(n, p); m.has && m.kind == mkRecords {
+			size += len(m.recs)
+		}
+	}
+	fresh := make([]int32, 0, size)
 	for p := 0; p < e.g.Degree(n); p++ {
 		if m := e.recv(n, p); m.has && m.kind == mkRecords {
 			fresh = append(fresh, m.recs...)
@@ -89,8 +97,15 @@ func (e *engine) collectFresh(gs *gossip, n bipartite.Node) []int32 {
 		_, ok := slices.BinarySearch(gs.heard, id)
 		return ok
 	})
-	gs.heard = append(gs.heard, fresh...)
-	slices.Sort(gs.heard)
+	h := len(gs.heard)
+	gs.heard = slices.Grow(gs.heard, len(fresh))[:h+len(fresh)]
+	for i, j, k := h-1, len(fresh)-1, len(gs.heard)-1; j >= 0; k-- {
+		if i >= 0 && gs.heard[i] > fresh[j] {
+			gs.heard[k], i = gs.heard[i], i-1
+		} else {
+			gs.heard[k], j = fresh[j], j-1
+		}
+	}
 	return fresh
 }
 

@@ -1,10 +1,12 @@
 package httperr
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -152,6 +154,42 @@ func TestBodyLimits(t *testing.T) {
 	_, status, err := ReadJSON(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", strings.NewReader(`{nope`)), limit, &dst)
 	if status != http.StatusBadRequest || err == nil || !strings.HasPrefix(err.Error(), "malformed JSON: ") {
 		t.Fatalf("malformed JSON: (%d, %v), want 400 malformed JSON", status, err)
+	}
+}
+
+// TestReadBodyPresized: a body of declared length is read into one buffer
+// allocated up front, so a necklace-cold-sized body costs two allocations,
+// the buffer and http.MaxBytesReader's reader; a length claimed but not
+// sent costs at most the presize cap and reads as the bytes that came.
+func TestReadBodyPresized(t *testing.T) {
+	const limit = 8 << 20
+	body := bytes.Repeat([]byte(`{"x":1}`), 196<<10/7)
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/", rd)
+	w := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		got, status, err := ReadBody(w, r, limit)
+		if err != nil || status != 0 || !bytes.Equal(got, body) {
+			t.Fatalf("ReadBody of %d B: %d B, (%d, %v)", len(body), len(got), status, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("ReadBody of %d B with its length allocates %.1f objects, want ≤ 2", len(body), allocs)
+	}
+
+	short := httptest.NewRequest(http.MethodPost, "/", strings.NewReader("0123456789"))
+	short.ContentLength = limit
+	w = httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, status, err := ReadBody(w, short, limit)
+	runtime.ReadMemStats(&after)
+	if err != nil || status != 0 || string(got) != "0123456789" {
+		t.Fatalf("ReadBody of 10 B claiming %d: %q, (%d, %v)", limit, got, status, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 11<<20/10 {
+		t.Fatalf("ReadBody of 10 B claiming %d allocates %d B, want ≤ 1.1 MiB", limit, alloc)
 	}
 }
 

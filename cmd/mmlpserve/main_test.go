@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	maxminlp "repro"
 	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/mmlp"
+	"repro/internal/obs"
 )
 
 // testServer builds a handler on a small pool (no result cache).
@@ -115,6 +118,47 @@ func TestSolveEndpointErrors(t *testing.T) {
 		}
 		if er.Error.Code != c.errCode {
 			t.Fatalf("%s: error code %q, want %q", c.name, er.Error.Code, c.errCode)
+		}
+	}
+}
+
+// TestSolveDeadlinePassedWhileRunning: a propagated deadline that passes
+// while the solve runs answers 504 deadline_exceeded, as one that passes
+// in the queue does. A dist-compact run on the 3,000-agent necklace takes
+// ~0.25 s; under a 50 ms deadline it stops at the next round barrier, in
+// well under half that. A local solve under a 1 ms deadline answers the
+// same.
+func TestSolveDeadlinePassedWhileRunning(t *testing.T) {
+	h := testServer(t, 1<<20)
+	in := gen.TriNecklace(1000)
+	solve := func(engine string, ms int) (*httptest.ResponseRecorder, time.Duration) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(solveBody(t, in, `,"r":4,"engine":"`+engine+`"`)))
+		if ms > 0 {
+			req.Header.Set(obs.DeadlineHeader, strconv.Itoa(ms))
+		}
+		w := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(w, req)
+		return w, time.Since(start)
+	}
+	w, full := solve(mmlp.EngineDistCompact, 0)
+	if w.Code != http.StatusOK {
+		t.Fatalf("dist-compact without a deadline: status %d: %s", w.Code, w.Body)
+	}
+	for _, c := range []struct {
+		engine string
+		ms     int
+	}{{mmlp.EngineDistCompact, 50}, {mmlp.EngineLocal, 1}} {
+		w, elapsed := solve(c.engine, c.ms)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s under %d ms: status %d, want 504: %s", c.engine, c.ms, w.Code, w.Body)
+		}
+		var er mmlp.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error.Code != mmlp.ErrCodeDeadlineExceeded {
+			t.Fatalf("%s under %d ms: error body %s (%v), want code %q", c.engine, c.ms, w.Body, err, mmlp.ErrCodeDeadlineExceeded)
+		}
+		if c.engine == mmlp.EngineDistCompact && elapsed > full/2 {
+			t.Fatalf("dist-compact under %d ms answered after %v; a full run took %v", c.ms, elapsed, full)
 		}
 	}
 }

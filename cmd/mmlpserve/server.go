@@ -107,12 +107,13 @@ func errStatus(err error) (int, string) {
 	case errors.Is(err, batch.ErrQueueFull):
 		// Only the -shed admission path refuses; the blocking one waits.
 		return http.StatusTooManyRequests, mmlp.ErrCodeOverloaded
-	case errors.Is(err, batch.ErrExpiredInQueue):
-		// The deadline died in the queue: the kernel never ran. 504 tells
-		// the client (and the router) this was pure queueing lateness, not
-		// a failed solve.
+	case errors.Is(err, context.DeadlineExceeded):
+		// The propagated deadline passed, in the queue (ErrExpiredInQueue:
+		// the kernel never ran) or while the job ran. 504 tells the client
+		// (and the router) the answer came too late, not that the solve
+		// failed.
 		return http.StatusGatewayTimeout, mmlp.ErrCodeDeadlineExceeded
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, mmlp.ErrCodeUnavailable
 	default:
 		return http.StatusInternalServerError, mmlp.ErrCodeInternal

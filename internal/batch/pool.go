@@ -186,9 +186,9 @@ func (p *Pool) deliver(t task, start time.Time, rep engine.Reply, err error) {
 
 // queueDeath classifies the context error of a job that died waiting —
 // in the queue, behind a coalesced flight, or during a re-queue — before
-// any kernel work. A deadline death is wrapped so the serving layer can
-// tell "expired while waiting" (504) apart from "expired mid-solve"
-// (503), and counted; a plain cancellation passes through untouched.
+// any kernel work. A deadline death is wrapped, so "expired while
+// waiting" stays distinguishable from "expired mid-solve" (both answer
+// 504), and counted; a plain cancellation passes through untouched.
 func (p *Pool) queueDeath(err error) error {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		return err

@@ -27,10 +27,11 @@ type Answer interface {
 // would escape — declines to json.Marshal on a copy of v, whose bytes and
 // error stand.
 //
-// base, when non-nil, is an earlier answer's x encoded once (EncodeX):
-// every entry of v's x whose bits equal base's entry at the same position
-// is copied from base's bytes instead of formatted. A base of another
-// length is ignored.
+// An x entry whose bits equal the previous entry's copies that entry's
+// bytes instead of being formatted again. base, when non-nil, is an
+// earlier answer's x encoded once (EncodeX): every entry of v's x whose
+// bits equal base's entry at the same position is copied from base's
+// bytes. A base of another length is ignored.
 func AppendAnswer[T Answer](dst []byte, v *T, base *EncodedX) ([]byte, error) {
 	if out, ok := appendAnswer(dst, v, base); ok {
 		return out, nil
@@ -92,6 +93,9 @@ func appendAnswer(dst []byte, v any, base *EncodedX) ([]byte, bool) {
 type answerWriter struct {
 	b  []byte
 	ok bool
+	// last is the length of the x entry that ends b, which entry copies
+	// when the next entry repeats its bits.
+	last int
 }
 
 // solveFields writes SolveResponse's fields, the first without a leading
@@ -176,29 +180,43 @@ func (w *answerWriter) x(x []float64, base *EncodedX) {
 	if base != nil && len(base.x) == len(x) {
 		w.splice(x, base)
 	} else {
-		for i, v := range x {
-			if i > 0 {
-				w.b = append(w.b, ',')
-			}
-			w.float(v)
+		for i := range x {
+			w.entry(x, i)
 		}
 	}
 	w.raw(`]`)
 }
 
+// entry writes x[i], after a comma unless i is 0, right after x[i-1]'s
+// bytes. An entry whose bits equal x[i-1]'s copies those bytes; any other
+// entry is formatted, so −0 next to +0 is.
+func (w *answerWriter) entry(x []float64, i int) {
+	if i > 0 {
+		w.b = append(w.b, ',')
+		if math.Float64bits(x[i]) == math.Float64bits(x[i-1]) {
+			end := len(w.b) - 1
+			w.b = append(w.b, w.b[end-w.last:end]...)
+			return
+		}
+	}
+	start := len(w.b)
+	w.float(x[i])
+	w.last = len(w.b) - start
+}
+
 // splice writes x's entries, copying each run whose bits equal base's
-// from base's bytes and formatting the entries between runs.
+// from base's bytes and writing the entries between runs with entry.
 func (w *answerWriter) splice(x []float64, base *EncodedX) {
 	lo := 0 // the first entry of the pending run
 	for i, v := range x {
 		if math.Float64bits(v) == math.Float64bits(base.x[i]) {
 			continue
 		}
-		w.b = base.appendRun(w.b, lo, i)
-		if i > 0 {
-			w.b = append(w.b, ',')
+		if lo < i {
+			w.b = base.appendRun(w.b, lo, i)
+			w.last = base.entryLen(i - 1)
 		}
-		w.float(v)
+		w.entry(x, i)
 		lo = i + 1
 	}
 	w.b = base.appendRun(w.b, lo, len(x))
@@ -236,21 +254,16 @@ type EncodedX struct {
 // nil when an entry is outside the schema encoder's grammar (a NaN or
 // ±Inf) or the encoding outgrows its int32 offsets.
 func EncodeX(x []float64) *EncodedX {
-	m := &EncodedX{x: x, buf: make([]byte, 0, 20*len(x)), ends: make([]int32, len(x))}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	w := answerWriter{b: make([]byte, 0, 20*len(x)), ok: true}
+	ends := make([]int32, len(x))
+	for i := range x {
+		w.entry(x, i)
+		if !w.ok || len(w.b) > math.MaxInt32 {
 			return nil
 		}
-		if i > 0 {
-			m.buf = append(m.buf, ',')
-		}
-		m.buf = appendFloat(m.buf, v)
-		if len(m.buf) > math.MaxInt32 {
-			return nil
-		}
-		m.ends[i] = int32(len(m.buf))
+		ends[i] = int32(len(w.b))
 	}
-	return m
+	return &EncodedX{x: x, buf: w.b, ends: ends}
 }
 
 // Bytes estimates the memo's heap footprint for cache accounting; x is
@@ -260,6 +273,14 @@ func (m *EncodedX) Bytes() int64 {
 		return 0
 	}
 	return 64 + int64(cap(m.buf)) + 4*int64(cap(m.ends))
+}
+
+// entryLen is the length of entry i's encoding.
+func (m *EncodedX) entryLen(i int) int {
+	if i == 0 {
+		return int(m.ends[0])
+	}
+	return int(m.ends[i]-m.ends[i-1]) - 1 // less the separating comma
 }
 
 // appendRun appends the encodings of entries [lo, hi), preceded by the

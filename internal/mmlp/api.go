@@ -173,7 +173,7 @@ const (
 	// any replica of the owning shard.
 	ErrCodeBadGateway = "bad_gateway"
 	// ErrCodeUnavailable (503): the process is shutting down, the retry
-	// budget is exhausted, or the deadline expired before work started.
+	// budget is exhausted, or the request was cancelled.
 	ErrCodeUnavailable = "unavailable"
 	// ErrCodeDeadlineExceeded (504): the propagated deadline expired while
 	// the job was queued or running.

@@ -16,11 +16,15 @@ import (
 // and objectives, rows {"terms":[…]} and terms {"agent":…,"coef":…}, keys
 // in any order, JSON whitespace, strings of printable ASCII without
 // escapes, and RFC 8259 numbers, a float parsed by the strconv.ParseFloat
-// call encoding/json makes. Anything else declines to encoding/json on a
-// fresh zero value, so its value and error stand: null, an escape or a
-// non-ASCII byte, an unknown, case-folded or repeated key, a row without
-// its terms, a number an int field cannot hold, trailing data or any
-// syntax error.
+// call encoding/json makes. Rows and terms are read by straight-line code
+// whose first branch matches json.Marshal's compact bytes; any other byte
+// sends a term back to its '{' to be read in that general grammar. An
+// unsigned integral coefficient of at most 15 digits is exact in a
+// float64, so it converts without the call and with the same bits.
+// Anything else declines to encoding/json on a fresh zero value, so its
+// value and error stand: null, an escape or a non-ASCII byte, an unknown,
+// case-folded or repeated key, a row without its terms, a number an int
+// field cannot hold, trailing data or any syntax error.
 //
 // Memory is proportional to len(data), never to a count the body
 // declares; num_agents is for SolveRequest.Options to cap.
@@ -101,17 +105,7 @@ func (d *solveDecoder) instance(in *Instance) bool {
 // carved out of the term backing with its capacity cut to its length.
 func section[R Row](d *solveDecoder, dst *[]R) bool {
 	d.ends = append(d.ends[:0], len(d.terms))
-	if !d.array(func() bool {
-		has := false
-		if !d.object(rowKeys, func(int) bool {
-			has = true
-			return d.array(d.term)
-		}) || !has {
-			return false // a row without terms decodes to nil, which ends cannot tell from []
-		}
-		d.ends = append(d.ends, len(d.terms))
-		return true
-	}) {
+	if !d.array(d.row) {
 		return false
 	}
 	*dst = make([]R, len(d.ends)-1)
@@ -122,15 +116,79 @@ func section[R Row](d *solveDecoder, dst *[]R) bool {
 	return true
 }
 
-func (d *solveDecoder) term() bool {
-	var t Term
-	if !d.object(termKeys, func(key int) bool {
-		if key == 0 {
-			return d.int(&t.Agent)
-		}
-		return d.float(&t.Coef)
-	}) {
+// row reads one row, {"terms":[…]}, appending its terms to the backing
+// and its end to ends. json.Marshal's opening is matched byte for byte;
+// any other opening is read in the general grammar, from the same '{'. A
+// row has one key and a key appears at most once, so a row without terms
+// declines: it decodes to nil, which ends cannot tell from [].
+func (d *solveDecoder) row() bool {
+	if len(d.data)-d.pos >= 10 && string(d.data[d.pos:d.pos+10]) == `{"terms":[` {
+		d.pos += 10
+	} else if seen := uint(0); !d.next('{') || d.member(rowKeys, &seen) < 0 || !d.next('[') {
 		return false
+	}
+	if !d.next(']') {
+		for {
+			if !d.term() {
+				return false
+			}
+			if !d.next(',') {
+				if !d.next(']') {
+					return false
+				}
+				break
+			}
+		}
+	}
+	d.ends = append(d.ends, len(d.terms))
+	return d.next('}')
+}
+
+// term reads one term into the backing. json.Marshal's spelling,
+// {"agent":…,"coef":…}, is matched byte for byte, with an unsigned agent
+// of at most 18 digits; a coefficient that is not an unsigned integer of
+// at most 15 digits takes float. On any other byte the term is read again
+// from its '{' in the general grammar: whitespace between tokens, and
+// either key in either order, at most once.
+func (d *solveDecoder) term() bool {
+	data, i := d.data, d.pos
+	if len(data)-i >= 9 && string(data[i:i+9]) == `{"agent":` {
+		agent, k := unsignedPrefix(data[i+9:], 18)
+		if j := i + 9 + k; k > 0 && int64(int(agent)) == agent && len(data)-j >= 8 && string(data[j:j+8]) == `,"coef":` {
+			t := Term{Agent: int(agent)}
+			d.pos = j + 8
+			n, k := unsignedPrefix(data[d.pos:], 15)
+			ok := k > 0 && len(data)-d.pos > k && data[d.pos+k] == '}'
+			if ok {
+				t.Coef, d.pos = float64(n), d.pos+k
+			} else {
+				ok = d.float(&t.Coef) && d.pos < len(data) && data[d.pos] == '}'
+			}
+			if ok {
+				d.pos++
+				d.terms = append(d.terms, t)
+				return true
+			}
+		}
+	}
+	d.pos = i
+	var t Term
+	if !d.next('{') {
+		return false
+	}
+	if !d.next('}') {
+		for seen := uint(0); ; {
+			key := d.member(termKeys, &seen)
+			if key < 0 || key == 0 && !d.int(&t.Agent) || key == 1 && !d.float(&t.Coef) {
+				return false
+			}
+			if !d.next(',') {
+				if !d.next('}') {
+					return false
+				}
+				break
+			}
+		}
 	}
 	d.terms = append(d.terms, t)
 	return true
@@ -147,25 +205,34 @@ func (d *solveDecoder) object(keys []string, value func(key int) bool) bool {
 	}
 	var seen uint
 	for {
-		name, ok := d.str()
-		if !ok || !d.next(':') {
+		key := d.member(keys, &seen)
+		if key < 0 || !value(key) {
 			return false
 		}
-		key := -1
-		for i, k := range keys {
-			if string(name) == k {
-				key = i
-				break
-			}
-		}
-		if key < 0 || seen&(1<<key) != 0 || !value(key) {
-			return false
-		}
-		seen |= 1 << key
 		if !d.next(',') {
 			return d.next('}')
 		}
 	}
+}
+
+// member reads one member's name and colon and returns the name's index
+// in keys, marking it in seen; it returns -1 for a name outside keys or
+// already in seen, or on a syntax error.
+func (d *solveDecoder) member(keys []string, seen *uint) int {
+	name, ok := d.str()
+	if !ok || !d.next(':') {
+		return -1
+	}
+	for i, k := range keys {
+		if string(name) == k {
+			if *seen&(1<<i) != 0 {
+				return -1
+			}
+			*seen |= 1 << i
+			return i
+		}
+	}
+	return -1
 }
 
 // array reads one array, calling elem when the cursor stands at each
@@ -275,11 +342,18 @@ func (d *solveDecoder) int(dst *int) bool {
 }
 
 // float reads a number literal with the strconv.ParseFloat call
-// encoding/json makes, so the bits match.
+// encoding/json makes, so the bits match. An unsigned integral literal of
+// at most 15 digits is below 2^53, so float64 holds it exactly and that
+// is ParseFloat's result; it converts without the call. Every other
+// literal, -0 included, is parsed.
 func (d *solveDecoder) float(dst *float64) bool {
 	lit, _ := d.number()
 	if lit == nil {
 		return false
+	}
+	if n, k := unsignedPrefix(lit, 15); k == len(lit) {
+		*dst = float64(n)
+		return true
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
@@ -338,4 +412,18 @@ func (d *solveDecoder) digits(i int) int {
 		return -1
 	}
 	return j
+}
+
+// unsignedPrefix reads the unsigned integer literal, 0 or [1-9][0-9]*, that
+// b starts with, if it has at most max digits: its value and its length k,
+// or k = 0 when b starts with no such literal. Up to 18 digits the value
+// fits an int64, and up to 15 a float64 holds it exactly.
+func unsignedPrefix(b []byte, max int) (n int64, k int) {
+	for ; k < len(b) && '0' <= b[k] && b[k] <= '9'; k++ {
+		if k == max || k == 1 && b[0] == '0' {
+			return 0, 0
+		}
+		n = n*10 + int64(b[k]-'0')
+	}
+	return n, k
 }

@@ -1,6 +1,7 @@
 package mmlp_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -78,9 +79,18 @@ func fastFamilies() map[string]*mmlp.Instance {
 	}
 }
 
+// spaced respells a json.Marshal body with Python's default separators,
+// ", " and ": ", which sends every row and term to the general grammar.
+// The bodies it is given hold no string with a comma or a colon.
+func spaced(body []byte) []byte {
+	return bytes.ReplaceAll(bytes.ReplaceAll(body, []byte(","), []byte(", ")), []byte(":"), []byte(": "))
+}
+
 // TestUnmarshalSolveRequestFastPath: json.Marshal's spelling of every
-// family at R 2–5 decodes to encoding/json's value in at most 8
-// allocations, which only the fast path can do.
+// family at R 2–5, and the same body respelled with Python's separators,
+// decodes to encoding/json's value in at most 8 allocations, which only
+// the schema scanner can do: the compact branch and the general grammar
+// it rewinds to.
 func TestUnmarshalSolveRequestFastPath(t *testing.T) {
 	const maxAllocs = 8
 	for name, in := range fastFamilies() {
@@ -88,25 +98,27 @@ func TestUnmarshalSolveRequestFastPath(t *testing.T) {
 			t.Fatalf("%s: %d rows, want at least 16", name, rows)
 		}
 		for r := 2; r <= 5; r++ {
-			body, err := json.Marshal(mmlp.SolveRequest{Instance: in, R: r})
+			compact, err := json.Marshal(mmlp.SolveRequest{Instance: in, R: r})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got, want mmlp.SolveRequest
-			if err := json.Unmarshal(body, &want); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := mmlp.UnmarshalSolveRequest(body, &got); err != nil {
-					t.Fatalf("%s R=%d: %v", name, r, err)
+			for _, body := range [][]byte{compact, spaced(compact)} {
+				var got, want mmlp.SolveRequest
+				if err := json.Unmarshal(body, &want); err != nil {
+					t.Fatal(err)
 				}
-			})
-			if !sameDecode(&got, &want) {
-				t.Fatalf("%s R=%d: the decode differs from encoding/json's", name, r)
-			}
-			if allocs > maxAllocs {
-				t.Fatalf("%s R=%d: %.0f allocations, want at most %d: the body left the fast path",
-					name, r, allocs, maxAllocs)
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := mmlp.UnmarshalSolveRequest(body, &got); err != nil {
+						t.Fatalf("%s R=%d: %v", name, r, err)
+					}
+				})
+				if !sameDecode(&got, &want) {
+					t.Fatalf("%s R=%d: the decode of %.40q… differs from encoding/json's", name, r, body)
+				}
+				if allocs > maxAllocs {
+					t.Fatalf("%s R=%d: %.0f allocations for %.40q…, want at most %d: the body left the schema scanner",
+						name, r, allocs, body, maxAllocs)
+				}
 			}
 		}
 	}
@@ -114,7 +126,9 @@ func TestUnmarshalSolveRequestFastPath(t *testing.T) {
 
 // BenchmarkSolveRequestJSON decodes the body of one necklace-cold request,
 // a one-row reweight of the 3,000-agent necklace at R = 4, with the
-// schema decoder and with encoding/json.
+// schema decoder and with encoding/json, and the same body respelled with
+// Python's separators (spaced), which the schema decoder reads in its
+// general grammar.
 func BenchmarkSolveRequestJSON(b *testing.B) {
 	in := gen.TriNecklace(1000)
 	for j := range in.Cons[7].Terms {
@@ -126,12 +140,15 @@ func BenchmarkSolveRequestJSON(b *testing.B) {
 	}
 	decoders := []struct {
 		name   string
+		body   []byte
 		decode func([]byte, *mmlp.SolveRequest) error
 	}{
-		{"schema", mmlp.UnmarshalSolveRequest},
-		{"encoding-json", func(data []byte, req *mmlp.SolveRequest) error { return json.Unmarshal(data, req) }},
+		{"schema", body, mmlp.UnmarshalSolveRequest},
+		{"schema-spaced", spaced(body), mmlp.UnmarshalSolveRequest},
+		{"encoding-json", body, func(data []byte, req *mmlp.SolveRequest) error { return json.Unmarshal(data, req) }},
 	}
 	for _, dec := range decoders {
+		body := dec.body
 		b.Run(dec.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()

@@ -2,7 +2,6 @@ package transform
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/mmlp"
 )
@@ -35,7 +34,14 @@ func AugmentSingletonConstraints(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 
 func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	back := BackMap{kind: backTruncate, n: in.NumAgents}
-	if handOn && !slices.ContainsFunc(in.Cons, func(c mmlp.Constraint) bool { return len(c.Terms) == 1 }) {
+	singles, terms := 0, termCount(in.Objs)
+	for _, c := range in.Cons {
+		terms += len(c.Terms)
+		if len(c.Terms) == 1 {
+			singles++
+		}
+	}
+	if handOn && singles == 0 {
 		return in, back
 	}
 	caps := capsInto(in, &sc.caps)
@@ -52,6 +58,9 @@ func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, 
 	}
 	origAgents := in.NumAgents
 	a.Reset(origAgents)
+	// Each singleton gains a term and brings a gadget's constraint j and
+	// objectives h and ℓ, of two terms each.
+	a.Grow(len(in.Cons)+singles, len(in.Objs)+2*singles, terms+7*singles)
 	gadgets := sc.gadgets[:0]
 	next := origAgents
 	for _, c := range in.Cons {
@@ -116,12 +125,18 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handO
 	for v := range divisor {
 		divisor[v] = 2
 	}
-	wide := false
+	// A row of n > 2 terms becomes n(n−1)/2 rows of two.
+	wide, cons, terms := false, 0, termCount(in.Objs)
 	for _, c := range in.Cons {
 		if len(c.Terms) <= 2 {
+			cons++
+			terms += len(c.Terms)
 			continue
 		}
 		wide = true
+		pairs := len(c.Terms) * (len(c.Terms) - 1) / 2
+		cons += pairs
+		terms += 2 * pairs
 		for _, t := range c.Terms {
 			if d := float64(len(c.Terms)); d > divisor[t.Agent] {
 				divisor[t.Agent] = d
@@ -133,6 +148,7 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handO
 		return in, back
 	}
 	a.Reset(in.NumAgents)
+	a.Grow(cons, len(in.Objs), terms)
 	for _, c := range in.Cons {
 		if len(c.Terms) <= 2 {
 			a.EndConstraint(c.Terms...)
@@ -195,7 +211,18 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, hand
 	if handOn && !split {
 		return in, back
 	}
+	// A row becomes one row per combination of its agents' copies.
+	cons, terms := 0, termCount(in.Objs)
+	for _, c := range in.Cons {
+		rows := 1
+		for _, t := range c.Terms {
+			rows *= int(kv[t.Agent])
+		}
+		cons += rows
+		terms += rows * len(c.Terms)
+	}
 	a.Reset(total)
+	a.Grow(cons, len(in.Objs), terms)
 	for _, c := range in.Cons {
 		switch len(c.Terms) {
 		case 1:
@@ -293,11 +320,11 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, h
 	for v := range splitT {
 		splitT[v] = -1
 	}
-	single := false
+	singles := 0
 	for _, o := range in.Objs {
 		if len(o.Terms) == 1 {
 			splitT[o.Terms[0].Agent] = 0
-			single = true
+			singles++
 		}
 	}
 	parent := sc.parentAug[:0]
@@ -316,10 +343,24 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, h
 	}
 	sc.parentAug = parent
 	back := BackMap{kind: backMax, n: n, parent: parent}
-	if handOn && !single {
+	if handOn && singles == 0 {
 		return in, back
 	}
+	// A constraint is duplicated once per split member, and a singleton
+	// objective gains its second copy.
+	cons, terms := 0, termCount(in.Objs)+singles
+	for _, c := range in.Cons {
+		rows := 1
+		for _, t := range c.Terms {
+			if splitT[t.Agent] >= 0 {
+				rows *= 2
+			}
+		}
+		cons += rows
+		terms += rows * len(c.Terms)
+	}
 	a.Reset(out)
+	a.Grow(cons, len(in.Objs), terms)
 	// Constraints: rows containing a split agent are duplicated per copy
 	// (independently for each split member, so a row with two split agents
 	// yields four rows — each combination must hold for max-feasibility).
@@ -380,6 +421,7 @@ func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn
 		return in, back
 	}
 	a.Reset(in.NumAgents)
+	a.Grow(len(in.Cons), len(in.Objs), termCount(in.Cons)+termCount(in.Objs))
 	for _, c := range in.Cons {
 		for _, t := range c.Terms {
 			a.Add(t.Agent, t.Coef/gamma[t.Agent])

@@ -1,15 +1,16 @@
 // Package canon defines the canonical binary encoding of every
 // (instance, mmlp.SolveOptions) pair, the cryptographic key derived from
-// it, and — since the encoding became the fleet's binary wire format — the
-// decoders and frames of that wire surface (see wire.go). The key covers
-// exactly what decides a solve's answer bits or whether it fails: the
-// instance's content and the five settings of mmlp.SolveOptions.
+// it (key.go), and — since the encoding became the fleet's binary wire
+// format — the decoders and frames of that wire surface (wire.go). The
+// key covers exactly what decides a solve's answer bits or whether it
+// fails: the instance's content and the five settings of
+// mmlp.SolveOptions.
 //
 // The paper's algorithm is deterministic: identical instance and options
-// always yield bit-identical solutions, so the SHA-256 of the canonical
-// encoding is a sound cache index for complete solve results
-// (internal/cache fronts the batch and serving layers with exactly that)
-// and a sound routing key for the shard layer.
+// always yield bit-identical solutions, so a collision-resistant hash of
+// the canonical encoding is a sound cache index for complete solve
+// results (internal/cache fronts the batch and serving layers with
+// exactly that) and a sound routing key for the shard layer.
 //
 // The encoding (version 2, magic "mmlp-canon/v2\n"):
 //
@@ -21,11 +22,12 @@
 //     pattern, the coefficient as its big-endian IEEE-754 bits — so any
 //     representable coefficient change, however small, changes the bytes;
 //   - rows within each section are ordered by mmlp.CompareRows (length,
-//     then termwise CompareTerm), the row order of mmlp.Canonical. An
-//     instance out of that order is encoded from its canonical copy
-//     (mmlp.Instance.CanonicalInto), so the caller's instance is never
-//     mutated, and a decoded wire message is already in the pipeline's
-//     canonical form — no re-canonicalization, no second hashing.
+//     then termwise CompareTerm), the row order of mmlp.Canonical. A
+//     section out of that order is encoded from its canonical copy
+//     (mmlp.Instance.CanonicalSectionsInto), so the caller's instance is
+//     never mutated, and a decoded wire message is already in the
+//     pipeline's canonical form — no re-canonicalization, no second
+//     hashing.
 //
 // The encoding is self-delimiting (every list is preceded by its length)
 // and the decoder rejects non-canonical term or row order, hence each
@@ -33,11 +35,19 @@
 // representation: two pairs share an encoding — or a key — only by
 // describing the same mathematical problem under the same options. That
 // injectivity is what lets the shard router route a canon payload by
-// hashing its raw bytes, without decoding: HashBytes(AppendSolve(in, o))
-// == Hash(in, o) by construction.
+// hashing its raw bytes, without decoding: the key is a function of the
+// message bytes alone (HashBytes), so HashBytes(AppendSolve(in, o)) ==
+// Hash(in, o) by construction.
+//
+// The key is SHA-256 over a tag and the SHA-256 digests of the message's
+// 4 KiB chunks, not over the message itself, so that a delta can key its
+// edited instance from its base's chunk digests, re-hashing only the
+// chunks its written rows fall in (EditKeyer). A reweight keeps every
+// row's width, so every byte of the edited message stays at its base
+// offset.
 //
 // Hashing sits on the cache-hit path of the serving layer, so the encoder
-// state (hash, message buffer, the arena of a canonical copy) is pooled:
+// state (message buffer, the arena of a canonical copy) is pooled:
 // steady-state hashing of similarly-shaped instances does not allocate.
 // An instance already in canonical form — every instance the engine keys
 // — is written straight into the message in one pass, with no copy, so
@@ -45,10 +55,7 @@
 package canon
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"hash"
 	"math"
 	"slices"
 	"sync"
@@ -60,12 +67,6 @@ import (
 // hashed bytes, so an encoding change can never alias keys across versions.
 const SolveMagic = "mmlp-canon/v2\n"
 
-// Key identifies a canonical (instance, options) pair.
-type Key [sha256.Size]byte
-
-// String renders the key in hex.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
 // Option flag bits (the flags byte after the varint option fields).
 const (
 	flagDisableSpecialCases = 1 << 0
@@ -75,32 +76,11 @@ const (
 
 // hasher is the reusable encoder state.
 type hasher struct {
-	h   hash.Hash
-	msg []byte            // whole-message scratch, reused by Hash
-	cs  mmlp.CanonScratch // the canonical copy of an instance out of order
+	msg []byte            // whole-message scratch, reused by Hash and EditKeyer.Key
+	cs  mmlp.CanonScratch // the canonical copy of a section out of order
 }
 
-var hasherPool = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
-
-// Hash computes the canonical key of (in, o): the SHA-256 of its canonical
-// wire encoding. The instance is read, never mutated; invalid instances
-// hash fine (they simply never acquire a cached value, because failed
-// solves are not stored).
-func Hash(in *mmlp.Instance, o mmlp.SolveOptions) Key {
-	s := hasherPool.Get().(*hasher)
-	defer hasherPool.Put(s)
-	s.msg = s.appendSolve(s.msg[:0], in, o)
-	s.h.Reset()
-	s.h.Write(s.msg)
-	var k Key
-	s.h.Sum(k[:0])
-	return k
-}
-
-// HashBytes computes the key of an already-encoded canon payload. For
-// payloads produced by AppendSolve this equals Hash of the encoded pair —
-// the invariant the shard router's decode-free routing rests on.
-func HashBytes(payload []byte) Key { return Key(sha256.Sum256(payload)) }
+var hasherPool = sync.Pool{New: func() any { return new(hasher) }}
 
 // AppendSolve appends the canonical wire encoding of (in, o) to dst and
 // returns the extended buffer. The result is exactly the byte string Hash
@@ -115,9 +95,28 @@ func AppendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions) []byte {
 func EncodeSolve(in *mmlp.Instance, o mmlp.SolveOptions) []byte { return AppendSolve(nil, in, o) }
 
 // appendSolve writes magic, normalized options and the canonicalized
-// instance into dst, growing dst once to the message's exact size.
+// instance into dst, growing dst once to the message's exact size. Each
+// section is written in one pass while its rows are in canonical order;
+// a section found out of order is rewritten from its canonical copy, and
+// the other section is still written straight from in.
 func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions) []byte {
-	dst = slices.Grow(dst, encodedLen(in))
+	dst = appendHeader(slices.Grow(dst, encodedLen(in)), in.NumAgents, o)
+	start := len(dst)
+	dst, ok := appendSection(dst, in.Cons, true)
+	if !ok {
+		dst, _ = appendSection(dst[:start], in.CanonicalSectionsInto(&s.cs, true, false).Cons, false)
+	}
+	start = len(dst)
+	dst, ok = appendSection(dst, in.Objs, true)
+	if !ok {
+		dst, _ = appendSection(dst[:start], in.CanonicalSectionsInto(&s.cs, false, true).Objs, false)
+	}
+	return dst
+}
+
+// appendHeader writes the magic, the normalized options and the agent
+// count: every byte of the message before its sections.
+func appendHeader(dst []byte, numAgents int, o mmlp.SolveOptions) []byte {
 	dst = append(dst, SolveMagic...)
 	o = o.Normalized()
 	dst = binary.AppendUvarint(dst, uint64(o.Engine))
@@ -131,19 +130,7 @@ func (s *hasher) appendSolve(dst []byte, in *mmlp.Instance, o mmlp.SolveOptions)
 		flags |= flagSelfCheck
 	}
 	dst = append(dst, flags)
-
-	dst = binary.AppendUvarint(dst, uint64(in.NumAgents))
-	start := len(dst)
-	dst, ok := appendSection(dst, in.Cons, true)
-	if ok {
-		dst, ok = appendSection(dst, in.Objs, true)
-	}
-	if !ok {
-		c := in.CanonicalInto(&s.cs)
-		dst, _ = appendSection(dst[:start], c.Cons, false)
-		dst, _ = appendSection(dst, c.Objs, false)
-	}
-	return dst
+	return binary.AppendUvarint(dst, uint64(numAgents))
 }
 
 // encodedLen bounds the message appendSolve writes: the header's varints
@@ -162,8 +149,8 @@ func encodedLen(in *mmlp.Instance) int {
 // appendSection writes one section, its row count and then its rows,
 // straight into dst. With check it checks each row with mmlp.RowInOrder as
 // it goes and reports false at the first row out of order; appendSolve
-// then rewrites both sections from the instance's canonical copy, whose
-// rows CanonicalInto has already ordered, without the check. Every
+// then rewrites the section from its canonical copy, whose rows
+// CanonicalSectionsInto has already ordered, without the check. Every
 // instance the engine keys is canonical, so it takes the one pass.
 func appendSection[R mmlp.Row](dst []byte, rows []R, check bool) ([]byte, bool) {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
@@ -192,8 +179,13 @@ func orderAgent(agent int) uint64 { return uint64(int64(agent)) ^ (1 << 63) }
 func appendRow(dst []byte, terms []mmlp.Term) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(terms)))
 	for _, t := range terms {
-		dst = binary.BigEndian.AppendUint64(dst, orderAgent(t.Agent))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(t.Coef))
+		dst = appendTerm(dst, t)
 	}
 	return dst
+}
+
+// appendTerm encodes one term, bytesPerTerm bytes.
+func appendTerm(dst []byte, t mmlp.Term) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, orderAgent(t.Agent))
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(t.Coef))
 }

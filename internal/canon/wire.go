@@ -10,11 +10,14 @@ package canon
 //
 //	payload == AppendSolve(nil, decodedInstance, decodedOptions)
 //
-// holds bit-for-bit, and therefore HashBytes(payload) equals the cache
-// key the JSON path computes for the same request. That equation is what
-// lets the shard router route canon traffic by hashing raw bytes and what
-// makes cache entries land on the same shard regardless of the encoding a
-// client chose.
+// holds bit-for-bit. The key is a function of the message bytes alone —
+// SHA-256 over a tag and the digests of the message's 4 KiB chunks
+// (key.go), which HashBytes cuts from the raw payload without parsing it
+// — so HashBytes(payload) equals the cache key the JSON path computes for
+// the same request, and the key a delta patches from its base's chunk
+// digests. That equation is what lets the shard router route canon
+// traffic by hashing raw bytes and what makes cache entries land on the
+// same shard regardless of the encoding a client chose.
 //
 // Every malformed-input class maps to one of the sentinel errors below;
 // decoders never panic on hostile input (the fuzz targets in fuzz_test.go
@@ -25,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/mmlp"
 )
@@ -279,9 +284,14 @@ const BatchMagic = "mmlp-canon-batch/v1\n"
 const minSolveBytes = len(SolveMagic) + 7
 
 // AppendBatch appends a batch frame containing the given solve payloads
-// to dst. Payload contents are not inspected; SplitBatch checks each one
-// starts with the solve magic.
+// to dst, growing dst once to the frame's size. Payload contents are not
+// inspected; SplitBatch checks each one starts with the solve magic.
 func AppendBatch(dst []byte, payloads [][]byte) []byte {
+	n := len(BatchMagic) + uvarintLen(len(payloads))
+	for _, p := range payloads {
+		n += uvarintLen(len(p)) + len(p)
+	}
+	dst = slices.Grow(dst, n)
 	dst = append(dst, BatchMagic...)
 	dst = binary.AppendUvarint(dst, uint64(len(payloads)))
 	for _, p := range payloads {
@@ -290,6 +300,9 @@ func AppendBatch(dst []byte, payloads [][]byte) []byte {
 	}
 	return dst
 }
+
+// uvarintLen is the width of n's uvarint.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // SplitBatch splits a batch frame into its solve payloads without copying:
 // each element aliases frame. Only the framing and each payload's leading

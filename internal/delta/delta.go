@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/mmlp"
 	"repro/internal/structured"
@@ -62,6 +63,10 @@ type Record struct {
 	// delta's reply copies its unchanged entries from.
 	xOnce sync.Once
 	x     *mmlp.EncodedX
+	// keyOnce guards the memo of the base's edit keyer, which keys every
+	// delta's edited instance from the base's chunk digests.
+	keyOnce sync.Once
+	keyer   *canon.EditKeyer
 }
 
 // BaseForm is what pricing deltas against a record derives from its base
@@ -97,6 +102,14 @@ func (r *Record) Base(build func() *BaseForm) *BaseForm {
 func (r *Record) EncodedX(build func() *mmlp.EncodedX) *mmlp.EncodedX {
 	r.xOnce.Do(func() { r.x = build() })
 	return r.x
+}
+
+// Keyer returns the memo of the base's edit keyer, building it with build
+// on the first call and memoising the result, nil included. Safe for
+// concurrent use; build runs at most once.
+func (r *Record) Keyer(build func() *canon.EditKeyer) *canon.EditKeyer {
+	r.keyOnce.Do(func() { r.keyer = build() })
+	return r.keyer
 }
 
 // Bytes estimates the form's heap footprint for cache accounting, from its

@@ -6,8 +6,9 @@ package engine
 // (instance, options) class, so canon.HashBytes(payload) IS the key
 // SolveKey computes for the same request arriving as JSON — and decoded
 // only on a cache miss, straight into the worker Scratch's decode arena.
-// The warm path of a repeated canon request is therefore one SHA-256 and
-// one cache lookup: no decode, no mmlp.Instance construction at all.
+// The warm path of a repeated canon request is therefore one key — a
+// SHA-256 per 4 KiB chunk and one over their digests — and one cache
+// lookup: no decode, no mmlp.Instance construction at all.
 
 import (
 	"context"
@@ -35,7 +36,7 @@ func decodeCanon(payload []byte, sc *Scratch) (*mmlp.Instance, mmlp.SolveOptions
 }
 
 // SolveCanonBytes is the canon-payload counterpart of SolveCached: the key
-// is the SHA-256 of the raw bytes, a hit replays the stored result without
+// is canon.HashBytes of the raw bytes, a hit replays the stored result without
 // decoding the payload at all, and a miss decodes into sc's arena and runs
 // the pipeline. Results are bit-identical to the same request sent as JSON
 // — both paths cache under the same key, so either encoding warms the

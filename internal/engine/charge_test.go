@@ -4,15 +4,17 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/mmlp"
 )
 
 // TestDeltaMemosChargedToBase: the memos a base's record builds for its
-// first delta — the encoded x every reply copies from, and the structured
-// form and trace the splice prices against — are charged to the base's
-// cache entry when they are built, once.
+// first delta — the encoded x every reply copies from, the edit keyer
+// every edited instance is keyed by, and the structured form and trace
+// the splice prices against — are charged to the base's cache entry when
+// they are built, once.
 func TestDeltaMemosChargedToBase(t *testing.T) {
 	ctx := context.Background()
 	in := gen.TriNecklace(100)
@@ -54,18 +56,22 @@ func TestDeltaMemosChargedToBase(t *testing.T) {
 		t.Fatal("the delta built no form")
 		return nil
 	})
+	keyer := base.rec.Keyer(func() *canon.EditKeyer {
+		t.Fatal("the delta built no keyer")
+		return nil
+	})
 	memo := rep.Delta.BaseX
-	if form.Bytes() < 8*int64(form.S.N) || memo.Bytes() < 2*int64(len(base.sol.X)) {
-		t.Fatalf("form %d B and memo %d B are too small to be estimates", form.Bytes(), memo.Bytes())
+	if form.Bytes() < 8*int64(form.S.N) || memo.Bytes() < 2*int64(len(base.sol.X)) || keyer.Bytes() < 16*int64(in.NumAgents) {
+		t.Fatalf("form %d B, memo %d B and keyer %d B are too small to be estimates", form.Bytes(), memo.Bytes(), keyer.Bytes())
 	}
-	want := before + edited.bytes() + form.Bytes() + memo.Bytes()
+	want := before + edited.bytes() + form.Bytes() + memo.Bytes() + keyer.Bytes()
 	if got := ca.Stats().Bytes; got != want {
-		t.Fatalf("cache holds %d bytes, want base %d + delta %d + form %d + memo %d = %d",
-			got, before, edited.bytes(), form.Bytes(), memo.Bytes(), want)
+		t.Fatalf("cache holds %d bytes, want base %d + delta %d + form %d + memo %d + keyer %d = %d",
+			got, before, edited.bytes(), form.Bytes(), memo.Bytes(), keyer.Bytes(), want)
 	}
 
-	// A repeat is a hit on the edited key, and another edit reuses both
-	// memos: neither charges the base again.
+	// A repeat is a hit on the edited key, and another edit reuses every
+	// memo: none charges the base again.
 	for _, factor := range []float64{2, 3} {
 		for j, tm := range row {
 			scaled[j] = mmlp.Term{Agent: tm.Agent, Coef: factor * tm.Coef}

@@ -68,16 +68,19 @@ func SolveDelta(ctx context.Context, base canon.Key, edits []mmlp.RowEdit, sc *S
 }
 
 // deltaPrologue keys a delta: it fetches the base record and applies the
-// edits under the delta-plan trace slot, then canonicalizes and hashes the
-// edited instance under the same slots as a solve. Apply validates every
-// row it writes and shares the rest with the base, which was validated
-// when it was solved, so there is no whole-instance Validate; and its
-// result is canonical, so canonicalizing it is a check, not a copy. The
-// fetch is not a cache lookup (cache.Load), so a delta counts once in the
-// cache stats, under its edited key. The record is immutable cache state,
-// so it stays valid even if the entry is evicted between here and the
-// kernel (the eviction edge case is a 404 only when it precedes this
-// fetch).
+// edits under the delta-plan trace slot, then checks the edited instance's
+// order and keys it under the canonicalize and hash slots, as a solve
+// does. Apply validates every row it writes and shares the rest with the
+// base, which was validated when it was solved, so there is no
+// whole-instance Validate. An edit that keeps every row's width — any
+// reweight — is checked at the rows Apply wrote and keyed by the base's
+// edit keyer, which re-hashes only the chunks those rows fall in; any
+// other edit is canonicalized, which for Apply's canonical result is a
+// check and not a copy, and hashed in full. The fetch is not a cache
+// lookup (cache.Load), so a delta counts once in the cache stats, under
+// its edited key. The record is immutable cache state, so it stays valid
+// even if the entry is evicted between here and the kernel (the eviction
+// edge case is a 404 only when it precedes this fetch).
 func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Trace) (keyed, error) {
 	if ca == nil {
 		return keyed{}, ErrBaseUnknown
@@ -96,14 +99,22 @@ func deltaPrologue(d *DeltaRequest, cs *mmlp.CanonScratch, ca *Cache, tr *obs.Tr
 	if err != nil {
 		return keyed{}, err
 	}
-	baseX := b.encodedX()
+	baseX, keyer := b.encodedX(), b.keyer()
 	tr.Add(obs.StageDeltaPlan, time.Since(tp))
 	tc := time.Now()
-	k := keyed{in: edited.CanonicalInto(cs), opts: rec.Opts, base: b}
-	k.owned = k.in == edited
+	k := keyed{in: edited, opts: rec.Opts, base: b, owned: true}
+	patched := keyer.Check(edited)
+	if !patched {
+		k.in = edited.CanonicalInto(cs)
+		k.owned = k.in == edited
+	}
 	tr.Add(obs.StageCanonicalize, time.Since(tc))
 	th := time.Now()
-	k.key = canon.Hash(k.in, rec.Opts)
+	if patched {
+		k.key = keyer.Key(edited)
+	} else {
+		k.key = canon.Hash(k.in, rec.Opts)
+	}
 	tr.Add(obs.StageHash, time.Since(th))
 	k.out = &DeltaOutcome{Key: k.key, BaseX: baseX}
 	k.store = k.opts.Engine == mmlp.EngineCentral
@@ -130,6 +141,17 @@ func (b *deltaBase) encodedX() *mmlp.EncodedX {
 		m := mmlp.EncodeX(b.res.sol.X)
 		b.charge(m.Bytes())
 		return m
+	})
+}
+
+// keyer returns the base record's memoised edit keyer, building it on the
+// first delta.
+func (b *deltaBase) keyer() *canon.EditKeyer {
+	rec := b.res.rec
+	return rec.Keyer(func() *canon.EditKeyer {
+		k := canon.NewEditKeyer(rec.In, rec.Opts)
+		b.charge(k.Bytes())
+		return k
 	})
 }
 

@@ -2,10 +2,12 @@ package engine_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/canon"
@@ -344,5 +346,101 @@ func TestSolveDeltaChained(t *testing.T) {
 	equalSolutions(t, "chained", sol, cold)
 	if want := engine.SolveKey(twice, opts); out2.Key != want {
 		t.Fatalf("chained key %s, want %s", out2.Key, want)
+	}
+}
+
+// TestDeltaKeyMatchesSolveKey: a delta's key is the edited instance's
+// SolveKey whatever its edits touch in the base's canonical message — a
+// row in the first 4 KiB chunk, a row straddling a chunk boundary, the
+// last row in the short final chunk, a reweight that moves its row, rows
+// in two chunks, and the added and removed rows that key in full. The
+// necklace's message spans ~30 chunks, so a digest reused without its
+// chunk's patch, or a patch at the wrong offset, gives a different key.
+func TestDeltaKeyMatchesSolveKey(t *testing.T) {
+	ctx := context.Background()
+	in := gen.TriNecklace(1000)
+	opts := engine.Options{R: 4, DisableSpecialCases: true}
+	ca := engine.NewCache(engine.CacheOptions{MaxBytes: 1 << 30})
+	base := seedBase(t, ca, in, opts)
+	cin := in.Canonical()
+
+	// Each row's span in the message: the header of an instance without
+	// rows (less its two zero row counts), then each section's count and
+	// fixed-width rows.
+	const chunk = 4096
+	msgLen := len(canon.EncodeSolve(cin, opts))
+	off := len(canon.EncodeSolve(&mmlp.Instance{NumAgents: cin.NumAgents}, opts)) - 2
+	span := func(n int) (int, int) { lo := off; off += 4 + 16*n; return lo, off }
+	off += len(binary.AppendUvarint(nil, uint64(len(cin.Cons))))
+	consLo := make([]int, len(cin.Cons))
+	for i, c := range cin.Cons {
+		consLo[i], _ = span(len(c.Terms))
+	}
+	off += len(binary.AppendUvarint(nil, uint64(len(cin.Objs))))
+	straddle, last := -1, len(cin.Objs)-1
+	for k, o := range cin.Objs {
+		if lo, hi := span(len(o.Terms)); straddle < 0 && lo/chunk != (hi-1)/chunk {
+			straddle = k
+		}
+	}
+	if off != msgLen || msgLen%chunk == 0 || straddle < 0 {
+		t.Fatalf("message layout: %d rows end at %d of %d bytes, straddling objective %d", len(cin.Cons)+len(cin.Objs), off, msgLen, straddle)
+	}
+	if consLo[0] >= chunk || msgLen/chunk < 2 {
+		t.Fatalf("constraint 0 at %d in a %d-byte message: want it in chunk 0 of several", consLo[0], msgLen)
+	}
+
+	scale := func(kind string, terms []mmlp.Term, f float64) mmlp.RowEdit {
+		nt := make([]mmlp.Term, len(terms))
+		for j, tm := range terms {
+			nt[j] = mmlp.Term{Agent: tm.Agent, Coef: tm.Coef * f}
+		}
+		return mmlp.RowEdit{Op: mmlp.EditReweight, Kind: kind, Match: terms, Terms: nt}
+	}
+	// A constraint followed by one with the same first agent and
+	// coefficient moves past it when its coefficients double.
+	move := -1
+	for i := 0; i+1 < len(cin.Cons) && move < 0; i++ {
+		if a, b := cin.Cons[i].Terms[0], cin.Cons[i+1].Terms[0]; a == b {
+			move = i
+		}
+	}
+	if move < 0 {
+		t.Fatal("no constraint shares its first term with the next")
+	}
+	added := []mmlp.Term{{Agent: 5, Coef: 0.75}, {Agent: 9, Coef: 1.25}}
+	cases := []struct {
+		name  string
+		edits []mmlp.RowEdit
+	}{
+		{"chunk-0", []mmlp.RowEdit{scale(mmlp.EditConstraint, cin.Cons[0].Terms, 1.5)}},
+		{"straddling", []mmlp.RowEdit{scale(mmlp.EditObjective, cin.Objs[straddle].Terms, 0.75)}},
+		{"last-row", []mmlp.RowEdit{scale(mmlp.EditObjective, cin.Objs[last].Terms, 1.25)}},
+		{"moving", []mmlp.RowEdit{scale(mmlp.EditConstraint, cin.Cons[move].Terms, 2)}},
+		{"two-chunks", []mmlp.RowEdit{
+			scale(mmlp.EditObjective, cin.Objs[last].Terms, 0.5),
+			scale(mmlp.EditConstraint, cin.Cons[0].Terms, 1.75),
+		}},
+		{"add", []mmlp.RowEdit{{Op: mmlp.EditAdd, Kind: mmlp.EditConstraint, Terms: added}}},
+		{"remove", []mmlp.RowEdit{{Op: mmlp.EditRemove, Kind: mmlp.EditConstraint, Match: cin.Cons[7].Terms}}},
+	}
+	for _, c := range cases {
+		edited, err := delta.Apply(cin, c.edits)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.name == "moving" && !slices.Equal(edited.Cons[move].Terms, cin.Cons[move+1].Terms) {
+			t.Fatalf("moving: constraint %d kept its place", move)
+		}
+		_, out, cached, err := engine.SolveDelta(ctx, base, c.edits, engine.NewScratch(), ca)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cached {
+			t.Fatalf("%s: the edited key was already cached", c.name)
+		}
+		if want := engine.SolveKey(edited, opts); out.Key != want {
+			t.Fatalf("%s: delta key %s, want the edited instance's key %s", c.name, out.Key, want)
+		}
 	}
 }

@@ -39,7 +39,9 @@ func spliceFamily(family uint8, seed int64) *mmlp.Instance {
 // FuzzDeltaSplice: a delta priced against a cached base — spliced when the
 // structured forms align, cold otherwise — answers with the status and the
 // bits of x, utility and upper bound of a cold SolveScratch of
-// Apply(base, edits), for every family, edit set and R in 2–5.
+// Apply(base, edits), for every family, edit set and R in 2–5, and its
+// key — patched from the base's chunk digests or hashed in full — is the
+// SolveKey of Apply(base, edits).
 func FuzzDeltaSplice(f *testing.F) {
 	f.Add(uint8(2), int64(1), uint8(1), uint8(2), false)
 	f.Add(uint8(0), int64(7), uint8(3), uint8(1), true)
@@ -56,12 +58,15 @@ func FuzzDeltaSplice(f *testing.F) {
 			t.Fatalf("generated edits do not apply: %v", err)
 		}
 		cold, _, coldErr := engine.SolveScratch(ctx, edited, opts, engine.NewScratch())
-		sol, _, _, err := engine.SolveDelta(ctx, base, edits, engine.NewScratch(), ca)
+		sol, out, _, err := engine.SolveDelta(ctx, base, edits, engine.NewScratch(), ca)
 		if (err != nil) != (coldErr != nil) {
 			t.Fatalf("delta err %v, cold err %v", err, coldErr)
 		}
 		if err != nil {
 			return
+		}
+		if want := engine.SolveKey(edited, opts); out.Key != want {
+			t.Fatalf("delta key %s, want the edited instance's key %s", out.Key, want)
 		}
 		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 		if sol.Status != cold.Status || !same(sol.Utility, cold.Utility) || !same(sol.UpperBound, cold.UpperBound) || len(sol.X) != len(cold.X) {

@@ -39,6 +39,12 @@ func (a *Arena) Grow(cons, objs, terms int) {
 	a.terms = slices.Grow(a.terms, terms)
 }
 
+// Holds reports whether the term backing has room for terms terms. A
+// step whose output has at least its input's terms asks it before
+// counting its exact sizes for Grow: a warm arena holds the input and
+// just appends, and only a fresh or shrunken one pays for the count.
+func (a *Arena) Holds(terms int) bool { return cap(a.terms) >= terms }
+
 // Add appends one term to the pending row.
 func (a *Arena) Add(agent int, coef float64) {
 	a.terms = append(a.terms, Term{Agent: agent, Coef: coef})

@@ -295,29 +295,53 @@ func (in *Instance) CanonicalInto(a *Arena) *Instance {
 	if a == nil {
 		a = &Arena{}
 	}
-	total := 0
-	for i := range in.Cons {
-		total += len(in.Cons[i].Terms)
+	return in.CanonicalSectionsInto(a, true, true)
+}
+
+// CanonicalSectionsInto builds into a a canonical copy of the chosen
+// sections — the constraints with cons, the objectives with objs — and
+// returns it with no rows in a section not chosen. It copies and sorts
+// without checking first: canon's encoder calls it for the one section
+// it found out of order, and writes the other straight from in. The copy
+// is valid until a's next use.
+func (in *Instance) CanonicalSectionsInto(a *Arena, cons, objs bool) *Instance {
+	var nc, no, terms int
+	if cons {
+		nc, terms = len(in.Cons), TermCount(in.Cons)
 	}
-	for k := range in.Objs {
-		total += len(in.Objs[k].Terms)
+	if objs {
+		no, terms = len(in.Objs), terms+TermCount(in.Objs)
 	}
 	a.Reset(in.NumAgents)
-	a.Grow(len(in.Cons), len(in.Objs), total)
-	for _, c := range in.Cons {
-		a.terms = append(a.terms, c.Terms...)
-		slices.SortFunc(a.Pending(), CompareTerm)
-		a.EndConstraint()
+	a.Grow(nc, no, terms)
+	if cons {
+		for _, c := range in.Cons {
+			a.terms = append(a.terms, c.Terms...)
+			slices.SortFunc(a.Pending(), CompareTerm)
+			a.EndConstraint()
+		}
 	}
-	for _, o := range in.Objs {
-		a.terms = append(a.terms, o.Terms...)
-		slices.SortFunc(a.Pending(), CompareTerm)
-		a.EndObjective()
+	if objs {
+		for _, o := range in.Objs {
+			a.terms = append(a.terms, o.Terms...)
+			slices.SortFunc(a.Pending(), CompareTerm)
+			a.EndObjective()
+		}
 	}
 	out := a.Finish()
 	slices.SortFunc(out.Cons, func(a, b Constraint) int { return CompareRows(a.Terms, b.Terms) })
 	slices.SortFunc(out.Objs, func(a, b Objective) int { return CompareRows(a.Terms, b.Terms) })
 	return out
+}
+
+// TermCount is the number of terms in rows, the size code that
+// copies them hints to its Arena.
+func TermCount[R Row](rows []R) int {
+	n := 0
+	for _, r := range rows {
+		n += len(Constraint(r).Terms)
+	}
+	return n
 }
 
 // isCanonical reports whether every row's terms and both sections' rows

@@ -55,8 +55,9 @@ type solveDecoder struct {
 	pos  int
 	// terms is the backing every row's terms are carved from; ends holds
 	// the offsets in it where the section being read starts and where each
-	// of its rows ends. Both are sized once from the body: every term and
-	// every row opens with a '{'.
+	// of its rows ends. Both are sized once from the body: the request, its
+	// instance, every row and every term open with a '{', and each section
+	// and every row's terms with a '['.
 	terms []Term
 	ends  []int
 }
@@ -86,9 +87,9 @@ func (d *solveDecoder) request(req *SolveRequest) bool {
 }
 
 func (d *solveDecoder) instance(in *Instance) bool {
-	braces := bytes.Count(d.data, []byte{'{'})
-	d.terms = make([]Term, 0, braces)
-	d.ends = make([]int, 0, braces)
+	braces, brackets := bytes.Count(d.data, []byte{'{'}), bytes.Count(d.data, []byte{'['})
+	d.terms = make([]Term, 0, max(braces-brackets, 0))
+	d.ends = make([]int, 0, max(brackets-1, 1))
 	return d.object(instanceKeys, func(key int) bool {
 		switch key {
 		case 0:

@@ -17,16 +17,6 @@ import (
 // grow is the shared arena-resize primitive.
 func grow[T any](buf *[]T, n int) []T { return reuse.Grow(buf, n) }
 
-// termCount is the number of terms in rows, the size a step that copies
-// them hints to its arena.
-func termCount[R mmlp.Row](rows []R) int {
-	n := 0
-	for _, r := range rows {
-		n += len(mmlp.Constraint(r).Terms)
-	}
-	return n
-}
-
 // capsInto is Instance.Caps into a reusable buffer.
 func capsInto(in *mmlp.Instance, buf *[]float64) []float64 {
 	caps := grow(buf, in.NumAgents)

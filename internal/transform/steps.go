@@ -34,7 +34,7 @@ func AugmentSingletonConstraints(in *mmlp.Instance) (*mmlp.Instance, BackMap) {
 
 func augmentSingletonConstraints(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn bool) (*mmlp.Instance, BackMap) {
 	back := BackMap{kind: backTruncate, n: in.NumAgents}
-	singles, terms := 0, termCount(in.Objs)
+	singles, terms := 0, mmlp.TermCount(in.Objs)
 	for _, c := range in.Cons {
 		terms += len(c.Terms)
 		if len(c.Terms) == 1 {
@@ -126,7 +126,7 @@ func reduceConstraintDegree(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handO
 		divisor[v] = 2
 	}
 	// A row of n > 2 terms becomes n(n−1)/2 rows of two.
-	wide, cons, terms := false, 0, termCount(in.Objs)
+	wide, cons, terms := false, 0, mmlp.TermCount(in.Objs)
 	for _, c := range in.Cons {
 		if len(c.Terms) <= 2 {
 			cons++
@@ -211,18 +211,20 @@ func splitAgentsPerObjective(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, hand
 	if handOn && !split {
 		return in, back
 	}
-	// A row becomes one row per combination of its agents' copies.
-	cons, terms := 0, termCount(in.Objs)
-	for _, c := range in.Cons {
-		rows := 1
-		for _, t := range c.Terms {
-			rows *= int(kv[t.Agent])
-		}
-		cons += rows
-		terms += rows * len(c.Terms)
-	}
 	a.Reset(total)
-	a.Grow(cons, len(in.Objs), terms)
+	if !a.Holds(mmlp.TermCount(in.Cons) + mmlp.TermCount(in.Objs)) {
+		// A row becomes one row per combination of its agents' copies.
+		cons, terms := 0, mmlp.TermCount(in.Objs)
+		for _, c := range in.Cons {
+			rows := 1
+			for _, t := range c.Terms {
+				rows *= int(kv[t.Agent])
+			}
+			cons += rows
+			terms += rows * len(c.Terms)
+		}
+		a.Grow(cons, len(in.Objs), terms)
+	}
 	for _, c := range in.Cons {
 		switch len(c.Terms) {
 		case 1:
@@ -346,21 +348,23 @@ func augmentSingletonObjectives(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, h
 	if handOn && singles == 0 {
 		return in, back
 	}
-	// A constraint is duplicated once per split member, and a singleton
-	// objective gains its second copy.
-	cons, terms := 0, termCount(in.Objs)+singles
-	for _, c := range in.Cons {
-		rows := 1
-		for _, t := range c.Terms {
-			if splitT[t.Agent] >= 0 {
-				rows *= 2
-			}
-		}
-		cons += rows
-		terms += rows * len(c.Terms)
-	}
 	a.Reset(out)
-	a.Grow(cons, len(in.Objs), terms)
+	if !a.Holds(mmlp.TermCount(in.Cons) + mmlp.TermCount(in.Objs)) {
+		// A constraint is duplicated once per split member, and a singleton
+		// objective gains its second copy.
+		cons, terms := 0, mmlp.TermCount(in.Objs)+singles
+		for _, c := range in.Cons {
+			rows := 1
+			for _, t := range c.Terms {
+				if splitT[t.Agent] >= 0 {
+					rows *= 2
+				}
+			}
+			cons += rows
+			terms += rows * len(c.Terms)
+		}
+		a.Grow(cons, len(in.Objs), terms)
+	}
 	// Constraints: rows containing a split agent are duplicated per copy
 	// (independently for each split member, so a row with two split agents
 	// yields four rows — each combination must hold for max-feasibility).
@@ -421,7 +425,7 @@ func normalizeCoefficients(in *mmlp.Instance, sc *Scratch, a *mmlp.Arena, handOn
 		return in, back
 	}
 	a.Reset(in.NumAgents)
-	a.Grow(len(in.Cons), len(in.Objs), termCount(in.Cons)+termCount(in.Objs))
+	a.Grow(len(in.Cons), len(in.Objs), mmlp.TermCount(in.Cons)+mmlp.TermCount(in.Objs))
 	for _, c := range in.Cons {
 		for _, t := range c.Terms {
 			a.Add(t.Agent, t.Coef/gamma[t.Agent])
